@@ -11,11 +11,11 @@ import numpy as np
 
 from fsolink.airlut import (
     MCConfig,
-    RatePlan,
     air_for_rate,
     build_air_table,
     load_air_table,
     min_snr_for_air,
+    net_bit_rate,
     save_air_table,
 )
 
@@ -44,14 +44,13 @@ def main() -> None:
     print(f"\nNGMI threshold {table.ngmi_th}, M={table.M}, "
           f"{table.mc_symbols} MC symbols, seed {table.seed}")
     print(f"{'SNR dB':>8s} {'AIR bits':>9s} {'entropy':>8s} {'net Gbps':>9s}")
-    plan = RatePlan()
     for snr, air in zip(table.snr_db, table.air):
-        rate = air * float(plan.net_symbol_rate) / 1e9
+        rate = net_bit_rate(float(air)) / 1e9
         print(f"{snr:8.2f} {air:9.2f} {air / 2:8.2f} {rate:9.1f}")
 
     print("\nservice thresholds:")
     for rate in (400e9, 500e9, 600e9):
-        air = air_for_rate(rate, plan)
+        air = air_for_rate(rate)
         snr = min_snr_for_air(table, air)
         print(f"  {rate / 1e9:.0f} Gbps needs AIR {air:.2f} "
               f"(entropy {air / 2:.2f} bits/pol) -> min SNR {snr:.2f} dB")

@@ -19,11 +19,9 @@ import numpy as np
 from .metrics import awgn_link_metrics
 from .shaping import (
     ENTROPY_FLOOR_BITS,
-    ConstellationTemplate,
-    FrameConfig,
-    ShapedDistribution,
-    mb_distribution,
-    solve_nu_for_entropy,
+    ENTROPY_STEP_BITS,
+    RatePlan,
+    grid_distribution,
 )
 
 __all__ = [
@@ -38,8 +36,6 @@ __all__ = [
     "save_air_table",
     "load_air_table",
 ]
-
-_H_STEP = 0.01  # entropy search resolution, bits
 
 
 @dataclass(frozen=True)
@@ -109,30 +105,6 @@ class AirTable:
             raise ValueError(f"AIR table is missing key {e.args[0]!r}") from None
 
 
-@dataclass(frozen=True)
-class RatePlan:
-    """Static rate structure turning AIR into net bit-rate."""
-
-    gross_symbol_rate: int = 64_000_000_000
-    fec_rate: Fraction = Fraction(5, 6)
-    pilot_rate: Fraction = Fraction(15, 16)
-    max_air_bits: float = 12.0  # two polarizations of a 64-point template
-
-    def __post_init__(self):
-        if not 0 < self.fec_rate <= 1 or not 0 < self.pilot_rate < 1:
-            raise ValueError("rates must lie in (0, 1]")
-
-    @property
-    def net_symbol_rate(self) -> Fraction:
-        """Payload symbol rate after FEC and pilot overhead, exact."""
-        return self.gross_symbol_rate * self.fec_rate * self.pilot_rate
-
-    @classmethod
-    def from_frame(cls, frame: FrameConfig) -> "RatePlan":
-        return cls(gross_symbol_rate=frame.gross_symbol_rate,
-                   fec_rate=frame.fec_rate, pilot_rate=frame.pilot_rate)
-
-
 def net_bit_rate(air_bits: float, plan: RatePlan = RatePlan()) -> float:
     """Net information rate in bit/s: AIR (bits per dual-pol symbol) times
     the net symbol rate, in exact rational arithmetic."""
@@ -149,17 +121,7 @@ def air_for_rate(rate_bps: float, plan: RatePlan = RatePlan()) -> float:
     return float(Fraction(rate_bps) / plan.net_symbol_rate)
 
 
-def _shaped(h_bits: float, template: ConstellationTemplate,
-            cache: dict) -> ShapedDistribution:
-    key = round(h_bits / _H_STEP)
-    if key not in cache:
-        nu = solve_nu_for_entropy(h_bits, template)
-        cache[key] = mb_distribution(nu, template)
-    return cache[key]
-
-
 def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(), ngmi_th: float = 0.9,
-                    template: ConstellationTemplate | None = None,
                     progress: bool = False) -> AirTable:
     """Build the SNR -> AIR table by per-point entropy bisection.
 
@@ -168,26 +130,23 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(), ngmi_th: float = 0.9
     random numbers); a final running-maximum pass makes the table monotone.
     Bit-identical for a fixed (grid, mc, ngmi_th) triple.
     """
-    if template is None:
-        template = ConstellationTemplate.square_qam(64)
+    M = 64  # square 64QAM, as the campaign transmits
     grid = np.asarray(snr_grid_db, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("need at least two grid points")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("SNR grid must be strictly increasing")
 
-    h_lo_bits = ENTROPY_FLOOR_BITS
-    h_hi_bits = float(template.bits_per_symbol)
-    lo_steps = round(h_lo_bits / _H_STEP)
-    hi_steps = round(h_hi_bits / _H_STEP)
-    cache: dict = {}
+    h_hi_bits = math.log2(M)
+    lo_steps = round(ENTROPY_FLOOR_BITS / ENTROPY_STEP_BITS)
+    hi_steps = round(h_hi_bits / ENTROPY_STEP_BITS)
     air = np.zeros(grid.size)
 
     for i, snr in enumerate(grid):
         ss = np.random.SeedSequence([mc.seed, i])
 
         def ngmi_at(steps: int) -> float:
-            dist = _shaped(steps * _H_STEP, template, cache)
+            dist = grid_distribution(steps, M)
             return awgn_link_metrics(dist, float(snr), mc.mc_symbols,
                                      np.random.default_rng(ss)).ngmi
 
@@ -203,12 +162,12 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(), ngmi_th: float = 0.9
                     lo = mid
                 else:
                     hi = mid
-            air[i] = 2.0 * lo * _H_STEP
+            air[i] = 2.0 * lo * ENTROPY_STEP_BITS
         if progress:
             print(f"  {snr:7.2f} dB -> AIR {air[i]:5.2f} bits", file=sys.stderr)
 
     air = np.maximum.accumulate(air)
-    return AirTable(snr_db=grid, air=air, ngmi_th=ngmi_th, M=template.M,
+    return AirTable(snr_db=grid, air=air, ngmi_th=ngmi_th, M=M,
                     mc_symbols=mc.mc_symbols, seed=mc.seed)
 
 

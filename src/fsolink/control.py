@@ -14,20 +14,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .airlut import AirTable, RatePlan, air_for_rate, lookup_air, net_bit_rate
+from .airlut import AirTable, air_for_rate, lookup_air, net_bit_rate
 from .channel import ImpairmentConfig, SnrTrace
 from .metrics import awgn_link_metrics
 from .shaping import (
     ENTROPY_FLOOR_BITS,
+    ENTROPY_STEP_BITS,
     ConstellationTemplate,
     ShapedDistribution,
-    mb_distribution,
-    solve_nu_for_entropy,
+    grid_distribution,
 )
 
 __all__ = [
@@ -87,8 +86,7 @@ def predict_snr(state: PredictorState) -> float:
     return float(np.mean(state.window)) - state.snr_margin_db
 
 
-def select_rate(table: AirTable, snr_est_db: float,
-                plan: RatePlan = RatePlan()):
+def select_rate(table: AirTable, snr_est_db: float):
     """Map a predicted SNR to (entropy bits/pol, AIR, net bit-rate).
 
     AIR below twice the shaping entropy floor cannot be realized by any
@@ -99,7 +97,7 @@ def select_rate(table: AirTable, snr_est_db: float,
     air = float(lookup_air(table, snr_est_db))
     if air < 2.0 * ENTROPY_FLOOR_BITS:
         return 0.0, 0.0, 0.0
-    return air / 2.0, air, net_bit_rate(air, plan)
+    return air / 2.0, air, net_bit_rate(air)
 
 
 @dataclass(frozen=True)
@@ -152,13 +150,6 @@ class CampaignReport:
         }
 
 
-@lru_cache(maxsize=None)
-def _dist_for_entropy(h_hundredths: int, M: int) -> ShapedDistribution:
-    tpl = ConstellationTemplate.square_qam(M)
-    h = h_hundredths / 100.0
-    return mb_distribution(solve_nu_for_entropy(h, tpl), tpl)
-
-
 _PROBE_DIST = ShapedDistribution(
     template=ConstellationTemplate.square_qam(4),
     p=np.full(4, 0.25), nu=0.0)
@@ -182,7 +173,7 @@ def _measure_waveform(dist: ShapedDistribution, snr_db: float, seed_seq,
 
 
 def run_campaign(trace: SnrTrace, schemes, table: AirTable,
-                 plan: RatePlan = RatePlan(), mode: str = "analytic",
+                 mode: str = "analytic",
                  seed: int = 0, n_window: int = 3, snr_margin_db: float = 2.0,
                  mc_symbols: int = 200_000,
                  impairments: ImpairmentConfig | None = None,
@@ -212,7 +203,7 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
             f"AIR table was built for M={table.M}, campaign runs M={tpl.M}")
 
     fixed_entropy = {
-        name: air_for_rate(rate, plan) / 2.0
+        name: air_for_rate(rate) / 2.0
         for name, rate in FIXED_RATES_BPS.items()
     }
     warmup_entropy = fixed_entropy["fixed400"]
@@ -227,15 +218,15 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
             if scheme == "adaptive":
                 if predictor.full:
                     snr_est = predict_snr(predictor)
-                    entropy, air, rate = select_rate(table, snr_est, plan)
+                    entropy, air, rate = select_rate(table, snr_est)
                 else:
                     entropy = warmup_entropy
                     air = 2.0 * entropy
-                    rate = net_bit_rate(air, plan)
+                    rate = net_bit_rate(air)
             else:
                 entropy = fixed_entropy[scheme]
                 air = 2.0 * entropy
-                rate = net_bit_rate(air, plan)
+                rate = net_bit_rate(air)
 
             if air == 0.0:
                 # Nothing to transmit; probe the channel so the measured-SNR
@@ -244,11 +235,11 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
                                                 mc_symbols)
                 ngmi_val = 0.0
             elif mode == "analytic":
-                dist = _dist_for_entropy(round(entropy * 100), tpl.M)
+                dist = grid_distribution(round(entropy / ENTROPY_STEP_BITS), tpl.M)
                 snr_meas, ngmi_val = _measure_analytic(dist, snr_true, rng,
                                                        mc_symbols)
             else:
-                dist = _dist_for_entropy(round(entropy * 100), tpl.M)
+                dist = grid_distribution(round(entropy / ENTROPY_STEP_BITS), tpl.M)
                 snr_meas, ngmi_val = _measure_waveform(
                     dist, snr_true, np.random.SeedSequence([seed, n, idx]),
                     impairments, waveform_samples)
@@ -391,7 +382,7 @@ def load_records(path) -> list:
 
 
 def sweep_predictor(trace: SnrTrace, table: AirTable, n_values, margins_db,
-                    plan: RatePlan = RatePlan(), seed: int = 0,
+                    seed: int = 0,
                     mc_symbols: int = 200_000) -> dict:
     """Grid-sweep the predictor's window length and margin; returns
     {(N, margin): mean effective adaptive rate in bps}. Analytic mode only
@@ -399,7 +390,7 @@ def sweep_predictor(trace: SnrTrace, table: AirTable, n_values, margins_db,
     out = {}
     for n_window in n_values:
         for margin in margins_db:
-            recs = run_campaign(trace, ("adaptive",), table, plan,
+            recs = run_campaign(trace, ("adaptive",), table,
                                 mode="analytic", seed=seed, n_window=n_window,
                                 snr_margin_db=margin, mc_symbols=mc_symbols)
             rep = accumulate_report(recs, trace.sampling_period_s)

@@ -23,7 +23,7 @@ from .metrics import (
     ngmi,
     snr_from_evm,
 )
-from .shaping import ShapedDistribution, insert_pilots
+from .shaping import RatePlan, ShapedDistribution, insert_pilots
 
 __all__ = [
     "EqualizerConfig",
@@ -45,7 +45,7 @@ __all__ = [
     "rx_chain",
 ]
 
-SYMBOL_RATE = 64_000_000_000.0  # symbols/s, gross
+SYMBOL_RATE = float(RatePlan().gross_symbol_rate)  # symbols/s
 
 
 class StageError(RuntimeError):
@@ -249,6 +249,7 @@ def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
     w = {key: np.zeros(taps, dtype=complex) for key in ("xx", "xy", "yx", "yy")}
     w["xx"][c] = 1.0
     w["yy"][c] = 1.0
+    rows = ((w["xx"], w["xy"]), (w["yx"], w["yy"]))  # taps into each output pol
 
     in_power = float(np.mean(np.abs(x_pol) ** 2 + np.abs(y_pol) ** 2)) / 2.0
     limit = cfg.divergence_factor * in_power * sps  # per recovered symbol
@@ -265,47 +266,27 @@ def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
         zy = np.dot(w["yx"], ux) + np.dot(w["yy"], uy)
         out[0, k], out[1, k] = zx, zy
 
-        if k < cfg.training_symbols:
+        errors = ()
+        if k < cfg.training_symbols or mode == "data-aided":
             mu = cfg.cma_step
-            for pol, z in ((0, zx), (1, zy)):
+            errors = []
+            for pol, z in enumerate((zx, zy)):
                 d = ref[pol, k]
                 if d == 0:
                     continue
                 theta[pol] += cfg.pll_gain * _wrap_phase(
                     float(np.angle(z * np.conj(d))) - theta[pol])
-                e = d * complex(math.cos(theta[pol]), math.sin(theta[pol])) - z
-                if pol == 0:
-                    w["xx"] += mu * e * np.conj(ux)
-                    w["xy"] += mu * e * np.conj(uy)
-                else:
-                    w["yx"] += mu * e * np.conj(ux)
-                    w["yy"] += mu * e * np.conj(uy)
-        elif mode == "data-aided":
-            mu = cfg.cma_step
-            for pol, z in ((0, zx), (1, zy)):
-                d = ref[pol, k]
-                if d == 0:
-                    continue
-                theta[pol] += cfg.pll_gain * _wrap_phase(
-                    float(np.angle(z * np.conj(d))) - theta[pol])
-                e = d * complex(math.cos(theta[pol]), math.sin(theta[pol])) - z
-                if pol == 0:
-                    w["xx"] += mu * e * np.conj(ux)
-                    w["xy"] += mu * e * np.conj(uy)
-                else:
-                    w["yx"] += mu * e * np.conj(ux)
-                    w["yy"] += mu * e * np.conj(uy)
+                errors.append(
+                    (pol, d * complex(math.cos(theta[pol]), math.sin(theta[pol])) - z))
         elif pilot[k]:
             mu = cfg.cma_track_step
-            for pol, z in ((0, zx), (1, zy)):
-                r2 = abs(ref[pol, k]) ** 2  # known pilot modulus
-                e = (r2 - abs(z) ** 2) * z
-                if pol == 0:
-                    w["xx"] += mu * e * np.conj(ux)
-                    w["xy"] += mu * e * np.conj(uy)
-                else:
-                    w["yx"] += mu * e * np.conj(ux)
-                    w["yy"] += mu * e * np.conj(uy)
+            # radius-directed: the known pilot modulus is the target
+            errors = [(pol, (abs(ref[pol, k]) ** 2 - abs(z) ** 2) * z)
+                      for pol, z in enumerate((zx, zy))]
+        for pol, e in errors:
+            w_from_x, w_from_y = rows[pol]
+            w_from_x += mu * e * np.conj(ux)
+            w_from_y += mu * e * np.conj(uy)
 
         if k % 256 == 255:
             recent = out[:, max(0, k - 255):k + 1]
@@ -325,12 +306,12 @@ def _modal_spacing(positions: np.ndarray) -> int:
 
 
 def frequency_recovery(symbols: np.ndarray, pilot_mask: np.ndarray,
-                       pilot_ref: np.ndarray, symbol_rate: float = SYMBOL_RATE):
+                       pilot_ref: np.ndarray):
     """Estimate and remove a common carrier frequency offset from the mean
     phase increment between consecutive pilots.
 
     Returns (corrected symbols, offset_hz, ambiguous). The estimator is
-    unambiguous for |offset| < symbol_rate / (2 * pilot spacing); estimates
+    unambiguous for |offset| < SYMBOL_RATE / (2 * pilot spacing); estimates
     whose mean increment approaches +-pi raise the ambiguity flag.
     """
     z = np.atleast_2d(np.asarray(symbols, dtype=complex))
@@ -350,8 +331,8 @@ def frequency_recovery(symbols: np.ndarray, pilot_mask: np.ndarray,
         acc += np.sum(r[1:][keep] * np.conj(r[:-1][keep]))
     dphi = float(np.angle(acc))
     ambiguous = abs(dphi) > 0.9 * math.pi
-    offset_hz = dphi * symbol_rate / (2.0 * math.pi * spacing)
-    t = np.arange(z.shape[1]) / symbol_rate
+    offset_hz = dphi * SYMBOL_RATE / (2.0 * math.pi * spacing)
+    t = np.arange(z.shape[1]) / SYMBOL_RATE
     corrected = z * np.exp(-2j * math.pi * offset_hz * t)[None, :]
     if symbols.ndim == 1:
         corrected = corrected[0]
@@ -489,7 +470,8 @@ def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
 def build_tx_frame(dist: ShapedDistribution, n_symbols: int, seed) -> TxFrame:
     """Assemble a dual-pol pilot-framed stream of exactly n_symbols symbols
     per polarization (n_symbols must fill whole pilot frames)."""
-    num, den = 15, 16
+    pilot_rate = RatePlan().pilot_rate
+    num, den = pilot_rate.numerator, pilot_rate.denominator
     if n_symbols % den:
         raise ValueError(f"symbol count must be a multiple of {den}")
     n_payload = n_symbols * num // den
@@ -503,7 +485,7 @@ def build_tx_frame(dist: ShapedDistribution, n_symbols: int, seed) -> TxFrame:
     point_idx = np.full((2, n_symbols), -1, dtype=np.int64)
     mask = None
     for pol, pseed in ((0, pilot_x), (1, pilot_y)):
-        frame = insert_pilots(alphabet[idx[pol]], (num, den), 1.0,
+        frame = insert_pilots(alphabet[idx[pol]], pilot_rate, 1.0,
                               seed=int(pseed.generate_state(1)[0]))
         if frame.symbols.size != n_symbols:
             raise AssertionError("framing arithmetic is off")
@@ -515,8 +497,7 @@ def build_tx_frame(dist: ShapedDistribution, n_symbols: int, seed) -> TxFrame:
 
 def simulate_block(dist: ShapedDistribution, snr_db: float,
                    impairments: ImpairmentConfig | None, cfg: EqualizerConfig,
-                   n_samples: int = 200_000, seed=0,
-                   symbol_rate: float = SYMBOL_RATE):
+                   n_samples: int = 200_000, seed=0):
     """Transmit one waveform block: shaped symbols -> pilot framing -> RRC
     waveform -> impairments -> AWGN. Returns (frame, received samples)."""
     if n_samples % cfg.sps:
@@ -527,13 +508,12 @@ def simulate_block(dist: ShapedDistribution, snr_db: float,
     frame = build_tx_frame(dist, n_symbols, frame_seed)
     wf = tx_waveform(frame.symbols, cfg)
     if impairments is not None:
-        wf = apply_impairments(wf, impairments, sample_rate=symbol_rate * cfg.sps)
+        wf = apply_impairments(wf, impairments, sample_rate=SYMBOL_RATE * cfg.sps)
     rx = awgn_transmit(wf, snr_db, np.random.default_rng(noise_seed))
     return frame, rx
 
 
-def rx_chain(waveform: np.ndarray, frame: TxFrame, cfg: EqualizerConfig,
-             symbol_rate: float = SYMBOL_RATE) -> ChainResult:
+def rx_chain(waveform: np.ndarray, frame: TxFrame, cfg: EqualizerConfig) -> ChainResult:
     """Run the full receive chain and score the payload.
 
     Stages: matched filter -> Gram-Schmidt -> CMA butterfly (pilot-based) ->
@@ -574,9 +554,9 @@ def rx_chain(waveform: np.ndarray, frame: TxFrame, cfg: EqualizerConfig,
     if cfg.enable_freq_recovery:
         z, freq_offset_hz, ambiguous = guard(
             "frequency_recovery", frequency_recovery, z, frame.pilot_mask,
-            pilot_ref, symbol_rate)
+            pilot_ref)
         removed_phase += (2.0 * math.pi * freq_offset_hz
-                          * np.arange(n_sym_stream) / symbol_rate)[None, :]
+                          * np.arange(n_sym_stream) / SYMBOL_RATE)[None, :]
 
     if cfg.enable_cpe:
         phases = np.stack([

@@ -46,13 +46,14 @@ class MetricReport:
         }
 
 
-def _posterior_sums(rx: np.ndarray, dist: ShapedDistribution, noise_var: float,
-                    chunk: int = 32768):
-    """Yield (sl, s_total, s_bit1) per chunk.
+def _llr_chunks(rx: np.ndarray, dist: ShapedDistribution, noise_var: float,
+                chunk: int = 32768):
+    """Yield (sl, llr) per chunk of rx: the prior-aware LLRs of rx[sl],
+    shape (len, m), label MSB in column 0.
 
-    s_bit1[n, i] is the unnormalized posterior mass of {x : bit i of label(x)
-    is 1} at rx[n]; s_total[n] is the mass over the whole alphabet. A shared
-    per-row rescaling cancels in every ratio downstream.
+    The posterior mass of {x : bit i of label(x) is 1} and of the whole
+    alphabet are summed with a shared per-row rescaling, which cancels in
+    their ratio; both are floored so every LLR stays finite.
     """
     pts = dist.tx_points()
     logp = np.log(np.maximum(dist.p, _TINY))
@@ -65,7 +66,9 @@ def _posterior_sums(rx: np.ndarray, dist: ShapedDistribution, noise_var: float,
         e = np.exp(a)
         s1 = e @ masks
         st = e.sum(axis=1)
-        yield slice(lo, lo + y.size), st, s1
+        s0 = np.maximum(st[:, None] - s1, _TINY)
+        s1 = np.maximum(s1, _TINY)
+        yield slice(lo, lo + y.size), np.log(s0) - np.log(s1)
 
 
 def bitwise_llrs(rx: np.ndarray, dist: ShapedDistribution, noise_var: float) -> np.ndarray:
@@ -79,19 +82,10 @@ def bitwise_llrs(rx: np.ndarray, dist: ShapedDistribution, noise_var: float) -> 
         raise ValueError("no received samples")
     if not noise_var > 0:
         raise ValueError("noise variance must be positive")
-    m = dist.template.bits_per_symbol
-    out = np.empty((rx.size, m))
-    for sl, st, s1 in _posterior_sums(rx, dist, noise_var):
-        s0 = np.maximum(st[:, None] - s1, _TINY)
-        s1 = np.maximum(s1, _TINY)
-        out[sl] = np.log(s0) - np.log(s1)
+    out = np.empty((rx.size, dist.template.bits_per_symbol))
+    for sl, llr in _llr_chunks(rx, dist, noise_var):
+        out[sl] = llr
     return out
-
-
-def _label_bits(dist: ShapedDistribution) -> np.ndarray:
-    m = dist.template.bits_per_symbol
-    shifts = np.arange(m - 1, -1, -1)
-    return (dist.template.labels[:, None] >> shifts[None, :]) & 1  # (M, m)
 
 
 def gmi_from_samples(tx_idx: np.ndarray, rx: np.ndarray, dist: ShapedDistribution,
@@ -111,13 +105,10 @@ def gmi_from_samples(tx_idx: np.ndarray, rx: np.ndarray, dist: ShapedDistributio
     if not noise_var > 0:
         raise ValueError("noise variance must be positive")
 
-    bits = _label_bits(dist)[tx_idx]  # (N, m) in {0, 1}
+    bits = dist.template.bit_masks().T[tx_idx]  # (N, m), True where bit is 1
     sgn = 1.0 - 2.0 * bits
     loss_bits = 0.0
-    for sl, st, s1 in _posterior_sums(rx, dist, noise_var):
-        s0 = np.maximum(st[:, None] - s1, _TINY)
-        s1c = np.maximum(s1, _TINY)
-        llr = np.log(s0) - np.log(s1c)
+    for sl, llr in _llr_chunks(rx, dist, noise_var):
         loss_bits += np.logaddexp(0.0, -sgn[sl] * llr).sum() / _LN2
     gmi = dist.entropy_bits - loss_bits / rx.size
     return max(gmi, 0.0)

@@ -1,8 +1,10 @@
 """Shaped constellations: Gray-mapped QAM templates, Maxwell-Boltzmann
-probability shaping, rate-to-distribution inversion, and pilot framing."""
+probability shaping, rate-to-distribution inversion, the 0.01-bit entropy
+grid the rate adaptation moves on, and the frame's rate plan and pilots."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -12,14 +14,16 @@ import numpy as np
 __all__ = [
     "ConstellationTemplate",
     "ShapedDistribution",
-    "FrameConfig",
+    "RatePlan",
     "PilotFrame",
     "mb_distribution",
     "solve_nu_for_entropy",
+    "grid_distribution",
     "insert_pilots",
 ]
 
 ENTROPY_FLOOR_BITS = 2.0  # below this the shaped 64QAM degenerates to QPSK
+ENTROPY_STEP_BITS = 0.01  # resolution of every transmitted entropy
 
 
 def _gray(i: int) -> int:
@@ -181,20 +185,27 @@ def solve_nu_for_entropy(
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class FrameConfig:
-    """Static rate structure of the transmitted frame."""
+@functools.lru_cache(maxsize=None)
+def grid_distribution(steps: int, M: int) -> ShapedDistribution:
+    """Maxwell-Boltzmann distribution over square M-QAM whose entropy is
+    steps * ENTROPY_STEP_BITS; cached for the life of the process."""
+    tpl = ConstellationTemplate.square_qam(M)
+    return mb_distribution(solve_nu_for_entropy(steps * ENTROPY_STEP_BITS, tpl), tpl)
 
+
+@dataclass(frozen=True)
+class RatePlan:
+    """Static rate structure of the transmitted frame, turning AIR into net
+    bit-rate."""
+
+    gross_symbol_rate: int = 64_000_000_000  # symbols/s
     fec_rate: Fraction = Fraction(5, 6)
     pilot_rate: Fraction = Fraction(15, 16)
-    gross_symbol_rate: int = 64_000_000_000  # symbols/s
-    block_length_symbols: int = 960  # CCDM block size, divisible by 64
+    max_air_bits: float = 12.0  # two polarizations of a 64-point template
 
     def __post_init__(self):
         if not 0 < self.fec_rate <= 1 or not 0 < self.pilot_rate < 1:
             raise ValueError("rates must lie in (0, 1]")
-        if self.block_length_symbols < 1:
-            raise ValueError("block length must be positive")
 
     @property
     def net_symbol_rate(self) -> Fraction:

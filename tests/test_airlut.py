@@ -19,7 +19,6 @@ from fsolink.airlut import (
     net_bit_rate,
     save_air_table,
 )
-from fsolink.shaping import FrameConfig
 
 
 def _table(snr, air, th=0.9):
@@ -31,14 +30,6 @@ def _table(snr, air, th=0.9):
 
 def test_rate_plan_product_is_exact():
     plan = RatePlan()
-    assert plan.net_symbol_rate == Fraction(50_000_000_000)
-
-
-def test_rate_plan_from_frame_config():
-    plan = RatePlan.from_frame(FrameConfig())
-    assert plan.gross_symbol_rate == 64_000_000_000
-    assert plan.fec_rate == Fraction(5, 6)
-    assert plan.pilot_rate == Fraction(15, 16)
     assert plan.net_symbol_rate == Fraction(50_000_000_000)
 
 

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from fsolink.ccdm import quantize_composition
 from fsolink.shaping import (
     ENTROPY_FLOOR_BITS,
+    ENTROPY_STEP_BITS,
     ConstellationTemplate,
-    FrameConfig,
     ShapedDistribution,
+    grid_distribution,
     insert_pilots,
     mb_distribution,
     solve_nu_for_entropy,
@@ -181,22 +182,6 @@ def test_quantize_counts_always_sum_to_n(n, nu):
     assert all(c >= 0 for c in comp.counts)
 
 
-# ------------------------------------------------------------ frame config
-
-def test_frame_rate_product_is_exact():
-    cfg = FrameConfig()
-    assert cfg.fec_rate == Fraction(5, 6)
-    assert cfg.pilot_rate == Fraction(15, 16)
-    assert cfg.net_symbol_rate == Fraction(50_000_000_000)
-
-
-def test_frame_config_validation():
-    with pytest.raises(ValueError):
-        FrameConfig(fec_rate=Fraction(7, 6))
-    with pytest.raises(ValueError):
-        FrameConfig(block_length_symbols=0)
-
-
 # ----------------------------------------------------------- pilot framing
 
 def _payload(n, seed=5):
@@ -258,3 +243,11 @@ def test_pilot_rate_validation(rate):
 def test_empty_payload_rejected():
     with pytest.raises(ValueError):
         insert_pilots(np.array([]), Fraction(15, 16), 1.0)
+
+
+# ------------------------------------------------------------ entropy grid
+
+def test_grid_distribution_sits_on_the_entropy_grid():
+    dist = grid_distribution(473, 64)
+    assert dist.entropy_bits == pytest.approx(473 * ENTROPY_STEP_BITS, abs=1e-9)
+    assert grid_distribution(473, 64) is dist  # one solve per step and size
