@@ -89,15 +89,21 @@ def predict_snr(state: PredictorState) -> float:
 def select_rate(table: AirTable, snr_est_db: float):
     """Map a predicted SNR to (entropy bits/pol, AIR, net bit-rate).
 
-    AIR below twice the shaping entropy floor cannot be realized by any
-    valid distribution (interpolation across the table's service cliff can
-    produce such values), so it collapses to 0: out of service, transmit
-    nothing this iteration.
+    The table's AIR/2 is floored to the entropy grid, the distribution the
+    campaign transmits, so the returned rate is the one that distribution
+    carries and never exceeds what the table allows. AIR below twice the
+    shaping entropy floor cannot be realized by any valid distribution
+    (interpolation across the table's service cliff can produce such
+    values), so it collapses to 0: out of service, transmit nothing this
+    iteration.
     """
     air = float(lookup_air(table, snr_est_db))
     if air < 2.0 * ENTROPY_FLOOR_BITS:
         return 0.0, 0.0, 0.0
-    return air / 2.0, air, net_bit_rate(air)
+    # the tolerance keeps table values such as 9.3 on their own step
+    steps = math.floor(air / 2.0 / ENTROPY_STEP_BITS + 1e-9)
+    entropy = steps * ENTROPY_STEP_BITS
+    return entropy, 2.0 * entropy, net_bit_rate(2.0 * entropy)
 
 
 @dataclass(frozen=True)
@@ -186,8 +192,9 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
     select_rate; during the first n_window iterations it transmits at the
     fixed-400G entropy while the window fills. Out-of-service iterations
     still measure SNR (uniform-QPSK probe) so the predictor keeps running.
-    Seeds derive from (seed, iteration, scheme index): the record list is
-    bit-identical across runs and schemes never share noise.
+    Seeds derive from (seed, iteration, the scheme's index in SCHEMES): the
+    record list is bit-identical across runs, schemes never share noise,
+    and a scheme's records do not depend on which other schemes run with it.
     """
     if mode not in ("analytic", "waveform"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -197,6 +204,8 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
     for s in schemes:
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}; choose from {SCHEMES}")
+    if len(set(schemes)) != len(schemes):
+        raise ValueError(f"a scheme is requested twice: {schemes}")
     tpl = ConstellationTemplate.square_qam(64)
     if table.M != tpl.M:
         raise ValueError(
@@ -212,8 +221,9 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
     records = []
     for n in range(len(trace)):
         snr_true = float(trace.snr_db[n])
-        for idx, scheme in enumerate(schemes):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, n, idx]))
+        for scheme in schemes:
+            key = [seed, n, SCHEMES.index(scheme)]
+            rng = np.random.default_rng(np.random.SeedSequence(key))
             snr_est = math.nan
             if scheme == "adaptive":
                 if predictor.full:
@@ -234,15 +244,16 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
                 snr_meas, _ = _measure_analytic(_PROBE_DIST, snr_true, rng,
                                                 mc_symbols)
                 ngmi_val = 0.0
-            elif mode == "analytic":
-                dist = grid_distribution(round(entropy / ENTROPY_STEP_BITS), tpl.M)
-                snr_meas, ngmi_val = _measure_analytic(dist, snr_true, rng,
-                                                       mc_symbols)
             else:
+                # entropy lies on the grid, so this is exactly its step
                 dist = grid_distribution(round(entropy / ENTROPY_STEP_BITS), tpl.M)
-                snr_meas, ngmi_val = _measure_waveform(
-                    dist, snr_true, np.random.SeedSequence([seed, n, idx]),
-                    impairments, waveform_samples)
+                if mode == "analytic":
+                    snr_meas, ngmi_val = _measure_analytic(dist, snr_true, rng,
+                                                           mc_symbols)
+                else:
+                    snr_meas, ngmi_val = _measure_waveform(
+                        dist, snr_true, np.random.SeedSequence(key),
+                        impairments, waveform_samples)
 
             if scheme == "adaptive":
                 predictor.push(snr_meas)

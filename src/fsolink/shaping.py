@@ -1,6 +1,6 @@
 """Shaped constellations: Gray-mapped QAM templates, Maxwell-Boltzmann
-probability shaping, rate-to-distribution inversion, the 0.01-bit entropy
-grid the rate adaptation moves on, and the frame's rate plan and pilots."""
+probability shaping, rate-to-distribution inversion, the entropy grid the
+rate adaptation moves on, and the frame's rate plan and pilots."""
 
 from __future__ import annotations
 

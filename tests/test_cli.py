@@ -2,12 +2,15 @@
 codes for the four subcommands."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fsolink
 from fsolink.airlut import load_air_table
 from fsolink.channel import load_trace
 from fsolink.cli import _parse_grid, main
@@ -172,8 +175,12 @@ def test_report_missing_records(tmp_path, capsys):
 
 
 def test_module_entry_point_help():
+    # the child imports the same fsolink as this process, installed or not
+    src = str(Path(fsolink.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "fsolink", "--help"],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     for cmd in ("build-lut", "gen-trace", "run", "report"):
         assert cmd in proc.stdout

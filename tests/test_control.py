@@ -1,13 +1,15 @@
 """SNR predictor, rate selection, campaign runner, outage accounting, and
 report serialization."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from fsolink.airlut import AirTable, RatePlan, net_bit_rate
+from fsolink import control
+from fsolink.airlut import AirTable, RatePlan, lookup_air, net_bit_rate
 from fsolink.channel import CLEAR, RAIN, RainModelConfig, SnrTrace, gen_trace
 from fsolink.control import (
     FIXED_RATES_BPS,
@@ -23,6 +25,7 @@ from fsolink.control import (
     select_rate,
     sweep_predictor,
 )
+from fsolink.shaping import ENTROPY_STEP_BITS
 
 
 def _const_trace(snr_db, n, weather=CLEAR):
@@ -130,6 +133,19 @@ def test_select_rate_direct_product():
     assert air == pytest.approx(9.3, abs=1e-12)
     assert h == pytest.approx(4.65, abs=1e-12)
     assert rate == pytest.approx(465e9, abs=1e-3)
+
+
+def test_select_rate_floors_to_the_entropy_grid():
+    # Off-grid AIR 9.47 transmits the 4.73-bit distribution, so the record
+    # carries that entropy and its rate, never more than the table allows.
+    table = _toy_table()
+    snr = 10.0 + 5.0 * (9.47 - 8.0) / 2.0
+    h, air, rate = select_rate(table, snr)
+    assert h == 473 * ENTROPY_STEP_BITS
+    assert air == 2.0 * h
+    assert h == pytest.approx(4.73, abs=1e-12)
+    assert air == pytest.approx(9.46, abs=1e-12)
+    assert rate == net_bit_rate(air) == pytest.approx(473e9, abs=1e-3)
 
 
 def test_select_rate_margin_monotonicity():
@@ -248,6 +264,46 @@ def test_campaign_rain_response(coarse_table):
     assert out_rain > out_clear
 
 
+def test_campaign_records_the_transmitted_entropy(monkeypatch):
+    # A 9 -> 10 AIR ramp puts most predictions between grid steps.
+    table = AirTable(snr_db=np.array([10.0, 20.0]), air=np.array([9.0, 10.0]),
+                     ngmi_th=0.9, M=64, mc_symbols=1000, seed=0)
+    n = 12
+    trace = SnrTrace(t_s=25.0 * np.arange(n), snr_db=np.linspace(14.0, 19.0, n),
+                     weather=(CLEAR,) * n)
+    sent = []
+    measure = control._measure_analytic
+
+    def spy(dist, *args):
+        sent.append(dist)
+        return measure(dist, *args)
+
+    monkeypatch.setattr(control, "_measure_analytic", spy)
+    records = run_campaign(trace, SCHEMES, table, seed=4, mc_symbols=2000)
+    assert len(sent) == len(records)
+    for r, dist in zip(records, sent):
+        assert r.air == 2.0 * r.entropy_bits
+        assert r.rate_bps == net_bit_rate(r.air)
+        assert dist.entropy_bits == pytest.approx(r.entropy_bits, abs=1e-8)
+    # the ramp did put predictions between grid steps
+    assert any(lookup_air(table, r.snr_est_db) != r.air for r in records
+               if r.scheme == "adaptive" and not math.isnan(r.snr_est_db))
+
+
+def test_campaign_scheme_records_do_not_depend_on_companions():
+    trace = SnrTrace(t_s=25.0 * np.arange(10), snr_db=np.linspace(9.0, 17.0, 10),
+                     weather=(CLEAR,) * 10)
+
+    def adaptive_rows(schemes):
+        records = run_campaign(trace, schemes, _toy_table(), seed=6,
+                               mc_symbols=2000)
+        return [repr(dataclasses.astuple(r)) for r in records
+                if r.scheme == "adaptive"]
+
+    assert adaptive_rows(SCHEMES) == adaptive_rows(("adaptive",))
+    assert adaptive_rows(("adaptive", "fixed500")) == adaptive_rows(("adaptive",))
+
+
 def test_campaign_validation(coarse_table):
     trace = _const_trace(15.0, 3)
     with pytest.raises(ValueError, match="mode"):
@@ -256,6 +312,8 @@ def test_campaign_validation(coarse_table):
         run_campaign(trace, ("fixed600",), coarse_table)
     with pytest.raises(ValueError, match="scheme"):
         run_campaign(trace, (), coarse_table)
+    with pytest.raises(ValueError, match="scheme"):
+        run_campaign(trace, ("adaptive", "adaptive"), coarse_table)
     tiny = AirTable(snr_db=np.array([0.0, 10.0]), air=np.array([0.0, 4.0]),
                     ngmi_th=0.9, M=4, mc_symbols=100, seed=0)
     with pytest.raises(ValueError, match="M="):
