@@ -103,7 +103,8 @@ def select_rate(table: AirTable, snr_est_db: float):
     # the tolerance keeps table values such as 9.3 on their own step
     steps = math.floor(air / 2.0 / ENTROPY_STEP_BITS + 1e-9)
     entropy = steps * ENTROPY_STEP_BITS
-    return entropy, 2.0 * entropy, net_bit_rate(2.0 * entropy)
+    air = 2.0 * entropy
+    return entropy, air, net_bit_rate(air)
 
 
 @dataclass(frozen=True)
