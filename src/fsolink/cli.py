@@ -8,6 +8,7 @@ stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -66,10 +67,7 @@ def _rain_config_from_json(path: str | None, seed: int | None) -> tuple:
         except TypeError as e:
             raise ValueError(f"{path}: {e}") from None
     if seed is not None:
-        cfg = RainModelConfig(
-            clear_mean_db=cfg.clear_mean_db, clear_std_db=cfg.clear_std_db,
-            rain_mean_drop_db=cfg.rain_mean_drop_db, rain_std_db=cfg.rain_std_db,
-            ar1_rho=cfg.ar1_rho, rain_intervals=cfg.rain_intervals, seed=seed)
+        cfg = dataclasses.replace(cfg, seed=seed)
     return cfg, period
 
 

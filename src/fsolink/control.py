@@ -371,7 +371,8 @@ def emit_report(report: CampaignReport, records, out_dir) -> None:
 
 
 def load_records(path) -> list:
-    """Parse a records.csv written by emit_report back into records."""
+    """Parse a records.csv written by emit_report back into records; every
+    scheme must cover the same iterations."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != ",".join(RECORD_COLUMNS):
@@ -390,6 +391,12 @@ def load_records(path) -> list:
             rate_bps=float(parts[9]), ngmi=float(parts[10]),
             in_service={"true": True, "false": False}[parts[11]],
         ))
+    iterations = {s: [r.n for r in rows] for s, rows in _by_scheme(out).items()}
+    first, first_n = next(iter(iterations.items()), (None, None))
+    for scheme, n in iterations.items():
+        if n != first_n:
+            raise ValueError(f"{path}: scheme {scheme!r} has {len(n)} rows whose "
+                             f"iterations differ from {first!r}'s {len(first_n)}")
     return out
 
 

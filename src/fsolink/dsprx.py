@@ -14,15 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ImpairmentConfig, apply_impairments, awgn_transmit
-from .metrics import (
-    MetricReport,
-    evm_percent,
-    gmi_from_samples,
-    ngmi,
-    snr_from_evm,
-)
+from .metrics import MetricReport, evm_percent, gmi_from_samples
 from .shaping import RatePlan, ShapedDistribution, insert_pilots
 
 __all__ = [
@@ -84,9 +79,6 @@ class EqualizerConfig:
     rrc_span_symbols: int = 16
     guard_symbols: int = 32
     divergence_factor: float = 10.0
-    enable_gram_schmidt: bool = True
-    enable_freq_recovery: bool = True
-    enable_cpe: bool = True
     enable_lms: bool = True
 
     def __post_init__(self):
@@ -107,12 +99,11 @@ class EqualizerConfig:
 @dataclass(frozen=True)
 class EqualizerReference:
     """What the adaptive stages are allowed to know: the symbol stream
-    (training prefix + pilots are the honest subset), the pilot positions,
-    and the transmit alphabet's target radii."""
+    (training prefix + pilots are the honest subset) and the pilot
+    positions."""
 
     symbols: np.ndarray  # (2, n_sym) complex
     pilot_mask: np.ndarray  # (n_sym,) bool
-    radii: np.ndarray  # ascending moduli of the transmit alphabet
 
 
 @dataclass(frozen=True)
@@ -130,8 +121,7 @@ class TxFrame:
         return self.symbols.shape[1]
 
     def reference(self) -> EqualizerReference:
-        return EqualizerReference(symbols=self.symbols, pilot_mask=self.pilot_mask,
-                                  radii=self.dist.radii())
+        return EqualizerReference(symbols=self.symbols, pilot_mask=self.pilot_mask)
 
 
 @dataclass(frozen=True)
@@ -216,6 +206,56 @@ def _wrap_phase(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def _step_schedule(n: int, cfg: EqualizerConfig, pilot_mask: np.ndarray,
+                   warm: float, track: float) -> np.ndarray:
+    """Per-output adaptation step: `warm` on every training symbol, `track`
+    at the pilots after the training prefix, 0 (no update) elsewhere."""
+    steps = np.where(pilot_mask[:n], track, 0.0)
+    steps[:cfg.training_symbols] = warm
+    return steps
+
+
+def _adapt(stage: str, rails: np.ndarray, taps: int, stride: int,
+           steps: np.ndarray, error, cfg: EqualizerConfig, publish):
+    """Stochastic-gradient FIR equalizer shared by the adaptive stages.
+
+    `rails` (R, N) are zero-padded by half a filter on each side; output k
+    reads the (R, taps) window starting at input sample stride*k, and row r
+    of the (R, R*taps) tap matrix starts as a center spike on rail r. After
+    output o of step k the taps move by steps[k] * outer(error(k, o),
+    conj(u)). Every 256 outputs the power per polarization (outputs are
+    dual-pol: R complex rails or R/2 real rail pairs) is checked against
+    cfg.divergence_factor times the input's per-polarization power per
+    output; on failure EqualizerDiverged carries publish(copy of the taps).
+    Returns the (R, len(steps)) outputs and publish(taps).
+    """
+    n_rails, n_in = rails.shape
+    c = (taps - 1) // 2
+    windows = sliding_window_view(np.pad(rails, ((0, 0), (c, c))), taps,
+                                  axis=1)[:, ::stride]
+    w = np.zeros((n_rails, n_rails * taps), dtype=rails.dtype)
+    w[np.arange(n_rails), np.arange(n_rails) * taps + c] = 1.0
+    in_power = float(np.sum(np.abs(rails) ** 2)) / (2 * n_in)
+    limit = cfg.divergence_factor * in_power * stride
+    out = np.empty((n_rails, steps.size), dtype=rails.dtype)
+
+    for k, mu in enumerate(steps.tolist()):
+        u = windows[:, k].ravel()
+        o = w @ u
+        out[:, k] = o
+        if mu:
+            w += mu * np.outer(error(k, o), u.conj())
+
+        if k % 256 == 255:
+            power = float(np.sum(np.abs(out[:, k - 255:k + 1]) ** 2)) / (2 * 256)
+            if not math.isfinite(power) or power > limit:
+                raise EqualizerDiverged(
+                    stage, f"output power {power:.3g} exceeds {limit:.3g}",
+                    publish(w.copy()))
+
+    return out, publish(w)
+
+
 def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
                   mode: str, reference: EqualizerReference):
     """2x2 butterfly equalizer at cfg.sps samples/symbol, one output symbol
@@ -223,13 +263,13 @@ def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
 
     The first cfg.training_symbols outputs adapt data-aided (LMS against the
     known symbols, with a per-pol phase tracker so a carrier offset does not
-    masquerade as an error). Afterwards, 'pilot-based' mode applies
-    radius-directed updates at pilot positions only (phase-blind; the pilot
-    modulus is the target radius), while 'data-aided' keeps using the full
-    reference. Raises EqualizerDiverged when output power exceeds
-    cfg.divergence_factor times the input sample power.
+    masquerade as an error). Afterwards radius-directed updates run at pilot
+    positions only (phase-blind; the pilot modulus is the target radius).
+    'pilot-based' is the only mode. Returns the outputs and the taps
+    {"xx", "xy", "yx", "yy"}. Raises EqualizerDiverged when output power
+    exceeds cfg.divergence_factor times the input sample power.
     """
-    if mode not in ("data-aided", "pilot-based"):
+    if mode != "pilot-based":
         raise ValueError(f"unknown mode {mode!r}")
     x_pol = np.ascontiguousarray(x_pol, dtype=complex)
     y_pol = np.ascontiguousarray(y_pol, dtype=complex)
@@ -242,61 +282,31 @@ def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
     if reference.symbols.shape[1] < n_sym:
         raise ValueError("reference shorter than the symbol stream")
 
-    c = (taps - 1) // 2
-    xp = np.concatenate([np.zeros(c, complex), x_pol, np.zeros(c, complex)])
-    yp = np.concatenate([np.zeros(c, complex), y_pol, np.zeros(c, complex)])
-
-    w = {key: np.zeros(taps, dtype=complex) for key in ("xx", "xy", "yx", "yy")}
-    w["xx"][c] = 1.0
-    w["yy"][c] = 1.0
-    rows = ((w["xx"], w["xy"]), (w["yx"], w["yy"]))  # taps into each output pol
-
-    in_power = float(np.mean(np.abs(x_pol) ** 2 + np.abs(y_pol) ** 2)) / 2.0
-    limit = cfg.divergence_factor * in_power * sps  # per recovered symbol
     ref = reference.symbols
-    pilot = reference.pilot_mask
     theta = [0.0, 0.0]
-    out = np.empty((2, n_sym), dtype=complex)
 
-    for k in range(n_sym):
-        base = sps * k
-        ux = xp[base:base + taps]
-        uy = yp[base:base + taps]
-        zx = np.dot(w["xx"], ux) + np.dot(w["xy"], uy)
-        zy = np.dot(w["yx"], ux) + np.dot(w["yy"], uy)
-        out[0, k], out[1, k] = zx, zy
-
-        errors = ()
-        if k < cfg.training_symbols or mode == "data-aided":
-            mu = cfg.cma_step
-            errors = []
-            for pol, z in enumerate((zx, zy)):
-                d = ref[pol, k]
-                if d == 0:
-                    continue
-                theta[pol] += cfg.pll_gain * _wrap_phase(
-                    float(np.angle(z * np.conj(d))) - theta[pol])
-                errors.append(
-                    (pol, d * complex(math.cos(theta[pol]), math.sin(theta[pol])) - z))
-        elif pilot[k]:
-            mu = cfg.cma_track_step
+    def error(k, z):
+        if k >= cfg.training_symbols:
             # radius-directed: the known pilot modulus is the target
-            errors = [(pol, (abs(ref[pol, k]) ** 2 - abs(z) ** 2) * z)
-                      for pol, z in enumerate((zx, zy))]
-        for pol, e in errors:
-            w_from_x, w_from_y = rows[pol]
-            w_from_x += mu * e * np.conj(ux)
-            w_from_y += mu * e * np.conj(uy)
+            return (np.abs(ref[:, k]) ** 2 - np.abs(z) ** 2) * z
+        e = np.zeros(2, dtype=complex)
+        for pol in range(2):
+            d = ref[pol, k]
+            if d == 0:
+                continue
+            theta[pol] += cfg.pll_gain * _wrap_phase(
+                float(np.angle(z[pol] * np.conj(d))) - theta[pol])
+            e[pol] = d * complex(math.cos(theta[pol]), math.sin(theta[pol])) - z[pol]
+        return e
 
-        if k % 256 == 255:
-            recent = out[:, max(0, k - 255):k + 1]
-            power = float(np.mean(np.abs(recent) ** 2))
-            if not math.isfinite(power) or power > limit:
-                raise EqualizerDiverged(
-                    "cma", f"output power {power:.3g} exceeds {limit:.3g}",
-                    {key: val.copy() for key, val in w.items()})
+    def publish(w):  # row = output pol, column block = input pol
+        return {"xx": w[0, :taps], "xy": w[0, taps:],
+                "yx": w[1, :taps], "yy": w[1, taps:]}
 
-    return out, w
+    steps = _step_schedule(n_sym, cfg, reference.pilot_mask,
+                           cfg.cma_step, cfg.cma_track_step)
+    return _adapt("cma", np.stack([x_pol, y_pol]), taps, sps, steps, error,
+                  cfg, publish)
 
 
 def _modal_spacing(positions: np.ndarray) -> int:
@@ -390,6 +400,11 @@ def pilot_cpe(symbols: np.ndarray, pilot_mask: np.ndarray, pilot_ref: np.ndarray
     return np.asarray(symbols, dtype=complex) * np.exp(-1j * phase)
 
 
+def _iq_rails(z: np.ndarray) -> np.ndarray:
+    """(2, n) complex -> (4, n) real rails XI, XQ, YI, YQ."""
+    return np.stack([z.real, z.imag], axis=1).reshape(4, -1)
+
+
 def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
             reference: EqualizerReference,
             carrier_phase: np.ndarray | None = None):
@@ -405,7 +420,8 @@ def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
     it the input domain is used as-is.
 
     Data-aided over the training prefix, then pilot-driven updates at the
-    smaller tracking step. Divergence handling mirrors cma_butterfly.
+    smaller tracking step, through the same loop and divergence check as
+    cma_butterfly. Returns the outputs and the (4, 4, lms_taps) taps.
     """
     z = np.asarray(symbols, dtype=complex)
     if z.ndim != 2 or z.shape[0] != 2:
@@ -414,7 +430,6 @@ def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
     if reference.symbols.shape[1] < n:
         raise ValueError("reference shorter than the symbol stream")
     taps = cfg.lms_taps
-    c = (taps - 1) // 2
 
     if carrier_phase is None:
         rot = np.ones((2, n), dtype=complex)
@@ -423,48 +438,14 @@ def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
         if carrier_phase.shape != z.shape:
             raise ValueError("carrier phase must match the symbol stream")
         rot = np.exp(1j * carrier_phase)
-    z_front = z * rot
 
-    rails = np.concatenate([
-        np.zeros((4, c)),
-        np.stack([z_front[0].real, z_front[0].imag,
-                  z_front[1].real, z_front[1].imag]),
-        np.zeros((4, c)),
-    ], axis=1)
-    ref_front = reference.symbols[:, :n] * rot
-    pilot = reference.pilot_mask
-    dim = 4 * taps
-
-    weights = np.zeros((4, dim))
-    for r in range(4):
-        weights[r, r * taps + c] = 1.0
-
-    in_power = float(np.mean(np.abs(z) ** 2))
-    limit = cfg.divergence_factor * in_power
-    out = np.empty((2, n), dtype=complex)
-
-    for k in range(n):
-        u = rails[:, k:k + taps].ravel()
-        o = weights @ u
-        out[0, k] = complex(o[0], o[1]) * np.conj(rot[0, k])
-        out[1, k] = complex(o[2], o[3]) * np.conj(rot[1, k])
-
-        train = k < cfg.training_symbols
-        if train or pilot[k]:
-            mu = cfg.lms_step if train else cfg.lms_track_step
-            d = np.array([ref_front[0, k].real, ref_front[0, k].imag,
-                          ref_front[1, k].real, ref_front[1, k].imag])
-            weights += mu * np.outer(d - o, u)
-
-        if k % 256 == 255:
-            recent = out[:, max(0, k - 255):k + 1]
-            power = float(np.mean(np.abs(recent) ** 2))
-            if not math.isfinite(power) or power > limit:
-                raise EqualizerDiverged(
-                    "lms", f"output power {power:.3g} exceeds {limit:.3g}",
-                    weights.reshape(4, 4, taps).copy())
-
-    return out, weights.reshape(4, 4, taps)
+    d = _iq_rails(reference.symbols[:, :n] * rot)
+    steps = _step_schedule(n, cfg, reference.pilot_mask,
+                           cfg.lms_step, cfg.lms_track_step)
+    out, weights = _adapt("lms", _iq_rails(z * rot), taps, 1, steps,
+                          lambda k, o: d[:, k] - o, cfg,
+                          lambda w: w.reshape(4, 4, taps))
+    return (out[0::2] + 1j * out[1::2]) * np.conj(rot), weights
 
 
 def build_tx_frame(dist: ShapedDistribution, n_symbols: int, seed) -> TxFrame:
@@ -537,35 +518,27 @@ def rx_chain(waveform: np.ndarray, frame: TxFrame, cfg: EqualizerConfig) -> Chai
 
     wf = guard("matched_filter", matched_filter, wf, cfg)
 
-    if cfg.enable_gram_schmidt:
-        rails = []
-        for pol in range(2):
-            i_rail, q_rail = guard("gram_schmidt", gram_schmidt,
-                                   wf[pol].real, wf[pol].imag)
-            rails.append(i_rail + 1j * q_rail)
-        wf = np.stack(rails)
+    rails = []
+    for pol in range(2):
+        i_rail, q_rail = guard("gram_schmidt", gram_schmidt,
+                               wf[pol].real, wf[pol].imag)
+        rails.append(i_rail + 1j * q_rail)
+    wf = np.stack(rails)
 
     z, _ = guard("cma", cma_butterfly, wf[0], wf[1], cfg, "pilot-based", reference)
 
     pilot_ref = np.stack([frame.symbols[p, frame.pilot_mask] for p in range(2)])
-    n_sym_stream = z.shape[1]
-    removed_phase = np.zeros((2, n_sym_stream))
-    freq_offset_hz, ambiguous = 0.0, False
-    if cfg.enable_freq_recovery:
-        z, freq_offset_hz, ambiguous = guard(
-            "frequency_recovery", frequency_recovery, z, frame.pilot_mask,
-            pilot_ref)
-        removed_phase += (2.0 * math.pi * freq_offset_hz
-                          * np.arange(n_sym_stream) / SYMBOL_RATE)[None, :]
+    z, freq_offset_hz, ambiguous = guard(
+        "frequency_recovery", frequency_recovery, z, frame.pilot_mask, pilot_ref)
 
-    if cfg.enable_cpe:
-        phases = np.stack([
-            guard("pilot_cpe", cpe_phase, z[pol], frame.pilot_mask,
-                  pilot_ref[pol], cfg.cpe_avg_window)
-            for pol in range(2)
-        ])
-        z = z * np.exp(-1j * phases)
-        removed_phase += phases
+    phases = np.stack([
+        guard("pilot_cpe", cpe_phase, z[pol], frame.pilot_mask,
+              pilot_ref[pol], cfg.cpe_avg_window)
+        for pol in range(2)
+    ])
+    z = z * np.exp(-1j * phases)
+    removed_phase = (2.0 * math.pi * freq_offset_hz
+                     * np.arange(z.shape[1]) / SYMBOL_RATE)[None, :] + phases
 
     if cfg.enable_lms:
         z, _ = guard("lms", lms_4x4, z, cfg, reference, removed_phase)
@@ -589,14 +562,6 @@ def rx_chain(waveform: np.ndarray, frame: TxFrame, cfg: EqualizerConfig) -> Chai
                          frame.dist, noise_var_est)
         for pol in range(2)
     ) / 2.0
-    h = frame.dist.entropy_bits
-    report = MetricReport(
-        n_symbols=int(2 * payload.sum()),
-        entropy_bits=h,
-        gmi_bits=gmi,
-        ngmi=ngmi(gmi, h, frame.dist.template.bits_per_symbol),
-        evm_percent=ev,
-        snr_db=snr_from_evm(ev),
-    )
+    report = MetricReport.from_gmi(int(2 * payload.sum()), frame.dist, gmi, ev)
     return ChainResult(symbols=z, report=report, freq_offset_hz=freq_offset_hz,
                        freq_ambiguous=ambiguous, noise_var_est=noise_var_est)

@@ -35,6 +35,16 @@ class MetricReport:
     evm_percent: float
     snr_db: float
 
+    @classmethod
+    def from_gmi(cls, n_symbols: int, dist: ShapedDistribution, gmi_bits: float,
+                 evm_pct: float) -> "MetricReport":
+        """Report for n_symbols scored against dist: NGMI from the GMI and
+        the SNR from the EVM."""
+        h = dist.entropy_bits
+        return cls(n_symbols=n_symbols, entropy_bits=h, gmi_bits=gmi_bits,
+                   ngmi=ngmi(gmi_bits, h, dist.template.bits_per_symbol),
+                   evm_percent=evm_pct, snr_db=snr_from_evm(evm_pct))
+
     def as_dict(self) -> dict:
         return {
             "n_symbols": self.n_symbols,
@@ -163,14 +173,4 @@ def awgn_link_metrics(dist: ShapedDistribution, snr_db: float, n_symbols: int,
     noise_var = 10.0 ** (-snr_db / 10.0)
 
     g = gmi_from_samples(idx, rx, dist, noise_var)
-    h = dist.entropy_bits
-    m = dist.template.bits_per_symbol
-    ev = evm_percent(rx, tx)
-    return MetricReport(
-        n_symbols=n_symbols,
-        entropy_bits=h,
-        gmi_bits=g,
-        ngmi=ngmi(g, h, m),
-        evm_percent=ev,
-        snr_db=snr_from_evm(ev),
-    )
+    return MetricReport.from_gmi(n_symbols, dist, g, evm_percent(rx, tx))

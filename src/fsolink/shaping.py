@@ -218,28 +218,10 @@ _QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2)
 
 @dataclass(frozen=True)
 class PilotFrame:
-    """Pilot-bearing symbol frame plus the metadata a receiver needs."""
+    """Pilot-bearing symbol stream and where its pilots sit."""
 
     symbols: np.ndarray  # complex, payload with pilots interleaved
     pilot_mask: np.ndarray  # bool, True at pilot positions
-    pilot_rate: Fraction
-    seed: int  # regenerates the pilot sequence
-
-    @property
-    def n_pilots(self) -> int:
-        return int(self.pilot_mask.sum())
-
-    def payload(self) -> np.ndarray:
-        return self.symbols[~self.pilot_mask]
-
-    def pilots(self) -> np.ndarray:
-        return self.symbols[self.pilot_mask]
-
-
-def _pilot_slots(num: int, den: int) -> set[int]:
-    # den slots per frame, den-num of them pilots, spread evenly from slot 0
-    n_p = den - num
-    return {(i * den) // n_p for i in range(n_p)}
 
 
 def insert_pilots(
@@ -250,9 +232,11 @@ def insert_pilots(
 ) -> PilotFrame:
     """Interleave seeded pseudo-random QPSK pilots into a payload stream.
 
-    For rate P/(P+1) one pilot leads every P payload symbols; pilots are
-    scaled so |pilot|^2 equals `avg_power`, leaving the frame's average
-    power untouched.
+    For rate P/D each frame of D slots carries D-P pilots, spread evenly
+    from slot 0, and P payload symbols; pilots are scaled so |pilot|^2
+    equals `avg_power`, leaving the frame's average power untouched. A
+    partial last frame ends just before its first payload slot with no
+    payload left.
     """
     if isinstance(pilot_rate, tuple):
         pilot_rate = Fraction(*pilot_rate)
@@ -263,32 +247,16 @@ def insert_pilots(
         raise ValueError("payload is empty")
 
     num, den = pilot_rate.numerator, pilot_rate.denominator
-    slots = _pilot_slots(num, den)
+    n_p = den - num
+    slots = np.zeros(den, dtype=bool)
+    slots[(np.arange(n_p) * den) // n_p] = True
+    mask = np.tile(slots, -(-payload.size // num))
+    if payload.size % num:
+        mask = mask[:np.flatnonzero(~mask)[payload.size]]
     rng = np.random.default_rng(seed)
+    pilots = _QPSK[rng.integers(0, 4, int(mask.sum()))] * math.sqrt(avg_power)
 
-    out, mask = [], []
-    pos = 0
-    while pos < payload.size:
-        chunk = payload[pos : pos + num]
-        it = iter(chunk)
-        emitted = 0
-        for s in range(den):
-            if s in slots:
-                out.append(None)  # pilot placeholder, filled below
-                mask.append(True)
-            else:
-                try:
-                    out.append(next(it))
-                except StopIteration:
-                    break
-                mask.append(False)
-                emitted += 1
-        pos += emitted
-    mask = np.asarray(mask, dtype=bool)
-    n_pilots = int(mask.sum())
-    pilots = _QPSK[rng.integers(0, 4, n_pilots)] * math.sqrt(avg_power)
-
-    symbols = np.empty(len(out), dtype=complex)
+    symbols = np.empty(mask.size, dtype=complex)
     symbols[mask] = pilots
     symbols[~mask] = payload
-    return PilotFrame(symbols=symbols, pilot_mask=mask, pilot_rate=pilot_rate, seed=seed)
+    return PilotFrame(symbols=symbols, pilot_mask=mask)

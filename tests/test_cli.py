@@ -168,6 +168,22 @@ def test_report_recomputes_from_records(small_campaign, capsys):
     assert after["delivered_bytes"] == before["delivered_bytes"]
 
 
+def test_report_rejects_uneven_records_without_rewriting(small_campaign, capsys):
+    trace, lut, results = small_campaign
+    assert main(["run", "--trace", str(trace), "--lut", str(lut),
+                 "--schemes", "fixed400,adaptive", "--seed", "1",
+                 "--mc-symbols", "2000", "--out", str(results)]) == 0
+    records = results / "records.csv"
+    records.write_text(records.read_text().rstrip("\n").rsplit("\n", 1)[0] + "\n")
+    before = {f.name: f.read_bytes() for f in results.iterdir()}
+    capsys.readouterr()
+    rc = main(["report", "--in", str(results)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "adaptive" in err and "records.csv" in err
+    assert {f.name: f.read_bytes() for f in results.iterdir()} == before
+
+
 def test_report_missing_records(tmp_path, capsys):
     rc = main(["report", "--in", str(tmp_path)])
     assert rc == 1

@@ -234,6 +234,22 @@ def test_pilot_payload_round_trip():
     np.testing.assert_array_equal(frame.symbols[~frame.pilot_mask], payload)
 
 
+@pytest.mark.parametrize("n_payload, n_frame, pilots", [
+    (1, 3, [0, 2]),
+    (3, 5, [0, 2]),
+    (4, 8, [0, 2, 5, 7]),
+    (7, 13, [0, 2, 5, 7, 10, 12]),
+])
+def test_pilots_partial_frame_keeps_trailing_pilot(n_payload, n_frame, pilots):
+    # rate 3/5 puts pilots in slots 0 and 2; a partial last frame stops at
+    # its first payload slot with no payload left
+    payload = _payload(n_payload)
+    frame = insert_pilots(payload, Fraction(3, 5), 1.0)
+    assert frame.symbols.size == n_frame
+    assert np.flatnonzero(frame.pilot_mask).tolist() == pilots
+    np.testing.assert_array_equal(frame.symbols[~frame.pilot_mask], payload)
+
+
 @pytest.mark.parametrize("rate", [Fraction(1, 1), Fraction(0, 1), Fraction(-1, 2)])
 def test_pilot_rate_validation(rate):
     with pytest.raises(ValueError):
