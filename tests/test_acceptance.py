@@ -85,34 +85,40 @@ def _all_compositions(n_max, m_max):
 def _encode_all(counts0):
     """Encode every k-bit input of one composition at once.
 
-    int64-vectorized transcription of the encoder's interval subdivision:
+    int32-vectorized transcription of the encoder's interval subdivision:
     the per-symbol split n_a = n_seq*c_a/n_rem is exact (each bin size is
-    itself a multinomial), and all quantities fit int64 for n <= 12 over
-    <= 4 types (max multinomial 369600, max product 369600*12 << 2^63).
+    itself a multinomial), and all quantities fit int32 for n <= 12 over
+    <= 4 types (max multinomial 369600, max product 369600*12 < 2^31).
+    Rows are updated in place under a `where=` mask rather than by boolean
+    indexing, which keeps the 15M encodings inside the runtime budget.
     """
     comp = Composition(counts=counts0)
     total = comp.multinomial()
     k = total.bit_length() - 1
     rows = 1 << k
     n, m = comp.n, len(counts0)
-    v = np.arange(rows, dtype=np.int64)
-    n_seq = np.full(rows, total, dtype=np.int64)
-    counts = np.tile(np.array(counts0, dtype=np.int64), (rows, 1))
+    v = np.arange(rows, dtype=np.int32)
+    n_seq = np.full(rows, total, dtype=np.int32)
+    counts = np.repeat(np.array(counts0, dtype=np.int32)[:, None], rows, axis=1)
     seq = np.empty((rows, n), dtype=np.int8)
+    n_a = np.empty(rows, dtype=np.int32)
+    high = np.empty(rows, dtype=np.int32)
+    hit = np.empty(rows, dtype=bool)
     for pos in range(n):
-        n_rem = n - pos
         undecided = np.ones(rows, dtype=bool)
-        low = np.zeros(rows, dtype=np.int64)
+        low = np.zeros(rows, dtype=np.int32)
         for a in range(m):
-            n_a = n_seq * counts[:, a] // n_rem
-            hit = undecided & (v < low + n_a)
-            if hit.any():
-                seq[hit, pos] = a
-                v[hit] -= low[hit]
-                n_seq[hit] = n_a[hit]
-                counts[hit, a] -= 1
-                undecided[hit] = False
-            low += n_a
+            np.multiply(n_seq, counts[a], out=n_a)
+            n_a //= n - pos
+            np.add(low, n_a, out=high)
+            np.less(v, high, out=hit)
+            hit &= undecided
+            np.copyto(seq[:, pos], a, where=hit)
+            np.subtract(v, low, out=v, where=hit)
+            np.copyto(n_seq, n_a, where=hit)
+            counts[a] -= hit
+            undecided &= ~hit
+            low, high = high, low  # low now ends at symbol a's interval
         if undecided.any():
             raise AssertionError(f"interval split not exhaustive for {counts0}")
     return seq
