@@ -61,9 +61,9 @@ class EqualizerDiverged(StageError):
 
 @dataclass(frozen=True)
 class EqualizerConfig:
-    """Knobs of the adaptive stages. Tap counts must be odd (centered
-    filters); steps are the data-aided warm-up rates, with separate smaller
-    tracking rates once adaptation switches to pilots."""
+    """Knobs of the adaptive stages. Tap counts must be positive and odd
+    (centered filters); steps are the data-aided warm-up rates, with
+    separate smaller tracking rates once adaptation switches to pilots."""
 
     cma_taps: int = 25
     cma_step: float = 1e-3
@@ -82,8 +82,10 @@ class EqualizerConfig:
     enable_lms: bool = True
 
     def __post_init__(self):
-        if self.cma_taps % 2 == 0 or self.lms_taps % 2 == 0:
-            raise ValueError("tap counts must be odd")
+        for name in ("cma_taps", "lms_taps"):
+            taps = getattr(self, name)
+            if taps < 1 or taps % 2 == 0:
+                raise ValueError(f"{name} must be a positive odd count, got {taps}")
         for name in ("cma_step", "cma_track_step", "lms_step", "lms_track_step",
                      "pll_gain"):
             if getattr(self, name) <= 0:

@@ -22,6 +22,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _TINY = 1e-300  # floor for posterior mass sums; keeps LLRs finite
+_LLR_MAX = 600.0  # LLR saturation, below -log(_TINY) ~ 690.8
 
 
 @dataclass(frozen=True)
@@ -56,29 +57,93 @@ class MetricReport:
         }
 
 
+def _posterior_llrs(d2: np.ndarray, logp: np.ndarray, bits: np.ndarray,
+                    noise_var: float) -> np.ndarray:
+    """Bit LLRs, shape (..., b, n), of n samples from their squared
+    distances d2 (..., K, n) to K candidate points with log-priors
+    logp (..., K, 1) and 0/1 label bits (..., b, K).
+
+    The posterior masses of {x : bit i of label(x) is 0} and {... is 1}
+    are summed directly (not one from the other, which cancels) with a
+    shared per-sample rescaling that drops out of their ratio. The larger
+    mass is then >= 1, so flooring both at _TINY and saturating at
+    _LLR_MAX < -log(_TINY) leaves every LLR either exact or saturated,
+    whatever the rescaling. Candidates run along axis -2 so that the
+    reductions over them are elementwise over contiguous samples.
+    """
+    a = logp - d2 / noise_var
+    a -= a.max(axis=-2, keepdims=True)
+    e = np.exp(a)
+    s = np.maximum(np.concatenate([1.0 - bits, bits], axis=-2) @ e, _TINY)
+    b = bits.shape[-2]
+    return np.clip(np.log(s[..., :b, :] / s[..., b:, :]), -_LLR_MAX, _LLR_MAX)
+
+
+def _joint_llrs(y: np.ndarray, dist: ShapedDistribution,
+                noise_var: float) -> np.ndarray:
+    """LLRs of y, shape (n, m), from the posterior over all M points: the
+    general demapper, valid for any prior."""
+    d2 = np.abs(dist.tx_points()[:, None] - y[None, :]) ** 2
+    logp = np.log(np.maximum(dist.p, _TINY))[:, None]
+    bits = dist.template.bit_masks().astype(float)  # (m, M)
+    return _posterior_llrs(d2, logp, bits, noise_var).T
+
+
+def _axis_split(dist: ShapedDistribution):
+    """Per-axis view of dist, or None when it does not factor.
+
+    Returns (levels, logp, bits) of shapes (2, L, 1), (2, L, 1) and
+    (2, m/2, L): index 0 is the in-phase axis, 1 the quadrature axis.
+    That needs points on an L x L grid indexed i*L + q, labels whose high
+    half depends on i alone and low half on q alone, and a prior
+    p[i*L + q] = pI[i] * pQ[q]: then the joint posterior of a label bit
+    sums out the other axis, whose mass cancels in the LLR. The complex
+    noise variance per axis reads nv in exp(-(y_axis - level)^2 / nv),
+    not nv/2, because |y - x|^2 splits into the two axis terms.
+    """
+    tpl = dist.template
+    L = math.isqrt(tpl.M)
+    half = tpl.bits_per_symbol // 2
+    pts = dist.tx_points().reshape(L, L)
+    lab = tpl.labels.reshape(L, L)
+    p = dist.p.reshape(L, L)
+    levels = np.stack([pts.real[:, 0], pts.imag[0]])
+    axis_lab = np.stack([lab[:, 0] >> half, lab[0] & (L - 1)])
+    p_i, p_q = p.sum(axis=1), p.sum(axis=0)
+    outer = p_i[:, None] * p_q
+    if (not np.array_equal(pts, levels[0][:, None] + 1j * levels[1])
+            or not np.array_equal(lab, axis_lab[0][:, None] << half | axis_lab[1])
+            or np.any(np.abs(p - outer) > 1e-12 * outer)):
+        return None
+    logp = np.log(np.maximum(np.stack([p_i, p_q]), _TINY))
+    shifts = np.arange(half - 1, -1, -1)[:, None]
+    bits = ((axis_lab[:, None, :] >> shifts) & 1).astype(float)
+    return levels[..., None], logp[..., None], bits
+
+
+def _axis_llrs(y: np.ndarray, axes, noise_var: float) -> np.ndarray:
+    """LLRs of y, shape (n, m), from the two per-axis posteriors of a
+    prior that factors (see _axis_split): in-phase bits, then quadrature."""
+    levels, logp, bits = axes
+    d2 = (np.stack([y.real, y.imag])[:, None, :] - levels) ** 2
+    return _posterior_llrs(d2, logp, bits, noise_var).reshape(-1, y.size).T
+
+
 def _llr_chunks(rx: np.ndarray, dist: ShapedDistribution, noise_var: float,
                 chunk: int = 32768):
     """Yield (sl, llr) per chunk of rx: the prior-aware LLRs of rx[sl],
     shape (len, m), label MSB in column 0.
 
-    The posterior mass of {x : bit i of label(x) is 1} and of the whole
-    alphabet are summed with a shared per-row rescaling, which cancels in
-    their ratio; both are floored so every LLR stays finite.
+    A prior that factors over the template's I/Q grid (every Maxwell-
+    Boltzmann distribution) is demapped per axis, 2*sqrt(M) points per
+    symbol instead of M; any other prior over all M points.
     """
-    pts = dist.tx_points()
-    logp = np.log(np.maximum(dist.p, _TINY))
-    masks = dist.template.bit_masks().T.astype(float)  # (M, m)
+    axes = _axis_split(dist)
     for lo in range(0, rx.size, chunk):
         y = rx[lo:lo + chunk]
-        d2 = np.abs(y[:, None] - pts[None, :]) ** 2
-        a = logp[None, :] - d2 / noise_var
-        a -= a.max(axis=1, keepdims=True)
-        e = np.exp(a)
-        s1 = e @ masks
-        st = e.sum(axis=1)
-        s0 = np.maximum(st[:, None] - s1, _TINY)
-        s1 = np.maximum(s1, _TINY)
-        yield slice(lo, lo + y.size), np.log(s0) - np.log(s1)
+        llr = (_joint_llrs(y, dist, noise_var) if axes is None
+               else _axis_llrs(y, axes, noise_var))
+        yield slice(lo, lo + y.size), llr
 
 
 def bitwise_llrs(rx: np.ndarray, dist: ShapedDistribution, noise_var: float) -> np.ndarray:
@@ -86,6 +151,7 @@ def bitwise_llrs(rx: np.ndarray, dist: ShapedDistribution, noise_var: float) -> 
 
     Sign convention: positive means bit 0 is more likely, i.e.
     llr = log P(b=0 | y) - log P(b=1 | y) including the shaped prior.
+    Magnitudes saturate at 600.
     """
     rx = np.ascontiguousarray(rx, dtype=complex).ravel()
     if rx.size == 0:
@@ -115,11 +181,12 @@ def gmi_from_samples(tx_idx: np.ndarray, rx: np.ndarray, dist: ShapedDistributio
     if not noise_var > 0:
         raise ValueError("noise variance must be positive")
 
-    bits = dist.template.bit_masks().T[tx_idx]  # (N, m), True where bit is 1
+    bits = dist.template.bit_masks()[:, tx_idx]  # (m, N), True where bit is 1
     sgn = 1.0 - 2.0 * bits
     loss_bits = 0.0
     for sl, llr in _llr_chunks(rx, dist, noise_var):
-        loss_bits += np.logaddexp(0.0, -sgn[sl] * llr).sum() / _LN2
+        # log(1 + e^x) directly: LLRs saturate at _LLR_MAX, so e^x is finite
+        loss_bits += np.log1p(np.exp(-sgn[:, sl] * llr.T)).sum() / _LN2
     gmi = dist.entropy_bits - loss_bits / rx.size
     return max(gmi, 0.0)
 

@@ -133,6 +133,16 @@ def test_build_monotone_and_bounded():
     np.testing.assert_allclose(table.air, steps * 0.02, atol=1e-12)
 
 
+def test_small_table_decisions_pinned():
+    """Every rate decision of a small table, as the joint 64-point demapper
+    recorded it; a faster demapper must reproduce them exactly."""
+    table = build_air_table(np.arange(0.0, 31.0, 2.0),
+                            MCConfig(mc_symbols=2048, seed=2024))
+    assert table.air.tolist() == [
+        0.0, 0.0, 4.5600000000000005, 5.6000000000000005, 6.66, 7.92, 9.06,
+        10.32, 11.46, 12.0, 12.0, 12.0, 12.0, 12.0, 12.0, 12.0]
+
+
 def test_build_deterministic_bit_identical():
     mc = MCConfig(mc_symbols=4_000, seed=3)
     grid = [10.0, 12.0, 14.0]

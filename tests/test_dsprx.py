@@ -71,6 +71,13 @@ def test_equalizer_config_validation():
         EqualizerConfig(lms_step=-1e-4)
 
 
+@pytest.mark.parametrize("taps", [{"cma_taps": 0}, {"lms_taps": 0},
+                                  {"cma_taps": -1}, {"lms_taps": -3}])
+def test_equalizer_config_rejects_nonpositive_taps(taps):
+    with pytest.raises(ValueError, match="positive odd"):
+        EqualizerConfig(**taps)
+
+
 # -------------------------------------------------------------- Gram-Schmidt
 
 def test_gs_orthogonal_equal_power_input_unchanged():

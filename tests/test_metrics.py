@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsolink import metrics
 from fsolink.channel import awgn_transmit
 from fsolink.metrics import (
     awgn_link_metrics,
@@ -25,6 +26,9 @@ from fsolink.shaping import ConstellationTemplate, ShapedDistribution, mb_distri
 
 TPL = ConstellationTemplate.square_qam(64)
 UNIFORM = mb_distribution(0.0, TPL)
+# A prior that does not factor over I and Q: only the joint demapper applies.
+TOY = ShapedDistribution(template=ConstellationTemplate.square_qam(4),
+                         p=np.array([0.4, 0.3, 0.2, 0.1]), nu=0.0)
 
 
 def _gray(i):
@@ -83,9 +87,7 @@ def test_llr_zero_at_equidistant_point_with_uniform_prior():
 
 
 def test_llr_matches_direct_evaluation_on_toy_template():
-    tpl4 = ConstellationTemplate.square_qam(4)
-    dist = ShapedDistribution(template=tpl4, p=np.array([0.4, 0.3, 0.2, 0.1]),
-                              nu=0.0)
+    dist = TOY
     rx = np.array([0.3 - 0.1j, -0.9 + 0.4j, 0.05 + 0.02j])
     noise_var = 0.2
     got = bitwise_llrs(rx, dist, noise_var)
@@ -94,9 +96,54 @@ def test_llr_matches_direct_evaluation_on_toy_template():
     for n, y in enumerate(rx):
         lik = dist.p * np.exp(-np.abs(y - pts) ** 2 / noise_var)
         for j in range(2):
-            bit = (tpl4.labels >> (1 - j)) & 1
+            bit = (dist.template.labels >> (1 - j)) & 1
             ref = math.log(lik[bit == 0].sum()) - math.log(lik[bit == 1].sum())
             assert got[n, j] == pytest.approx(ref, abs=1e-9)
+
+
+@given(nu=st.floats(min_value=0.0, max_value=3.0),
+       snr_db=st.floats(min_value=-10.0, max_value=40.0),
+       M=st.sampled_from([4, 16, 64]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_axis_demapper_matches_joint_demapper(nu, snr_db, M, seed):
+    dist = mb_distribution(nu, ConstellationTemplate.square_qam(M))
+    assert metrics._axis_split(dist) is not None  # bitwise_llrs demaps per axis
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(M, size=300, p=dist.p)
+    rx = awgn_transmit(dist.tx_points()[idx], snr_db, rng)
+    noise_var = 10.0 ** (-snr_db / 10.0)
+
+    joint = metrics._joint_llrs(rx, dist, noise_var)
+    np.testing.assert_allclose(bitwise_llrs(rx, dist, noise_var), joint,
+                               rtol=1e-9, atol=1e-9)
+    sgn = 1.0 - 2.0 * dist.template.bit_masks().T[idx]
+    loss = np.logaddexp(0.0, -sgn * joint).sum() / math.log(2.0) / idx.size
+    gmi_joint = max(dist.entropy_bits - loss, 0.0)
+    assert gmi_from_samples(idx, rx, dist, noise_var) == pytest.approx(
+        gmi_joint, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dist, per_axis", [
+    (mb_distribution(0.3, TPL), True),
+    (TOY, False),
+    (ShapedDistribution(  # labels that do not split into I and Q halves
+        template=ConstellationTemplate(
+            points=ConstellationTemplate.square_qam(16).points,
+            labels=np.random.default_rng(3).permutation(16)),
+        p=np.full(16, 1 / 16), nu=0.0), False),
+])
+def test_llr_chunks_do_not_depend_on_chunk_boundaries(dist, per_axis):
+    assert (metrics._axis_split(dist) is not None) == per_axis
+    rng = np.random.default_rng(9)
+    n = 64 * 5 + 17
+    rx = awgn_transmit(dist.tx_points()[rng.integers(0, dist.template.M, n)],
+                       12.0, rng)
+    whole = [llr for _, llr in metrics._llr_chunks(rx, dist, 0.06, chunk=n)]
+    assert len(whole) == 1
+    pieces = np.empty_like(whole[0])
+    for sl, llr in metrics._llr_chunks(rx, dist, 0.06, chunk=64):
+        pieces[sl] = llr
+    np.testing.assert_array_equal(pieces, whole[0])
 
 
 def test_llr_input_validation():
