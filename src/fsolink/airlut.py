@@ -9,8 +9,8 @@ and, through the frame overheads, to a net bit rate.
 from __future__ import annotations
 
 import json
+import logging
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +36,8 @@ __all__ = [
     "save_air_table",
     "load_air_table",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,8 @@ class AirTable:
             raise ValueError("need at least two grid points")
         if s.shape != a.shape:
             raise ValueError("grid and AIR lengths differ")
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(a))):
+            raise ValueError("SNR grid and AIR must be finite")
         if np.any(np.diff(s) <= 0):
             raise ValueError("SNR grid must be strictly increasing")
         if np.any(np.diff(a) < 0):
@@ -121,14 +125,15 @@ def air_for_rate(rate_bps: float, plan: RatePlan = RatePlan()) -> float:
     return float(Fraction(rate_bps) / plan.net_symbol_rate)
 
 
-def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(), ngmi_th: float = 0.9,
-                    progress: bool = False) -> AirTable:
+def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
+                    ngmi_th: float = 0.9) -> AirTable:
     """Build the SNR -> AIR table by per-point entropy bisection.
 
     Every NGMI evaluation at a given grid point reuses the same derived seed,
     so the noise realizations are shared across candidate entropies (common
     random numbers); a final running-maximum pass makes the table monotone.
-    Bit-identical for a fixed (grid, mc, ngmi_th) triple.
+    Bit-identical for a fixed (grid, mc, ngmi_th) triple. Logs one line per
+    grid point at INFO.
     """
     M = 64  # square 64QAM, as the campaign transmits
     grid = np.asarray(snr_grid_db, dtype=float)
@@ -163,8 +168,7 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(), ngmi_th: float = 0.9
                 else:
                     hi = mid
             air[i] = 2.0 * lo * ENTROPY_STEP_BITS
-        if progress:
-            print(f"  {snr:7.2f} dB -> AIR {air[i]:5.2f} bits", file=sys.stderr)
+        _log.info("  %7.2f dB -> AIR %5.2f bits", snr, air[i])
 
     air = np.maximum.accumulate(air)
     return AirTable(snr_db=grid, air=air, ngmi_th=ngmi_th, M=M,

@@ -59,16 +59,6 @@ class Composition:
             total //= math.factorial(c)
         return total
 
-    def to_dict(self) -> dict:
-        return {"counts": list(self.counts), "n": self.n}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Composition":
-        comp = cls(counts=tuple(d["counts"]))
-        if comp.n != int(d["n"]):
-            raise ValueError("inconsistent composition dict")
-        return comp
-
 
 def quantize_composition(dist, n: int) -> Composition:
     """Largest-remainder rounding of n * p_i into an exact composition.

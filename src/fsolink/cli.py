@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -74,7 +75,7 @@ def _rain_config_from_json(path: str | None, seed: int | None) -> tuple:
 def _cmd_build_lut(args) -> int:
     grid = _parse_grid(args.grid)
     table = build_air_table(grid, mc=MCConfig(mc_symbols=args.mc, seed=args.seed),
-                            ngmi_th=args.ngmi_th, progress=not args.quiet)
+                            ngmi_th=args.ngmi_th)
     save_air_table(table, args.out)
     print(f"wrote {args.out}: {len(grid)} grid points, "
           f"NGMI threshold {args.ngmi_th}, {args.mc} MC symbols/point")
@@ -137,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--mc", type=int, default=200_000, help="MC symbols per evaluation")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", required=True)
-    b.add_argument("--quiet", action="store_true")
+    b.add_argument("--quiet", action="store_true", help="do not log each grid point")
     b.set_defaults(fn=_cmd_build_lut)
 
     g = sub.add_parser("gen-trace", help="synthesize a rain/clear SNR trace")
@@ -168,11 +169,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # fsolink's INFO records go to stderr as bare lines
+    log = logging.getLogger("fsolink")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.WARNING if getattr(args, "quiet", False) else logging.INFO)
     try:
         return args.fn(args)
     except (ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .airlut import AirTable, air_for_rate, lookup_air, net_bit_rate
-from .channel import ImpairmentConfig, SnrTrace
+from .channel import SnrTrace
 from .metrics import awgn_link_metrics
 from .shaping import (
     ENTROPY_FLOOR_BITS,
@@ -45,10 +45,6 @@ __all__ = [
 
 SCHEMES = ("fixed400", "fixed500", "adaptive")
 FIXED_RATES_BPS = {"fixed400": 400e9, "fixed500": 500e9}
-
-RECORD_COLUMNS = ("n", "t_s", "scheme", "weather", "snr_true_db", "snr_meas_db",
-                  "snr_est_db", "entropy_bits", "air", "rate_bps", "ngmi",
-                  "in_service")
 
 
 @dataclass
@@ -131,6 +127,14 @@ class IterationRecord:
     in_service: bool
 
 
+# records.csv holds one column per IterationRecord field, in field order;
+# load_records parses each column by its field's annotation
+RECORD_COLUMNS = tuple(f.name for f in fields(IterationRecord))
+_PARSE = {"int": int, "float": float, "str": str,
+          "bool": {"true": True, "false": False}.__getitem__}
+_COLUMN_PARSERS = tuple(_PARSE[f.type] for f in fields(IterationRecord))
+
+
 @dataclass(frozen=True)
 class CampaignReport:
     """Per-scheme service statistics plus accumulated-capacity gain curves
@@ -168,13 +172,11 @@ def _measure_analytic(dist: ShapedDistribution, snr_db: float, rng,
     return rep.snr_db, rep.ngmi
 
 
-def _measure_waveform(dist: ShapedDistribution, snr_db: float, seed_seq,
-                      impairments: ImpairmentConfig | None, n_samples: int):
+def _measure_waveform(dist: ShapedDistribution, snr_db: float, key):
     from .dsprx import EqualizerConfig, rx_chain, simulate_block
 
     cfg = EqualizerConfig()
-    frame, rx = simulate_block(dist, snr_db, impairments, cfg,
-                               n_samples=n_samples, seed=seed_seq)
+    frame, rx = simulate_block(dist, snr_db, None, cfg, seed=key)
     res = rx_chain(rx, frame, cfg)
     return res.report.snr_db, res.report.ngmi
 
@@ -182,9 +184,7 @@ def _measure_waveform(dist: ShapedDistribution, snr_db: float, seed_seq,
 def run_campaign(trace: SnrTrace, schemes, table: AirTable,
                  mode: str = "analytic",
                  seed: int = 0, n_window: int = 3, snr_margin_db: float = 2.0,
-                 mc_symbols: int = 200_000,
-                 impairments: ImpairmentConfig | None = None,
-                 waveform_samples: int = 200_000) -> list:
+                 mc_symbols: int = 200_000) -> list:
     """Replay the trace for each scheme and return one IterationRecord per
     (iteration, scheme), iteration-major.
 
@@ -193,6 +193,8 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
     select_rate; during the first n_window iterations it transmits at the
     fixed-400G entropy while the window fills. Out-of-service iterations
     still measure SNR (uniform-QPSK probe) so the predictor keeps running.
+    Waveform mode runs one unimpaired 2e5-sample block per iteration
+    through simulate_block and rx_chain.
     Seeds derive from (seed, iteration, the scheme's index in SCHEMES): the
     record list is bit-identical across runs, schemes never share noise,
     and a scheme's records do not depend on which other schemes run with it.
@@ -226,18 +228,15 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
             key = [seed, n, SCHEMES.index(scheme)]
             rng = np.random.default_rng(np.random.SeedSequence(key))
             snr_est = math.nan
-            if scheme == "adaptive":
-                if predictor.full:
-                    snr_est = predict_snr(predictor)
-                    entropy, air, rate = select_rate(table, snr_est)
-                else:
-                    entropy = warmup_entropy
-                    air = 2.0 * entropy
-                    rate = net_bit_rate(air)
-            else:
+            if scheme != "adaptive":
                 entropy = fixed_entropy[scheme]
-                air = 2.0 * entropy
-                rate = net_bit_rate(air)
+            elif predictor.full:
+                snr_est = predict_snr(predictor)
+                entropy, _, _ = select_rate(table, snr_est)
+            else:
+                entropy = warmup_entropy
+            air = 2.0 * entropy
+            rate = net_bit_rate(air)
 
             if air == 0.0:
                 # Nothing to transmit; probe the channel so the measured-SNR
@@ -252,9 +251,7 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
                     snr_meas, ngmi_val = _measure_analytic(dist, snr_true, rng,
                                                            mc_symbols)
                 else:
-                    snr_meas, ngmi_val = _measure_waveform(
-                        dist, snr_true, np.random.SeedSequence(key),
-                        impairments, waveform_samples)
+                    snr_meas, ngmi_val = _measure_waveform(dist, snr_true, key)
 
             if scheme == "adaptive":
                 predictor.push(snr_meas)
@@ -384,13 +381,7 @@ def load_records(path) -> list:
             raise ValueError(f"{path}:{ln_no}: expected "
                              f"{len(RECORD_COLUMNS)} columns, got {len(parts)}")
         out.append(IterationRecord(
-            n=int(parts[0]), t_s=float(parts[1]), scheme=parts[2],
-            weather=parts[3], snr_true_db=float(parts[4]),
-            snr_meas_db=float(parts[5]), snr_est_db=float(parts[6]),
-            entropy_bits=float(parts[7]), air=float(parts[8]),
-            rate_bps=float(parts[9]), ngmi=float(parts[10]),
-            in_service={"true": True, "false": False}[parts[11]],
-        ))
+            *(parse(v) for parse, v in zip(_COLUMN_PARSERS, parts))))
     iterations = {s: [r.n for r in rows] for s, rows in _by_scheme(out).items()}
     first, first_n = next(iter(iterations.items()), (None, None))
     for scheme, n in iterations.items():

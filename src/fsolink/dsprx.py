@@ -18,11 +18,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ImpairmentConfig, apply_impairments, awgn_transmit
 from .metrics import MetricReport, evm_percent, gmi_from_samples
-from .shaping import RatePlan, ShapedDistribution, insert_pilots
+from .shaping import PilotFrame, RatePlan, ShapedDistribution, insert_pilots
 
 __all__ = [
     "EqualizerConfig",
-    "EqualizerReference",
     "TxFrame",
     "ChainResult",
     "StageError",
@@ -33,7 +32,6 @@ __all__ = [
     "gram_schmidt",
     "cma_butterfly",
     "frequency_recovery",
-    "pilot_cpe",
     "lms_4x4",
     "build_tx_frame",
     "simulate_block",
@@ -41,6 +39,13 @@ __all__ = [
 ]
 
 SYMBOL_RATE = float(RatePlan().gross_symbol_rate)  # symbols/s
+SPS = 2  # samples per symbol on the waveform path
+RRC_BETA = 0.35  # root-raised-cosine roll-off
+RRC_SPAN_SYMBOLS = 16  # RRC length, symbol periods
+GUARD_SYMBOLS = 32  # tail symbols left unscored after the equalizer
+DIVERGENCE_FACTOR = 10.0  # output/input power ratio that counts as divergence
+PLL_GAIN = 0.1  # phase tracker gain of the butterfly's data-aided warm-up
+CMA_TRACK_STEP = 1e-4  # butterfly step at the pilots after the warm-up
 
 
 class StageError(RuntimeError):
@@ -62,23 +67,17 @@ class EqualizerDiverged(StageError):
 @dataclass(frozen=True)
 class EqualizerConfig:
     """Knobs of the adaptive stages. Tap counts must be positive and odd
-    (centered filters); steps are the data-aided warm-up rates, with
-    separate smaller tracking rates once adaptation switches to pilots."""
+    (centered filters); steps are the data-aided warm-up rates, and the 4x4
+    stage has a separate smaller tracking rate once adaptation switches to
+    pilots (the butterfly's is CMA_TRACK_STEP)."""
 
     cma_taps: int = 25
     cma_step: float = 1e-3
-    cma_track_step: float = 1e-4
     lms_taps: int = 51
     lms_step: float = 5e-4
     lms_track_step: float = 5e-5
     training_symbols: int = 4000
-    pll_gain: float = 0.1
     cpe_avg_window: int = 8
-    sps: int = 2
-    rrc_beta: float = 0.35
-    rrc_span_symbols: int = 16
-    guard_symbols: int = 32
-    divergence_factor: float = 10.0
     enable_lms: bool = True
 
     def __post_init__(self):
@@ -86,26 +85,13 @@ class EqualizerConfig:
             taps = getattr(self, name)
             if taps < 1 or taps % 2 == 0:
                 raise ValueError(f"{name} must be a positive odd count, got {taps}")
-        for name in ("cma_step", "cma_track_step", "lms_step", "lms_track_step",
-                     "pll_gain"):
+        for name in ("cma_step", "lms_step", "lms_track_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.training_symbols < 0 or self.guard_symbols < 0:
-            raise ValueError("symbol counts must be >= 0")
-        if self.sps < 2:
-            raise ValueError("need at least 2 samples per symbol")
+        if self.training_symbols < 0:
+            raise ValueError("training_symbols must be >= 0")
         if self.cpe_avg_window < 1:
             raise ValueError("averaging window must be >= 1")
-
-
-@dataclass(frozen=True)
-class EqualizerReference:
-    """What the adaptive stages are allowed to know: the symbol stream
-    (training prefix + pilots are the honest subset) and the pilot
-    positions."""
-
-    symbols: np.ndarray  # (2, n_sym) complex
-    pilot_mask: np.ndarray  # (n_sym,) bool
 
 
 @dataclass(frozen=True)
@@ -122,8 +108,11 @@ class TxFrame:
     def n_symbols(self) -> int:
         return self.symbols.shape[1]
 
-    def reference(self) -> EqualizerReference:
-        return EqualizerReference(symbols=self.symbols, pilot_mask=self.pilot_mask)
+    def reference(self) -> PilotFrame:
+        """What the adaptive stages are allowed to know: the symbol stream
+        (training prefix + pilots are the honest subset) and the pilot
+        positions."""
+        return PilotFrame(symbols=self.symbols, pilot_mask=self.pilot_mask)
 
 
 @dataclass(frozen=True)
@@ -161,24 +150,26 @@ def rrc_taps(beta: float, sps: int, span_symbols: int) -> np.ndarray:
 
 
 def tx_waveform(symbols: np.ndarray, cfg: EqualizerConfig) -> np.ndarray:
-    """Upsample dual-pol symbols by cfg.sps and pulse-shape with the RRC.
+    """Upsample dual-pol symbols by SPS and pulse-shape with the RRC.
 
-    Centered convolution keeps symbol k at sample k*sps; with unit-energy
-    taps the matched-filter output returns the symbols at unit gain.
+    Centered convolution keeps symbol k at sample k*SPS; with unit-energy
+    taps the matched-filter output returns the symbols at unit gain. The
+    pulse is fixed, so cfg is not read.
     """
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.ndim != 2 or symbols.shape[0] != 2:
         raise ValueError("expected symbols of shape (2, N)")
-    taps = rrc_taps(cfg.rrc_beta, cfg.sps, cfg.rrc_span_symbols)
-    up = np.zeros((2, symbols.shape[1] * cfg.sps), dtype=complex)
-    up[:, ::cfg.sps] = symbols
+    taps = rrc_taps(RRC_BETA, SPS, RRC_SPAN_SYMBOLS)
+    up = np.zeros((2, symbols.shape[1] * SPS), dtype=complex)
+    up[:, ::SPS] = symbols
     return np.stack([np.convolve(up[p], taps, mode="same") for p in range(2)])
 
 
 def matched_filter(samples: np.ndarray, cfg: EqualizerConfig) -> np.ndarray:
-    """Receive-side RRC filtering (the RRC is its own matched filter)."""
+    """Receive-side RRC filtering (the RRC is its own matched filter); the
+    pulse is fixed, so cfg is not read."""
     samples = np.asarray(samples, dtype=complex)
-    taps = rrc_taps(cfg.rrc_beta, cfg.sps, cfg.rrc_span_symbols)
+    taps = rrc_taps(RRC_BETA, SPS, RRC_SPAN_SYMBOLS)
     return np.stack([np.convolve(samples[p], taps, mode="same")
                      for p in range(samples.shape[0])])
 
@@ -218,7 +209,7 @@ def _step_schedule(n: int, cfg: EqualizerConfig, pilot_mask: np.ndarray,
 
 
 def _adapt(stage: str, rails: np.ndarray, taps: int, stride: int,
-           steps: np.ndarray, error, cfg: EqualizerConfig, publish):
+           steps: np.ndarray, error, publish):
     """Stochastic-gradient FIR equalizer shared by the adaptive stages.
 
     `rails` (R, N) are zero-padded by half a filter on each side; output k
@@ -227,7 +218,7 @@ def _adapt(stage: str, rails: np.ndarray, taps: int, stride: int,
     output o of step k the taps move by steps[k] * outer(error(k, o),
     conj(u)). Every 256 outputs the power per polarization (outputs are
     dual-pol: R complex rails or R/2 real rail pairs) is checked against
-    cfg.divergence_factor times the input's per-polarization power per
+    DIVERGENCE_FACTOR times the input's per-polarization power per
     output; on failure EqualizerDiverged carries publish(copy of the taps).
     Returns the (R, len(steps)) outputs and publish(taps).
     """
@@ -238,7 +229,7 @@ def _adapt(stage: str, rails: np.ndarray, taps: int, stride: int,
     w = np.zeros((n_rails, n_rails * taps), dtype=rails.dtype)
     w[np.arange(n_rails), np.arange(n_rails) * taps + c] = 1.0
     in_power = float(np.sum(np.abs(rails) ** 2)) / (2 * n_in)
-    limit = cfg.divergence_factor * in_power * stride
+    limit = DIVERGENCE_FACTOR * in_power * stride
     out = np.empty((n_rails, steps.size), dtype=rails.dtype)
 
     for k, mu in enumerate(steps.tolist()):
@@ -259,9 +250,9 @@ def _adapt(stage: str, rails: np.ndarray, taps: int, stride: int,
 
 
 def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
-                  mode: str, reference: EqualizerReference):
-    """2x2 butterfly equalizer at cfg.sps samples/symbol, one output symbol
-    per sps input samples.
+                  mode: str, reference: PilotFrame):
+    """2x2 butterfly equalizer at SPS samples/symbol, one output symbol
+    per SPS input samples.
 
     The first cfg.training_symbols outputs adapt data-aided (LMS against the
     known symbols, with a per-pol phase tracker so a carrier offset does not
@@ -269,7 +260,7 @@ def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
     positions only (phase-blind; the pilot modulus is the target radius).
     'pilot-based' is the only mode. Returns the outputs and the taps
     {"xx", "xy", "yx", "yy"}. Raises EqualizerDiverged when output power
-    exceeds cfg.divergence_factor times the input sample power.
+    exceeds DIVERGENCE_FACTOR times the input sample power.
     """
     if mode != "pilot-based":
         raise ValueError(f"unknown mode {mode!r}")
@@ -277,8 +268,8 @@ def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
     y_pol = np.ascontiguousarray(y_pol, dtype=complex)
     if x_pol.shape != y_pol.shape or x_pol.ndim != 1:
         raise ValueError("polarizations must be equal-length 1-D arrays")
-    sps, taps = cfg.sps, cfg.cma_taps
-    n_sym = x_pol.size // sps
+    taps = cfg.cma_taps
+    n_sym = x_pol.size // SPS
     if n_sym < 1:
         raise ValueError("input shorter than one symbol")
     if reference.symbols.shape[1] < n_sym:
@@ -296,7 +287,7 @@ def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
             d = ref[pol, k]
             if d == 0:
                 continue
-            theta[pol] += cfg.pll_gain * _wrap_phase(
+            theta[pol] += PLL_GAIN * _wrap_phase(
                 float(np.angle(z[pol] * np.conj(d))) - theta[pol])
             e[pol] = d * complex(math.cos(theta[pol]), math.sin(theta[pol])) - z[pol]
         return e
@@ -306,9 +297,9 @@ def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
                 "yx": w[1, :taps], "yy": w[1, taps:]}
 
     steps = _step_schedule(n_sym, cfg, reference.pilot_mask,
-                           cfg.cma_step, cfg.cma_track_step)
-    return _adapt("cma", np.stack([x_pol, y_pol]), taps, sps, steps, error,
-                  cfg, publish)
+                           cfg.cma_step, CMA_TRACK_STEP)
+    return _adapt("cma", np.stack([x_pol, y_pol]), taps, SPS, steps, error,
+                  publish)
 
 
 def _modal_spacing(positions: np.ndarray) -> int:
@@ -326,13 +317,13 @@ def frequency_recovery(symbols: np.ndarray, pilot_mask: np.ndarray,
     unambiguous for |offset| < SYMBOL_RATE / (2 * pilot spacing); estimates
     whose mean increment approaches +-pi raise the ambiguity flag.
     """
-    z = np.atleast_2d(np.asarray(symbols, dtype=complex))
+    z = np.asarray(symbols, dtype=complex)
     pilot_mask = np.asarray(pilot_mask, dtype=bool)
-    ref = np.atleast_2d(np.asarray(pilot_ref, dtype=complex))
+    ref = np.asarray(pilot_ref, dtype=complex)
     pos = np.flatnonzero(pilot_mask)
     if pos.size < 2:
         raise ValueError("need at least two pilots")
-    if z.shape[1] != pilot_mask.size or ref.shape[1] != pos.size:
+    if z.ndim != 2 or z.shape[1] != pilot_mask.size or ref.shape != (len(z), pos.size):
         raise ValueError("pilot bookkeeping does not match the symbol stream")
 
     spacing = _modal_spacing(pos)
@@ -346,8 +337,6 @@ def frequency_recovery(symbols: np.ndarray, pilot_mask: np.ndarray,
     offset_hz = dphi * SYMBOL_RATE / (2.0 * math.pi * spacing)
     t = np.arange(z.shape[1]) / SYMBOL_RATE
     corrected = z * np.exp(-2j * math.pi * offset_hz * t)[None, :]
-    if symbols.ndim == 1:
-        corrected = corrected[0]
     return corrected, offset_hz, ambiguous
 
 
@@ -368,7 +357,7 @@ def _interp_with_tails(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndar
 
 
 def cpe_phase(symbols: np.ndarray, pilot_mask: np.ndarray, pilot_ref: np.ndarray,
-              avg_window: int = 8) -> np.ndarray:
+              avg_window: int) -> np.ndarray:
     """Carrier phase trajectory estimate for one polarization, in radians
     per symbol position.
 
@@ -394,21 +383,13 @@ def cpe_phase(symbols: np.ndarray, pilot_mask: np.ndarray, pilot_ref: np.ndarray
     return _interp_with_tails(np.arange(z.size, dtype=float), sm_pos, sm_phase)
 
 
-def pilot_cpe(symbols: np.ndarray, pilot_mask: np.ndarray, pilot_ref: np.ndarray,
-              avg_window: int = 8) -> np.ndarray:
-    """Pilot-aided carrier phase correction for one polarization (see
-    cpe_phase for the estimator)."""
-    phase = cpe_phase(symbols, pilot_mask, pilot_ref, avg_window)
-    return np.asarray(symbols, dtype=complex) * np.exp(-1j * phase)
-
-
 def _iq_rails(z: np.ndarray) -> np.ndarray:
     """(2, n) complex -> (4, n) real rails XI, XQ, YI, YQ."""
     return np.stack([z.real, z.imag], axis=1).reshape(4, -1)
 
 
 def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
-            reference: EqualizerReference,
+            reference: PilotFrame,
             carrier_phase: np.ndarray | None = None):
     """4x4 real-valued LMS over the rails (XI, XQ, YI, YQ) at 1 sample per
     symbol: 16 real FIR filters of cfg.lms_taps, able to undo IQ skew and
@@ -445,7 +426,7 @@ def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
     steps = _step_schedule(n, cfg, reference.pilot_mask,
                            cfg.lms_step, cfg.lms_track_step)
     out, weights = _adapt("lms", _iq_rails(z * rot), taps, 1, steps,
-                          lambda k, o: d[:, k] - o, cfg,
+                          lambda k, o: d[:, k] - o,
                           lambda w: w.reshape(4, 4, taps))
     return (out[0::2] + 1j * out[1::2]) * np.conj(rot), weights
 
@@ -482,16 +463,18 @@ def simulate_block(dist: ShapedDistribution, snr_db: float,
                    impairments: ImpairmentConfig | None, cfg: EqualizerConfig,
                    n_samples: int = 200_000, seed=0):
     """Transmit one waveform block: shaped symbols -> pilot framing -> RRC
-    waveform -> impairments -> AWGN. Returns (frame, received samples)."""
-    if n_samples % cfg.sps:
-        raise ValueError("sample count must be a multiple of sps")
-    n_symbols = n_samples // cfg.sps
+    waveform -> impairments -> AWGN. Returns (frame, received samples).
+    The waveform path is fixed at SPS samples per symbol, so cfg is not
+    read."""
+    if n_samples % SPS:
+        raise ValueError(f"sample count must be a multiple of {SPS}")
+    n_symbols = n_samples // SPS
     ss = np.random.SeedSequence(seed)
     frame_seed, noise_seed = ss.spawn(2)
     frame = build_tx_frame(dist, n_symbols, frame_seed)
     wf = tx_waveform(frame.symbols, cfg)
     if impairments is not None:
-        wf = apply_impairments(wf, impairments, sample_rate=SYMBOL_RATE * cfg.sps)
+        wf = apply_impairments(wf, impairments, sample_rate=SYMBOL_RATE * SPS)
     rx = awgn_transmit(wf, snr_db, np.random.default_rng(noise_seed))
     return frame, rx
 
@@ -534,7 +517,7 @@ def rx_chain(waveform: np.ndarray, frame: TxFrame, cfg: EqualizerConfig) -> Chai
         "frequency_recovery", frequency_recovery, z, frame.pilot_mask, pilot_ref)
 
     phases = np.stack([
-        guard("pilot_cpe", cpe_phase, z[pol], frame.pilot_mask,
+        guard("cpe", cpe_phase, z[pol], frame.pilot_mask,
               pilot_ref[pol], cfg.cpe_avg_window)
         for pol in range(2)
     ])
@@ -547,7 +530,7 @@ def rx_chain(waveform: np.ndarray, frame: TxFrame, cfg: EqualizerConfig) -> Chai
 
     n_sym = frame.n_symbols
     scored = np.zeros(n_sym, dtype=bool)
-    scored[cfg.training_symbols:max(cfg.training_symbols, n_sym - cfg.guard_symbols)] = True
+    scored[cfg.training_symbols:max(cfg.training_symbols, n_sym - GUARD_SYMBOLS)] = True
     payload = scored & ~frame.pilot_mask
     if not payload.any():
         raise StageError("metrics", "no payload symbols left to score")

@@ -46,16 +46,6 @@ class MetricReport:
                    ngmi=ngmi(gmi_bits, h, dist.template.bits_per_symbol),
                    evm_percent=evm_pct, snr_db=snr_from_evm(evm_pct))
 
-    def as_dict(self) -> dict:
-        return {
-            "n_symbols": self.n_symbols,
-            "entropy_bits": self.entropy_bits,
-            "gmi_bits": self.gmi_bits,
-            "ngmi": self.ngmi,
-            "evm_percent": self.evm_percent,
-            "snr_db": self.snr_db,
-        }
-
 
 def _posterior_llrs(d2: np.ndarray, logp: np.ndarray, bits: np.ndarray,
                     noise_var: float) -> np.ndarray:

@@ -115,20 +115,6 @@ class ShapedDistribution:
         distribution (the alphabet actually put on the channel)."""
         return self.template.points / math.sqrt(self.avg_power)
 
-    def radii(self) -> np.ndarray:
-        """Distinct magnitudes of the transmit alphabet, ascending."""
-        return np.unique(np.round(np.abs(self.tx_points()), 12))
-
-    def to_dict(self) -> dict:
-        return {"M": self.template.M, "nu": self.nu, "p": self.p.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict, template: ConstellationTemplate | None = None):
-        tpl = template or ConstellationTemplate.square_qam(int(d["M"]))
-        if tpl.M != int(d["M"]):
-            raise ValueError("template size mismatch")
-        return cls(template=tpl, p=np.asarray(d["p"], dtype=float), nu=float(d["nu"]))
-
 
 def entropy_bits(p: np.ndarray) -> float:
     """Shannon entropy in bits; zero-probability points contribute nothing."""
@@ -151,10 +137,8 @@ def mb_distribution(nu: float, template: ConstellationTemplate) -> ShapedDistrib
     return ShapedDistribution(template=template, p=p, nu=float(nu))
 
 
-def solve_nu_for_entropy(
-    h_target: float, template: ConstellationTemplate, tol_bits: float = 1e-9
-) -> float:
-    """Invert the entropy(nu) map by bisection.
+def solve_nu_for_entropy(h_target: float, template: ConstellationTemplate) -> float:
+    """Invert the entropy(nu) map by bisection, to within 1e-9 bits.
 
     Valid targets lie in [ENTROPY_FLOOR_BITS, log2(M)]; entropy is strictly
     decreasing in nu, approaching log2 of the innermost-ring size from above.
@@ -176,7 +160,7 @@ def solve_nu_for_entropy(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         hm = h(mid)
-        if abs(hm - h_target) <= tol_bits:
+        if abs(hm - h_target) <= 1e-9:
             return mid
         if hm > h_target:
             lo = mid

@@ -1,6 +1,7 @@
 """SNR -> AIR lookup table and the exact rate arithmetic around it."""
 
 import json
+import logging
 import math
 from fractions import Fraction
 
@@ -81,6 +82,14 @@ def test_table_validation():
         _table([10.0, 12.0], [4.0, 13.0])  # AIR above 2 log2 M
     with pytest.raises(ValueError):
         _table([10.0, 12.0], [4.0, 5.0], th=1.0)  # threshold out of range
+    with pytest.raises(ValueError):
+        _table([10.0, math.nan], [4.0, 5.0])  # NaN in the grid
+    with pytest.raises(ValueError):
+        _table([10.0, math.inf], [4.0, 5.0])  # infinite grid end
+    with pytest.raises(ValueError):
+        _table([10.0, 12.0], [math.nan, 5.0])  # NaN AIR
+    with pytest.raises(ValueError):
+        _table([10.0, 12.0], [4.0, math.nan])  # NaN AIR at the top
 
 
 def test_lookup_interpolation_rules():
@@ -141,6 +150,15 @@ def test_small_table_decisions_pinned():
     assert table.air.tolist() == [
         0.0, 0.0, 4.5600000000000005, 5.6000000000000005, 6.66, 7.92, 9.06,
         10.32, 11.46, 12.0, 12.0, 12.0, 12.0, 12.0, 12.0, 12.0]
+
+
+def test_build_logs_one_line_per_grid_point(caplog):
+    caplog.set_level(logging.INFO, logger="fsolink.airlut")
+    table = build_air_table([-10.0, 14.0, 30.0], MCConfig(mc_symbols=1000, seed=1))
+    lines = [r.getMessage() for r in caplog.records if r.name == "fsolink.airlut"]
+    assert len(lines) == 3
+    for snr, air, line in zip(table.snr_db, table.air, lines):
+        assert line == f"  {snr:7.2f} dB -> AIR {air:5.2f} bits"
 
 
 def test_build_deterministic_bit_identical():

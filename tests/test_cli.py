@@ -55,6 +55,16 @@ def test_build_lut_writes_exact_schema(tmp_path, capsys):
     assert np.all(np.diff(table.air) >= 0)
 
 
+def test_build_lut_progress_on_stderr_unless_quiet(tmp_path, capsys):
+    args = ["build-lut", "--grid", "26:30:2", "--mc", "2000", "--seed", "5",
+            "--out", str(tmp_path / "lut.json")]
+    assert main(args) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [ln.split(" dB")[0].strip() for ln in err] == ["26.00", "28.00", "30.00"]
+    assert main(args + ["--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_build_lut_rejects_bad_grid(tmp_path, capsys):
     rc = main(["build-lut", "--grid", "5:1:1", "--out",
                str(tmp_path / "x.json")])
@@ -134,6 +144,24 @@ def test_run_campaign_end_to_end(small_campaign, capsys):
     assert doc["schemes"] == ["fixed400", "adaptive"]
     # 30 dB clear sky: everything stays in service at full rate.
     assert doc["outage_fraction"]["fixed400"] == 0.0
+
+
+def test_run_waveform_mode_end_to_end(tmp_path):
+    trace, lut = tmp_path / "trace.csv", tmp_path / "lut.json"
+    assert main(["gen-trace", "--duration", "50", "--out", str(trace)]) == 0
+    assert main(["build-lut", "--grid", "0:30:15", "--mc", "2000",
+                 "--out", str(lut), "--quiet"]) == 0
+    assert len(load_trace(trace)) == 2
+    outputs = []
+    for run in ("a", "b"):
+        assert main(["run", "--trace", str(trace), "--lut", str(lut),
+                     "--mode", "waveform", "--schemes", "fixed400",
+                     "--out", str(tmp_path / run)]) == 0
+        outputs.append((tmp_path / run / "records.csv").read_bytes())
+    records = load_records(tmp_path / "a" / "records.csv")
+    assert len(records) == 2
+    assert all(np.isfinite(r.ngmi) and r.air == 8.0 for r in records)
+    assert outputs[0] == outputs[1]
 
 
 def test_run_rejects_unknown_scheme(small_campaign, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from fsolink.channel import ImpairmentConfig, apply_impairments, awgn_transmit, full_impairments
 from fsolink.dsprx import (
+    SPS,
     SYMBOL_RATE,
     EqualizerConfig,
     EqualizerDiverged,
@@ -20,7 +21,6 @@ from fsolink.dsprx import (
     gram_schmidt,
     lms_4x4,
     matched_filter,
-    pilot_cpe,
     rrc_taps,
     rx_chain,
     simulate_block,
@@ -55,7 +55,7 @@ def test_rrc_taps_unit_energy():
 def test_waveform_round_trip_keeps_symbol_alignment():
     frame = build_tx_frame(DIST, 1024, seed=0)
     wf = matched_filter(tx_waveform(frame.symbols, CFG), CFG)
-    sampled = wf[:, :: CFG.sps]
+    sampled = wf[:, :: SPS]
     # Residual is RRC truncation ISI only: high SNR, no misalignment.
     assert _snr(sampled[0][32:-32], frame.symbols[0][32:-32]) > 45.0
 
@@ -187,8 +187,8 @@ def test_cma_noop_when_converged_on_identity():
     # Symbol-spaced stream whose center-tap output already matches the
     # reference: every update error is exactly zero, so out == symbols.
     frame = build_tx_frame(DIST, 2048, seed=3)
-    x = np.zeros((2, 2048 * CFG.sps), dtype=complex)
-    x[:, :: CFG.sps] = frame.symbols
+    x = np.zeros((2, 2048 * SPS), dtype=complex)
+    x[:, :: SPS] = frame.symbols
     out, taps = cma_butterfly(x[0], x[1], CFG, mode="pilot-based",
                               reference=frame.reference())
     assert float(np.max(np.abs(out - frame.symbols))) < 1e-6
@@ -251,7 +251,8 @@ def test_cpe_constant_phase_exact(pilot_frame):
     z = frame.symbols[0] * np.exp(1j * 0.7)
     phase = cpe_phase(z, frame.pilot_mask, pref[0], CFG.cpe_avg_window)
     np.testing.assert_allclose(phase, 0.7, atol=1e-9)
-    out = pilot_cpe(z, frame.pilot_mask, pref[0], CFG.cpe_avg_window)
+    out = z * np.exp(-1j * cpe_phase(z, frame.pilot_mask, pref[0],
+                                     CFG.cpe_avg_window))
     np.testing.assert_allclose(out, frame.symbols[0], atol=1e-9)
 
 
@@ -266,8 +267,9 @@ def test_cpe_linear_ramp_exact(pilot_frame):
 
 def test_cpe_noop_on_clean_input(pilot_frame):
     frame, pref = pilot_frame
-    out = pilot_cpe(frame.symbols[0], frame.pilot_mask, pref[0],
-                    CFG.cpe_avg_window)
+    z = frame.symbols[0]
+    out = z * np.exp(-1j * cpe_phase(z, frame.pilot_mask, pref[0],
+                                     CFG.cpe_avg_window))
     np.testing.assert_allclose(out, frame.symbols[0], atol=1e-9)
 
 
@@ -287,7 +289,8 @@ def test_cpe_needs_two_pilots():
     mask = np.zeros(16, dtype=bool)
     mask[0] = True
     with pytest.raises(ValueError):
-        cpe_phase(np.ones(16, complex), mask, np.ones(1, complex))
+        cpe_phase(np.ones(16, complex), mask, np.ones(1, complex),
+                  CFG.cpe_avg_window)
 
 
 # ----------------------------------------------------------------- 4x4 LMS
