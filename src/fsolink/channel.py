@@ -16,6 +16,7 @@ __all__ = [
     "gen_trace",
     "awgn_transmit",
     "apply_impairments",
+    "full_impairments",
     "load_trace",
     "save_trace",
     "default_rain_config",

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -43,6 +44,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"grid values must be numeric, got {spec!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"grid values must be finite, got {spec!r}")
     if step <= 0 or stop <= start:
         raise ValueError(f"grid needs stop > start and step > 0, got {spec!r}")
     n = int(round((stop - start) / step))
@@ -60,9 +63,6 @@ def _rain_config_from_json(path: str | None, seed: int | None) -> tuple:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
         period = float(raw.pop("sampling_period_s", 25.0))
-        if "rain_intervals" in raw:
-            raw["rain_intervals"] = tuple(
-                (float(a), float(b)) for a, b in raw["rain_intervals"])
         try:
             cfg = RainModelConfig(**raw)
         except TypeError as e:

@@ -27,6 +27,7 @@ from .shaping import (
     ConstellationTemplate,
     ShapedDistribution,
     grid_distribution,
+    mb_distribution,
 )
 
 __all__ = [
@@ -55,15 +56,13 @@ class PredictorState:
 
     n_window: int = 3
     snr_margin_db: float = 2.0
-    window: list = field(default_factory=list)
+    window: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
         if self.n_window < 1:
             raise ValueError("window length must be >= 1")
         if not math.isfinite(self.snr_margin_db):
             raise ValueError("margin must be finite")
-        if len(self.window) > self.n_window:
-            raise ValueError("window holds more than N values")
 
     @property
     def full(self) -> bool:
@@ -161,9 +160,7 @@ class CampaignReport:
         }
 
 
-_PROBE_DIST = ShapedDistribution(
-    template=ConstellationTemplate.square_qam(4),
-    p=np.full(4, 0.25), nu=0.0)
+_PROBE_DIST = mb_distribution(0.0, ConstellationTemplate.square_qam(4))
 
 
 def _measure_analytic(dist: ShapedDistribution, snr_db: float, rng,
@@ -268,9 +265,17 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
 
 
 def _by_scheme(records) -> dict:
+    """Group records by scheme, in order of first appearance. Every scheme
+    must cover the same iterations."""
     out: dict = {}
     for r in records:
         out.setdefault(r.scheme, []).append(r)
+    iterations = {s: [r.n for r in rows] for s, rows in out.items()}
+    first, first_n = next(iter(iterations.items()), (None, None))
+    for scheme, n in iterations.items():
+        if n != first_n:
+            raise ValueError(f"scheme {scheme!r} has {len(n)} rows whose "
+                             f"iterations differ from {first!r}'s {len(first_n)}")
     return out
 
 
@@ -284,7 +289,7 @@ def accumulate_report(records, sampling_period_s: float) -> CampaignReport:
         raise ValueError("no records to accumulate")
     groups = _by_scheme(records)
     schemes = tuple(groups)
-    n_iter = max(len(v) for v in groups.values())
+    n_iter = len(groups[schemes[0]])
 
     mean_rate, outage, delivered, cumulative = {}, {}, {}, {}
     for scheme, rows in groups.items():
@@ -298,7 +303,7 @@ def accumulate_report(records, sampling_period_s: float) -> CampaignReport:
     gains = {}
     if "adaptive" in groups:
         for scheme in schemes:
-            if scheme in FIXED_RATES_BPS and len(groups[scheme]) == len(groups["adaptive"]):
+            if scheme in FIXED_RATES_BPS:
                 gains[scheme] = cumulative["adaptive"] - cumulative[scheme]
 
     return CampaignReport(
@@ -319,7 +324,8 @@ def _format_value(v) -> str:
 
 def emit_report(report: CampaignReport, records, out_dir) -> None:
     """Write records.csv, summary.json, and the per-panel CSV files into
-    out_dir (created if missing)."""
+    out_dir (created if missing); uneven records are rejected first."""
+    groups = _by_scheme(records)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -339,7 +345,6 @@ def emit_report(report: CampaignReport, records, out_dir) -> None:
 
     write(out / "summary.json", json.dumps(report.to_dict(), indent=2) + "\n")
 
-    groups = _by_scheme(records)
     schemes = tuple(groups)
     base = next(iter(groups.values()))
     t = [r.t_s for r in base]
@@ -382,12 +387,10 @@ def load_records(path) -> list:
                              f"{len(RECORD_COLUMNS)} columns, got {len(parts)}")
         out.append(IterationRecord(
             *(parse(v) for parse, v in zip(_COLUMN_PARSERS, parts))))
-    iterations = {s: [r.n for r in rows] for s, rows in _by_scheme(out).items()}
-    first, first_n = next(iter(iterations.items()), (None, None))
-    for scheme, n in iterations.items():
-        if n != first_n:
-            raise ValueError(f"{path}: scheme {scheme!r} has {len(n)} rows whose "
-                             f"iterations differ from {first!r}'s {len(first_n)}")
+    try:
+        _by_scheme(out)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return out
 
 

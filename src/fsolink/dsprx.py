@@ -26,7 +26,6 @@ __all__ = [
     "ChainResult",
     "StageError",
     "EqualizerDiverged",
-    "rrc_taps",
     "tx_waveform",
     "matched_filter",
     "gram_schmidt",
@@ -46,6 +45,34 @@ GUARD_SYMBOLS = 32  # tail symbols left unscored after the equalizer
 DIVERGENCE_FACTOR = 10.0  # output/input power ratio that counts as divergence
 PLL_GAIN = 0.1  # phase tracker gain of the butterfly's data-aided warm-up
 CMA_TRACK_STEP = 1e-4  # butterfly step at the pilots after the warm-up
+
+
+def _rrc_taps() -> np.ndarray:
+    """Root-raised-cosine impulse response for RRC_BETA, SPS and
+    RRC_SPAN_SYMBOLS: unit energy, odd length, read-only."""
+    beta = RRC_BETA
+    n = RRC_SPAN_SYMBOLS * SPS
+    t = (np.arange(n + 1) - n / 2) / SPS  # in symbol periods
+    taps = np.empty(t.size)
+    for i, ti in enumerate(t):
+        if abs(ti) < 1e-12:
+            taps[i] = 1.0 - beta + 4.0 * beta / math.pi
+        elif abs(abs(ti) - 1.0 / (4.0 * beta)) < 1e-12:
+            taps[i] = (beta / math.sqrt(2.0)) * (
+                (1 + 2 / math.pi) * math.sin(math.pi / (4 * beta))
+                + (1 - 2 / math.pi) * math.cos(math.pi / (4 * beta))
+            )
+        else:
+            num = (math.sin(math.pi * ti * (1 - beta))
+                   + 4 * beta * ti * math.cos(math.pi * ti * (1 + beta)))
+            den = math.pi * ti * (1 - (4 * beta * ti) ** 2)
+            taps[i] = num / den
+    taps = taps / math.sqrt(np.sum(taps ** 2))
+    taps.flags.writeable = False
+    return taps
+
+
+RRC_TAPS = _rrc_taps()  # the transmit pulse and its matched filter
 
 
 class StageError(RuntimeError):
@@ -126,27 +153,9 @@ class ChainResult:
     noise_var_est: float
 
 
-def rrc_taps(beta: float, sps: int, span_symbols: int) -> np.ndarray:
-    """Root-raised-cosine impulse response, unit energy, odd length."""
-    if not 0 < beta < 1:
-        raise ValueError("roll-off must lie in (0, 1)")
-    n = span_symbols * sps
-    t = (np.arange(n + 1) - n / 2) / sps  # in symbol periods
-    taps = np.empty(t.size)
-    for i, ti in enumerate(t):
-        if abs(ti) < 1e-12:
-            taps[i] = 1.0 - beta + 4.0 * beta / math.pi
-        elif abs(abs(ti) - 1.0 / (4.0 * beta)) < 1e-12:
-            taps[i] = (beta / math.sqrt(2.0)) * (
-                (1 + 2 / math.pi) * math.sin(math.pi / (4 * beta))
-                + (1 - 2 / math.pi) * math.cos(math.pi / (4 * beta))
-            )
-        else:
-            num = (math.sin(math.pi * ti * (1 - beta))
-                   + 4 * beta * ti * math.cos(math.pi * ti * (1 + beta)))
-            den = math.pi * ti * (1 - (4 * beta * ti) ** 2)
-            taps[i] = num / den
-    return taps / math.sqrt(np.sum(taps ** 2))
+def _rrc_filter(rows: np.ndarray) -> np.ndarray:
+    """Centered convolution of each row with RRC_TAPS."""
+    return np.stack([np.convolve(row, RRC_TAPS, mode="same") for row in rows])
 
 
 def tx_waveform(symbols: np.ndarray, cfg: EqualizerConfig) -> np.ndarray:
@@ -159,19 +168,15 @@ def tx_waveform(symbols: np.ndarray, cfg: EqualizerConfig) -> np.ndarray:
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.ndim != 2 or symbols.shape[0] != 2:
         raise ValueError("expected symbols of shape (2, N)")
-    taps = rrc_taps(RRC_BETA, SPS, RRC_SPAN_SYMBOLS)
     up = np.zeros((2, symbols.shape[1] * SPS), dtype=complex)
     up[:, ::SPS] = symbols
-    return np.stack([np.convolve(up[p], taps, mode="same") for p in range(2)])
+    return _rrc_filter(up)
 
 
 def matched_filter(samples: np.ndarray, cfg: EqualizerConfig) -> np.ndarray:
     """Receive-side RRC filtering (the RRC is its own matched filter); the
     pulse is fixed, so cfg is not read."""
-    samples = np.asarray(samples, dtype=complex)
-    taps = rrc_taps(RRC_BETA, SPS, RRC_SPAN_SYMBOLS)
-    return np.stack([np.convolve(samples[p], taps, mode="same")
-                     for p in range(samples.shape[0])])
+    return _rrc_filter(np.asarray(samples, dtype=complex))
 
 
 def gram_schmidt(i_rail: np.ndarray, q_rail: np.ndarray):
@@ -199,11 +204,14 @@ def _wrap_phase(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _step_schedule(n: int, cfg: EqualizerConfig, pilot_mask: np.ndarray,
+def _step_schedule(n: int, cfg: EqualizerConfig, reference: PilotFrame,
                    warm: float, track: float) -> np.ndarray:
-    """Per-output adaptation step: `warm` on every training symbol, `track`
-    at the pilots after the training prefix, 0 (no update) elsewhere."""
-    steps = np.where(pilot_mask[:n], track, 0.0)
+    """Per-output adaptation step over the n outputs the reference covers:
+    `warm` on every training symbol, `track` at the pilots after the
+    training prefix, 0 (no update) elsewhere."""
+    if reference.symbols.shape[1] < n:
+        raise ValueError("reference shorter than the symbol stream")
+    steps = np.where(reference.pilot_mask[:n], track, 0.0)
     steps[:cfg.training_symbols] = warm
     return steps
 
@@ -272,8 +280,7 @@ def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
     n_sym = x_pol.size // SPS
     if n_sym < 1:
         raise ValueError("input shorter than one symbol")
-    if reference.symbols.shape[1] < n_sym:
-        raise ValueError("reference shorter than the symbol stream")
+    steps = _step_schedule(n_sym, cfg, reference, cfg.cma_step, CMA_TRACK_STEP)
 
     ref = reference.symbols
     theta = [0.0, 0.0]
@@ -296,8 +303,6 @@ def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
         return {"xx": w[0, :taps], "xy": w[0, taps:],
                 "yx": w[1, :taps], "yy": w[1, taps:]}
 
-    steps = _step_schedule(n_sym, cfg, reference.pilot_mask,
-                           cfg.cma_step, CMA_TRACK_STEP)
     return _adapt("cma", np.stack([x_pol, y_pol]), taps, SPS, steps, error,
                   publish)
 
@@ -410,8 +415,7 @@ def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
     if z.ndim != 2 or z.shape[0] != 2:
         raise ValueError("expected dual-pol symbols of shape (2, N)")
     n = z.shape[1]
-    if reference.symbols.shape[1] < n:
-        raise ValueError("reference shorter than the symbol stream")
+    steps = _step_schedule(n, cfg, reference, cfg.lms_step, cfg.lms_track_step)
     taps = cfg.lms_taps
 
     if carrier_phase is None:
@@ -423,8 +427,6 @@ def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
         rot = np.exp(1j * carrier_phase)
 
     d = _iq_rails(reference.symbols[:, :n] * rot)
-    steps = _step_schedule(n, cfg, reference.pilot_mask,
-                           cfg.lms_step, cfg.lms_track_step)
     out, weights = _adapt("lms", _iq_rails(z * rot), taps, 1, steps,
                           lambda k, o: d[:, k] - o,
                           lambda w: w.reshape(4, 4, taps))
@@ -449,7 +451,7 @@ def build_tx_frame(dist: ShapedDistribution, n_symbols: int, seed) -> TxFrame:
     point_idx = np.full((2, n_symbols), -1, dtype=np.int64)
     mask = None
     for pol, pseed in ((0, pilot_x), (1, pilot_y)):
-        frame = insert_pilots(alphabet[idx[pol]], pilot_rate, 1.0,
+        frame = insert_pilots(alphabet[idx[pol]], pilot_rate,
                               seed=int(pseed.generate_state(1)[0]))
         if frame.symbols.size != n_symbols:
             raise AssertionError("framing arithmetic is off")

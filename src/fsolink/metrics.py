@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import awgn_transmit
 from .shaping import ShapedDistribution
 
 __all__ = [
@@ -219,8 +220,6 @@ def awgn_link_metrics(dist: ShapedDistribution, snr_db: float, n_symbols: int,
     This is the analytic (symbol-level, DSP-free) path used for rate
     adaptation studies; `seed` may be an int, a SeedSequence, or a Generator.
     """
-    from .channel import awgn_transmit  # local import to avoid a cycle
-
     if n_symbols <= 0:
         raise ValueError("need at least one symbol")
     rng = np.random.default_rng(seed)

@@ -87,13 +87,11 @@ class ShapedDistribution:
     """Probability mass over a QAM template together with its entropy.
 
     The entropy in bits/symbol/polarization is the tuning knob of the
-    rate-adaptive scheme; `nu` records the Maxwell-Boltzmann parameter the
-    distribution was built from (0 means uniform).
+    rate-adaptive scheme.
     """
 
     template: ConstellationTemplate
     p: np.ndarray
-    nu: float
     entropy_bits: float = field(init=False)
 
     def __post_init__(self):
@@ -134,7 +132,7 @@ def mb_distribution(nu: float, template: ConstellationTemplate) -> ShapedDistrib
     e = np.abs(template.points) ** 2
     w = np.exp(-nu * (e - e.min()))  # shift keeps the largest weight at 1
     p = w / w.sum()
-    return ShapedDistribution(template=template, p=p, nu=float(nu))
+    return ShapedDistribution(template=template, p=p)
 
 
 def solve_nu_for_entropy(h_target: float, template: ConstellationTemplate) -> float:
@@ -208,22 +206,17 @@ class PilotFrame:
     pilot_mask: np.ndarray  # bool, True at pilot positions
 
 
-def insert_pilots(
-    payload: np.ndarray,
-    pilot_rate: Fraction | tuple[int, int],
-    avg_power: float,
-    seed: int = 0,
-) -> PilotFrame:
-    """Interleave seeded pseudo-random QPSK pilots into a payload stream.
+def insert_pilots(payload: np.ndarray, pilot_rate: Fraction,
+                  seed: int = 0) -> PilotFrame:
+    """Interleave seeded pseudo-random unit-power QPSK pilots into a
+    payload stream.
 
     For rate P/D each frame of D slots carries D-P pilots, spread evenly
-    from slot 0, and P payload symbols; pilots are scaled so |pilot|^2
-    equals `avg_power`, leaving the frame's average power untouched. A
+    from slot 0, and P payload symbols; a unit-power payload (such as
+    `ShapedDistribution.tx_points`) keeps unit power after framing. A
     partial last frame ends just before its first payload slot with no
     payload left.
     """
-    if isinstance(pilot_rate, tuple):
-        pilot_rate = Fraction(*pilot_rate)
     if not 0 < pilot_rate < 1:
         raise ValueError(f"pilot rate must lie in (0, 1), got {pilot_rate}")
     payload = np.asarray(payload)
@@ -238,7 +231,7 @@ def insert_pilots(
     if payload.size % num:
         mask = mask[:np.flatnonzero(~mask)[payload.size]]
     rng = np.random.default_rng(seed)
-    pilots = _QPSK[rng.integers(0, 4, int(mask.sum()))] * math.sqrt(avg_power)
+    pilots = _QPSK[rng.integers(0, 4, int(mask.sum()))]
 
     symbols = np.empty(mask.size, dtype=complex)
     symbols[mask] = pilots

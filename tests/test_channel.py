@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fsolink import channel
 from fsolink.channel import (
     CLEAR,
     RAIN,
@@ -280,3 +281,11 @@ def test_snr_trace_validation():
     with pytest.raises(ValueError, match="sampling period"):
         SnrTrace(t_s=np.array([0.0, 10.0]), snr_db=np.zeros(2),
                  weather=(CLEAR, CLEAR), sampling_period_s=25.0)
+
+
+def test_all_names_every_public_function_and_class():
+    public = {name for name, v in vars(channel).items()
+              if not name.startswith("_")
+              and getattr(v, "__module__", None) == channel.__name__}
+    assert "full_impairments" in public
+    assert set(channel.__all__) == public

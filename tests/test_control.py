@@ -356,6 +356,21 @@ def test_accumulate_rejects_empty():
         accumulate_report([], 25.0)
 
 
+def test_uneven_records_rejected_before_any_output(tmp_path):
+    records = []
+    for i in range(4):
+        records.append(_record(n=i, t_s=25.0 * i, scheme="fixed400",
+                               rate_bps=400e9))
+        records.append(_record(n=i, t_s=25.0 * i, scheme="adaptive"))
+    rep = accumulate_report(records, 25.0)
+    uneven = records[:-1]  # adaptive loses its last row
+    with pytest.raises(ValueError, match="'adaptive'.*'fixed400'"):
+        accumulate_report(uneven, 25.0)
+    with pytest.raises(ValueError, match="'adaptive'.*'fixed400'"):
+        emit_report(rep, uneven, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------ report files
 
 def _nan_safe(rec):

@@ -9,6 +9,7 @@ import pytest
 
 from fsolink.channel import ImpairmentConfig, apply_impairments, awgn_transmit, full_impairments
 from fsolink.dsprx import (
+    RRC_TAPS,
     SPS,
     SYMBOL_RATE,
     EqualizerConfig,
@@ -21,13 +22,17 @@ from fsolink.dsprx import (
     gram_schmidt,
     lms_4x4,
     matched_filter,
-    rrc_taps,
     rx_chain,
     simulate_block,
     tx_waveform,
 )
 from fsolink.metrics import evm_percent, snr_from_evm
-from fsolink.shaping import ConstellationTemplate, mb_distribution, solve_nu_for_entropy
+from fsolink.shaping import (
+    ConstellationTemplate,
+    PilotFrame,
+    mb_distribution,
+    solve_nu_for_entropy,
+)
 
 TPL = ConstellationTemplate.square_qam(64)
 DIST = mb_distribution(solve_nu_for_entropy(4.5, TPL), TPL)
@@ -47,7 +52,7 @@ def _snr(rx, tx):
 # ------------------------------------------------------------ pulse shaping
 
 def test_rrc_taps_unit_energy():
-    taps = rrc_taps(0.35, 2, 16)
+    taps = RRC_TAPS
     assert float(np.sum(taps**2)) == pytest.approx(1.0, abs=1e-9)
     assert taps.size == 2 * 16 + 1
 
@@ -181,6 +186,16 @@ def test_cma_rejects_unknown_mode(clean_frame):
     frame, wf = clean_frame
     with pytest.raises(ValueError, match="mode"):
         cma_butterfly(wf[0], wf[1], CFG, mode="blind", reference=frame.reference())
+
+
+def test_equalizers_reject_short_reference(clean_frame):
+    frame, wf = clean_frame
+    ref = frame.reference()
+    short = PilotFrame(symbols=ref.symbols[:, :-1], pilot_mask=ref.pilot_mask[:-1])
+    with pytest.raises(ValueError, match="reference shorter"):
+        cma_butterfly(wf[0], wf[1], CFG, mode="pilot-based", reference=short)
+    with pytest.raises(ValueError, match="reference shorter"):
+        lms_4x4(frame.symbols, CFG, short)
 
 
 def test_cma_noop_when_converged_on_identity():

@@ -28,7 +28,7 @@ TPL = ConstellationTemplate.square_qam(64)
 UNIFORM = mb_distribution(0.0, TPL)
 # A prior that does not factor over I and Q: only the joint demapper applies.
 TOY = ShapedDistribution(template=ConstellationTemplate.square_qam(4),
-                         p=np.array([0.4, 0.3, 0.2, 0.1]), nu=0.0)
+                         p=np.array([0.4, 0.3, 0.2, 0.1]))
 
 
 def _gray(i):
@@ -130,7 +130,7 @@ def test_axis_demapper_matches_joint_demapper(nu, snr_db, M, seed):
         template=ConstellationTemplate(
             points=ConstellationTemplate.square_qam(16).points,
             labels=np.random.default_rng(3).permutation(16)),
-        p=np.full(16, 1 / 16), nu=0.0), False),
+        p=np.full(16, 1 / 16)), False),
 ])
 def test_llr_chunks_do_not_depend_on_chunk_boundaries(dist, per_axis):
     assert (metrics._axis_split(dist) is not None) == per_axis

@@ -183,36 +183,36 @@ def _payload(n, seed=5):
 
 
 def test_pilots_one_full_frame():
-    frame = insert_pilots(_payload(15), Fraction(15, 16), 1.0)
+    frame = insert_pilots(_payload(15), Fraction(15, 16))
     assert frame.symbols.size == 16
     assert frame.pilot_mask[0]
     assert frame.pilot_mask.sum() == 1
 
 
 def test_pilots_two_frames():
-    frame = insert_pilots(_payload(30), (15, 16), 1.0)
+    frame = insert_pilots(_payload(30), Fraction(15, 16))
     assert frame.symbols.size == 32
     assert set(np.flatnonzero(frame.pilot_mask).tolist()) == {0, 16}
 
 
 def test_pilot_magnitude_equals_avg_power():
-    frame = insert_pilots(_payload(45), Fraction(15, 16), 1.0)
+    frame = insert_pilots(_payload(45), Fraction(15, 16))
     np.testing.assert_allclose(np.abs(frame.symbols[frame.pilot_mask]), 1.0,
                                atol=1e-12)
 
 
 def test_pilot_framing_preserves_average_power():
     payload = _payload(150)
-    p_avg = float(np.mean(np.abs(payload) ** 2))
-    frame = insert_pilots(payload, Fraction(15, 16), p_avg)
-    assert float(np.mean(np.abs(frame.symbols) ** 2)) == pytest.approx(p_avg,
+    payload = payload / math.sqrt(float(np.mean(np.abs(payload) ** 2)))
+    frame = insert_pilots(payload, Fraction(15, 16))
+    assert float(np.mean(np.abs(frame.symbols) ** 2)) == pytest.approx(1.0,
                                                                        abs=1e-12)
 
 
 def test_pilots_are_qpsk_and_seeded():
-    a = insert_pilots(_payload(150), (15, 16), 1.0, seed=3)
-    b = insert_pilots(_payload(150), (15, 16), 1.0, seed=3)
-    c = insert_pilots(_payload(150), (15, 16), 1.0, seed=4)
+    a = insert_pilots(_payload(150), Fraction(15, 16), seed=3)
+    b = insert_pilots(_payload(150), Fraction(15, 16), seed=3)
+    c = insert_pilots(_payload(150), Fraction(15, 16), seed=4)
     np.testing.assert_array_equal(a.symbols, b.symbols)
     assert not np.array_equal(a.symbols, c.symbols)
     pilots = a.symbols[a.pilot_mask]
@@ -223,7 +223,7 @@ def test_pilots_are_qpsk_and_seeded():
 
 def test_pilot_payload_round_trip():
     payload = _payload(77)
-    frame = insert_pilots(payload, Fraction(15, 16), 1.0)
+    frame = insert_pilots(payload, Fraction(15, 16))
     np.testing.assert_array_equal(frame.symbols[~frame.pilot_mask], payload)
 
 
@@ -237,7 +237,7 @@ def test_pilots_partial_frame_keeps_trailing_pilot(n_payload, n_frame, pilots):
     # rate 3/5 puts pilots in slots 0 and 2; a partial last frame stops at
     # its first payload slot with no payload left
     payload = _payload(n_payload)
-    frame = insert_pilots(payload, Fraction(3, 5), 1.0)
+    frame = insert_pilots(payload, Fraction(3, 5))
     assert frame.symbols.size == n_frame
     assert np.flatnonzero(frame.pilot_mask).tolist() == pilots
     np.testing.assert_array_equal(frame.symbols[~frame.pilot_mask], payload)
@@ -246,12 +246,12 @@ def test_pilots_partial_frame_keeps_trailing_pilot(n_payload, n_frame, pilots):
 @pytest.mark.parametrize("rate", [Fraction(1, 1), Fraction(0, 1), Fraction(-1, 2)])
 def test_pilot_rate_validation(rate):
     with pytest.raises(ValueError):
-        insert_pilots(_payload(10), rate, 1.0)
+        insert_pilots(_payload(10), rate)
 
 
 def test_empty_payload_rejected():
     with pytest.raises(ValueError):
-        insert_pilots(np.array([]), Fraction(15, 16), 1.0)
+        insert_pilots(np.array([]), Fraction(15, 16))
 
 
 # ------------------------------------------------------------ entropy grid
