@@ -92,6 +92,15 @@ def _cmd_gen_trace(args) -> int:
     return 0
 
 
+def _print_summary(report) -> None:
+    """One line per scheme: mean effective rate, outage and delivered data."""
+    for scheme, rate in report.mean_effective_rate_bps.items():
+        out_pct = 100 * report.outage_fraction[scheme]
+        tb = report.delivered_bytes[scheme] / 1e12
+        print(f"{scheme:9s}: mean effective rate {rate / 1e9:7.2f} Gbps, "
+              f"outage {out_pct:5.2f}%, delivered {tb:.3f} TB")
+
+
 def _cmd_run(args) -> int:
     trace = load_trace(args.trace)
     table = load_air_table(args.lut)
@@ -102,11 +111,7 @@ def _cmd_run(args) -> int:
         mc_symbols=args.mc_symbols)
     report = accumulate_report(records, trace.sampling_period_s)
     emit_report(report, records, args.out)
-    for scheme in schemes:
-        rate = report.mean_effective_rate_bps[scheme] / 1e9
-        out_pct = 100 * report.outage_fraction[scheme]
-        print(f"{scheme:9s}: mean effective rate {rate:7.2f} Gbps, "
-              f"outage {out_pct:.2f}%")
+    _print_summary(report)
     print(f"wrote {args.out}/records.csv and report files")
     return 0
 
@@ -118,11 +123,7 @@ def _cmd_report(args) -> int:
     period = times[1] - times[0] if len(times) > 1 else 25.0
     report = accumulate_report(records, period)
     emit_report(report, records, in_dir)
-    for scheme, rate in report.mean_effective_rate_bps.items():
-        out_pct = 100 * report.outage_fraction[scheme]
-        tb = report.delivered_bytes[scheme] / 1e12
-        print(f"{scheme:9s}: mean effective rate {rate / 1e9:7.2f} Gbps, "
-              f"outage {out_pct:5.2f}%, delivered {tb:.3f} TB")
+    _print_summary(report)
     return 0
 
 

@@ -265,13 +265,15 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
 
 
 def _by_scheme(records) -> dict:
-    """Group records by scheme, in order of first appearance. Every scheme
-    must cover the same iterations."""
+    """Group records by scheme, in order of first appearance. There must be
+    records, and every scheme must cover the same iterations."""
+    if not records:
+        raise ValueError("no records")
     out: dict = {}
     for r in records:
         out.setdefault(r.scheme, []).append(r)
     iterations = {s: [r.n for r in rows] for s, rows in out.items()}
-    first, first_n = next(iter(iterations.items()), (None, None))
+    first, first_n = next(iter(iterations.items()))
     for scheme, n in iterations.items():
         if n != first_n:
             raise ValueError(f"scheme {scheme!r} has {len(n)} rows whose "
@@ -285,8 +287,6 @@ def accumulate_report(records, sampling_period_s: float) -> CampaignReport:
     Effective rate zero-rates outage iterations (discarded data); delivered
     capacity integrates in-service bits over the sampling period.
     """
-    if not records:
-        raise ValueError("no records to accumulate")
     groups = _by_scheme(records)
     schemes = tuple(groups)
     n_iter = len(groups[schemes[0]])
@@ -324,7 +324,8 @@ def _format_value(v) -> str:
 
 def emit_report(report: CampaignReport, records, out_dir) -> None:
     """Write records.csv, summary.json, and the per-panel CSV files into
-    out_dir (created if missing); uneven records are rejected first."""
+    out_dir (created if missing); empty or uneven records are rejected
+    first."""
     groups = _by_scheme(records)
     out = Path(out_dir)
     try:

@@ -45,6 +45,9 @@ GUARD_SYMBOLS = 32  # tail symbols left unscored after the equalizer
 DIVERGENCE_FACTOR = 10.0  # output/input power ratio that counts as divergence
 PLL_GAIN = 0.1  # phase tracker gain of the butterfly's data-aided warm-up
 CMA_TRACK_STEP = 1e-4  # butterfly step at the pilots after the warm-up
+CMA_TAPS = 25  # butterfly FIR length per input pol, odd (centered)
+LMS_TAPS = 51  # 4x4 stage FIR length per rail, odd (centered)
+CPE_AVG_WINDOW = 8  # pilots per CPE phase average
 
 
 def _rrc_taps() -> np.ndarray:
@@ -93,32 +96,22 @@ class EqualizerDiverged(StageError):
 
 @dataclass(frozen=True)
 class EqualizerConfig:
-    """Knobs of the adaptive stages. Tap counts must be positive and odd
-    (centered filters); steps are the data-aided warm-up rates, and the 4x4
-    stage has a separate smaller tracking rate once adaptation switches to
-    pilots (the butterfly's is CMA_TRACK_STEP)."""
+    """Knobs of the adaptive stages. Steps are the data-aided warm-up rates,
+    and the 4x4 stage has a separate smaller tracking rate once adaptation
+    switches to pilots (the butterfly's is CMA_TRACK_STEP)."""
 
-    cma_taps: int = 25
     cma_step: float = 1e-3
-    lms_taps: int = 51
     lms_step: float = 5e-4
     lms_track_step: float = 5e-5
     training_symbols: int = 4000
-    cpe_avg_window: int = 8
     enable_lms: bool = True
 
     def __post_init__(self):
-        for name in ("cma_taps", "lms_taps"):
-            taps = getattr(self, name)
-            if taps < 1 or taps % 2 == 0:
-                raise ValueError(f"{name} must be a positive odd count, got {taps}")
         for name in ("cma_step", "lms_step", "lms_track_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.training_symbols < 0:
             raise ValueError("training_symbols must be >= 0")
-        if self.cpe_avg_window < 1:
-            raise ValueError("averaging window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -158,12 +151,11 @@ def _rrc_filter(rows: np.ndarray) -> np.ndarray:
     return np.stack([np.convolve(row, RRC_TAPS, mode="same") for row in rows])
 
 
-def tx_waveform(symbols: np.ndarray, cfg: EqualizerConfig) -> np.ndarray:
+def tx_waveform(symbols: np.ndarray) -> np.ndarray:
     """Upsample dual-pol symbols by SPS and pulse-shape with the RRC.
 
     Centered convolution keeps symbol k at sample k*SPS; with unit-energy
-    taps the matched-filter output returns the symbols at unit gain. The
-    pulse is fixed, so cfg is not read.
+    taps the matched-filter output returns the symbols at unit gain.
     """
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.ndim != 2 or symbols.shape[0] != 2:
@@ -173,9 +165,8 @@ def tx_waveform(symbols: np.ndarray, cfg: EqualizerConfig) -> np.ndarray:
     return _rrc_filter(up)
 
 
-def matched_filter(samples: np.ndarray, cfg: EqualizerConfig) -> np.ndarray:
-    """Receive-side RRC filtering (the RRC is its own matched filter); the
-    pulse is fixed, so cfg is not read."""
+def matched_filter(samples: np.ndarray) -> np.ndarray:
+    """Receive-side RRC filtering (the RRC is its own matched filter)."""
     return _rrc_filter(np.asarray(samples, dtype=complex))
 
 
@@ -258,25 +249,22 @@ def _adapt(stage: str, rails: np.ndarray, taps: int, stride: int,
 
 
 def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
-                  mode: str, reference: PilotFrame):
-    """2x2 butterfly equalizer at SPS samples/symbol, one output symbol
-    per SPS input samples.
+                  reference: PilotFrame):
+    """2x2 butterfly equalizer of CMA_TAPS-tap filters at SPS samples/symbol,
+    one output symbol per SPS input samples.
 
     The first cfg.training_symbols outputs adapt data-aided (LMS against the
     known symbols, with a per-pol phase tracker so a carrier offset does not
     masquerade as an error). Afterwards radius-directed updates run at pilot
     positions only (phase-blind; the pilot modulus is the target radius).
-    'pilot-based' is the only mode. Returns the outputs and the taps
-    {"xx", "xy", "yx", "yy"}. Raises EqualizerDiverged when output power
-    exceeds DIVERGENCE_FACTOR times the input sample power.
+    Returns the outputs and the taps {"xx", "xy", "yx", "yy"}. Raises
+    EqualizerDiverged when output power exceeds DIVERGENCE_FACTOR times the
+    input sample power.
     """
-    if mode != "pilot-based":
-        raise ValueError(f"unknown mode {mode!r}")
     x_pol = np.ascontiguousarray(x_pol, dtype=complex)
     y_pol = np.ascontiguousarray(y_pol, dtype=complex)
     if x_pol.shape != y_pol.shape or x_pol.ndim != 1:
         raise ValueError("polarizations must be equal-length 1-D arrays")
-    taps = cfg.cma_taps
     n_sym = x_pol.size // SPS
     if n_sym < 1:
         raise ValueError("input shorter than one symbol")
@@ -300,11 +288,28 @@ def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
         return e
 
     def publish(w):  # row = output pol, column block = input pol
-        return {"xx": w[0, :taps], "xy": w[0, taps:],
-                "yx": w[1, :taps], "yy": w[1, taps:]}
+        return {"xx": w[0, :CMA_TAPS], "xy": w[0, CMA_TAPS:],
+                "yx": w[1, :CMA_TAPS], "yy": w[1, CMA_TAPS:]}
 
-    return _adapt("cma", np.stack([x_pol, y_pol]), taps, SPS, steps, error,
-                  publish)
+    return _adapt("cma", np.stack([x_pol, y_pol]), CMA_TAPS, SPS, steps,
+                  error, publish)
+
+
+def _pilot_bookkeeping(symbols, pilot_mask, pilot_ref, ndim: int):
+    """Check that a pilot-aided stage's inputs agree and return (symbols,
+    pilot_ref, pilot positions): at least two pilots, symbols of `ndim`
+    dimensions whose last axis the mask covers, and one reference symbol
+    per pilot on every leading axis."""
+    z = np.asarray(symbols, dtype=complex)
+    ref = np.asarray(pilot_ref, dtype=complex)
+    pilot_mask = np.asarray(pilot_mask, dtype=bool)
+    pos = np.flatnonzero(pilot_mask)
+    if pos.size < 2:
+        raise ValueError("need at least two pilots")
+    if (z.ndim != ndim or z.shape[-1] != pilot_mask.size
+            or ref.shape != z.shape[:-1] + (pos.size,)):
+        raise ValueError("pilot bookkeeping does not match the symbol stream")
+    return z, ref, pos
 
 
 def _modal_spacing(positions: np.ndarray) -> int:
@@ -322,15 +327,7 @@ def frequency_recovery(symbols: np.ndarray, pilot_mask: np.ndarray,
     unambiguous for |offset| < SYMBOL_RATE / (2 * pilot spacing); estimates
     whose mean increment approaches +-pi raise the ambiguity flag.
     """
-    z = np.asarray(symbols, dtype=complex)
-    pilot_mask = np.asarray(pilot_mask, dtype=bool)
-    ref = np.asarray(pilot_ref, dtype=complex)
-    pos = np.flatnonzero(pilot_mask)
-    if pos.size < 2:
-        raise ValueError("need at least two pilots")
-    if z.ndim != 2 or z.shape[1] != pilot_mask.size or ref.shape != (len(z), pos.size):
-        raise ValueError("pilot bookkeeping does not match the symbol stream")
-
+    z, ref, pos = _pilot_bookkeeping(symbols, pilot_mask, pilot_ref, 2)
     spacing = _modal_spacing(pos)
     acc = 0.0 + 0.0j
     for pol in range(z.shape[0]):
@@ -361,28 +358,20 @@ def _interp_with_tails(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndar
     return y
 
 
-def cpe_phase(symbols: np.ndarray, pilot_mask: np.ndarray, pilot_ref: np.ndarray,
-              avg_window: int) -> np.ndarray:
+def cpe_phase(symbols: np.ndarray, pilot_mask: np.ndarray,
+              pilot_ref: np.ndarray) -> np.ndarray:
     """Carrier phase trajectory estimate for one polarization, in radians
     per symbol position.
 
     Per-pilot phases arg(rx conj(ref)) are unwrapped, smoothed over
-    avg_window pilots, and linearly interpolated to every symbol (linear
+    CPE_AVG_WINDOW pilots, and linearly interpolated to every symbol (linear
     extrapolation at the ends). Pilot positions are averaged with the same
     kernel as the phases, so affine phase trajectories survive the smoothing
     exactly regardless of the window.
     """
-    z = np.asarray(symbols, dtype=complex)
-    pilot_mask = np.asarray(pilot_mask, dtype=bool)
-    ref = np.asarray(pilot_ref, dtype=complex)
-    pos = np.flatnonzero(pilot_mask)
-    if pos.size < 2:
-        raise ValueError("need at least two pilots")
-    if z.ndim != 1 or z.size != pilot_mask.size or ref.size != pos.size:
-        raise ValueError("pilot bookkeeping does not match the symbol stream")
-
+    z, ref, pos = _pilot_bookkeeping(symbols, pilot_mask, pilot_ref, 1)
     psi = np.unwrap(np.angle(z[pos] * np.conj(ref)))
-    window = min(avg_window, pos.size)
+    window = min(CPE_AVG_WINDOW, pos.size)
     sm_phase = _matched_average(psi, window)
     sm_pos = _matched_average(pos.astype(float), window)
     return _interp_with_tails(np.arange(z.size, dtype=float), sm_pos, sm_phase)
@@ -397,7 +386,7 @@ def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
             reference: PilotFrame,
             carrier_phase: np.ndarray | None = None):
     """4x4 real-valued LMS over the rails (XI, XQ, YI, YQ) at 1 sample per
-    symbol: 16 real FIR filters of cfg.lms_taps, able to undo IQ skew and
+    symbol: 16 real FIR filters of LMS_TAPS, able to undo IQ skew and
     imbalance that the complex butterfly cannot represent.
 
     Frontend skew and imbalance are static only before carrier derotation;
@@ -409,14 +398,13 @@ def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
 
     Data-aided over the training prefix, then pilot-driven updates at the
     smaller tracking step, through the same loop and divergence check as
-    cma_butterfly. Returns the outputs and the (4, 4, lms_taps) taps.
+    cma_butterfly. Returns the outputs and the (4, 4, LMS_TAPS) taps.
     """
     z = np.asarray(symbols, dtype=complex)
     if z.ndim != 2 or z.shape[0] != 2:
         raise ValueError("expected dual-pol symbols of shape (2, N)")
     n = z.shape[1]
     steps = _step_schedule(n, cfg, reference, cfg.lms_step, cfg.lms_track_step)
-    taps = cfg.lms_taps
 
     if carrier_phase is None:
         rot = np.ones((2, n), dtype=complex)
@@ -427,9 +415,9 @@ def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
         rot = np.exp(1j * carrier_phase)
 
     d = _iq_rails(reference.symbols[:, :n] * rot)
-    out, weights = _adapt("lms", _iq_rails(z * rot), taps, 1, steps,
+    out, weights = _adapt("lms", _iq_rails(z * rot), LMS_TAPS, 1, steps,
                           lambda k, o: d[:, k] - o,
-                          lambda w: w.reshape(4, 4, taps))
+                          lambda w: w.reshape(4, 4, LMS_TAPS))
     return (out[0::2] + 1j * out[1::2]) * np.conj(rot), weights
 
 
@@ -466,15 +454,15 @@ def simulate_block(dist: ShapedDistribution, snr_db: float,
                    n_samples: int = 200_000, seed=0):
     """Transmit one waveform block: shaped symbols -> pilot framing -> RRC
     waveform -> impairments -> AWGN. Returns (frame, received samples).
-    The waveform path is fixed at SPS samples per symbol, so cfg is not
-    read."""
+    The waveform path is fixed, so cfg is not read; it stays for the callers
+    that pass it positionally."""
     if n_samples % SPS:
         raise ValueError(f"sample count must be a multiple of {SPS}")
     n_symbols = n_samples // SPS
     ss = np.random.SeedSequence(seed)
     frame_seed, noise_seed = ss.spawn(2)
     frame = build_tx_frame(dist, n_symbols, frame_seed)
-    wf = tx_waveform(frame.symbols, cfg)
+    wf = tx_waveform(frame.symbols)
     if impairments is not None:
         wf = apply_impairments(wf, impairments, sample_rate=SYMBOL_RATE * SPS)
     rx = awgn_transmit(wf, snr_db, np.random.default_rng(noise_seed))
@@ -503,7 +491,7 @@ def rx_chain(waveform: np.ndarray, frame: TxFrame, cfg: EqualizerConfig) -> Chai
         except Exception as e:
             raise StageError(stage, str(e)) from e
 
-    wf = guard("matched_filter", matched_filter, wf, cfg)
+    wf = guard("matched_filter", matched_filter, wf)
 
     rails = []
     for pol in range(2):
@@ -512,15 +500,14 @@ def rx_chain(waveform: np.ndarray, frame: TxFrame, cfg: EqualizerConfig) -> Chai
         rails.append(i_rail + 1j * q_rail)
     wf = np.stack(rails)
 
-    z, _ = guard("cma", cma_butterfly, wf[0], wf[1], cfg, "pilot-based", reference)
+    z, _ = guard("cma", cma_butterfly, wf[0], wf[1], cfg, reference)
 
     pilot_ref = np.stack([frame.symbols[p, frame.pilot_mask] for p in range(2)])
     z, freq_offset_hz, ambiguous = guard(
         "frequency_recovery", frequency_recovery, z, frame.pilot_mask, pilot_ref)
 
     phases = np.stack([
-        guard("cpe", cpe_phase, z[pol], frame.pilot_mask,
-              pilot_ref[pol], cfg.cpe_avg_window)
+        guard("cpe", cpe_phase, z[pol], frame.pilot_mask, pilot_ref[pol])
         for pol in range(2)
     ])
     z = z * np.exp(-1j * phases)

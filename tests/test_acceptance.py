@@ -16,7 +16,7 @@ import numpy as np
 from conftest import COARSE_GRID, COARSE_MC
 from test_metrics import gmi_uniform_qam64_oracle
 
-from fsolink.airlut import RatePlan, build_air_table, net_bit_rate
+from fsolink.airlut import build_air_table, net_bit_rate
 from fsolink.ccdm import Composition, ccdm_decode, ccdm_encode, ccdm_input_length
 from fsolink.channel import (
     RAIN,
@@ -49,7 +49,12 @@ from fsolink.dsprx import (
     tx_waveform,
 )
 from fsolink.metrics import awgn_link_metrics, evm_percent, snr_from_evm
-from fsolink.shaping import ConstellationTemplate, mb_distribution, solve_nu_for_entropy
+from fsolink.shaping import (
+    ConstellationTemplate,
+    RatePlan,
+    mb_distribution,
+    solve_nu_for_entropy,
+)
 
 TPL = ConstellationTemplate.square_qam(64)
 UNIFORM = mb_distribution(0.0, TPL)
@@ -197,7 +202,7 @@ def test_criterion_2_rate_law_exact(capsys):
     failures = []
     plan = RatePlan()
     for air, rate in ((12.0, 600e9), (8.0, 400e9), (10.0, 500e9)):
-        if net_bit_rate(air, plan) != rate:
+        if net_bit_rate(air) != rate:
             failures.append(f"net_bit_rate({air}) != {rate}")
     if plan.net_symbol_rate != Fraction(50_000_000_000):
         failures.append("net symbol rate is not exactly 50 GBaud")
@@ -404,13 +409,12 @@ def test_criterion_7_dsp_chain_ablations(capsys):
 
     # Butterfly equalizer: 30-degree polarization rotation inverted.
     frame = build_tx_frame(DIST45, 2**14, seed=1)
-    wf = matched_filter(tx_waveform(frame.symbols, cfg), cfg)
+    wf = matched_filter(tx_waveform(frame.symbols))
     rot = apply_impairments(
         wf, ImpairmentConfig(combined_linewidth_hz=0.0,
                              pol_rotation_rad=math.radians(30.0)),
         2 * SYMBOL_RATE)
-    out, _ = cma_butterfly(rot[0], rot[1], cfg, mode="pilot-based",
-                           reference=frame.reference())
+    out, _ = cma_butterfly(rot[0], rot[1], cfg, reference=frame.reference())
     sl = slice(6000, out.shape[1] - 64)
     pol_snr = snr_from_evm(evm_percent(out[0][sl], frame.symbols[0][sl]))
     if pol_snr <= 25.0:
@@ -434,7 +438,7 @@ def test_criterion_7_dsp_chain_ablations(capsys):
                           SYMBOL_RATE)
     true_phase = np.unwrap(np.angle(z[0] / frame.symbols[0]))
     z = awgn_transmit(z, 20.0, seed=7)
-    est = cpe_phase(z[0], frame.pilot_mask, pref[0], cfg.cpe_avg_window)
+    est = cpe_phase(z[0], frame.pilot_mask, pref[0])
     residual_deg = math.degrees(float(np.std(est - true_phase)))
     if residual_deg >= 3.0:
         failures.append(f"phase-tracking residual {residual_deg:.2f} deg >= 3")

@@ -11,7 +11,6 @@ import pytest
 from fsolink.airlut import (
     AirTable,
     MCConfig,
-    RatePlan,
     air_for_rate,
     build_air_table,
     load_air_table,
@@ -20,6 +19,7 @@ from fsolink.airlut import (
     net_bit_rate,
     save_air_table,
 )
+from fsolink.shaping import RatePlan
 
 
 def _table(snr, air, th=0.9):

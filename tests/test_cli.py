@@ -145,6 +145,10 @@ def test_run_campaign_end_to_end(small_campaign, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "fixed400" in out and "adaptive" in out
+    assert out.count("delivered") == 2
+    # run and report print the same per-scheme summary
+    assert main(["report", "--in", str(results)]) == 0
+    assert capsys.readouterr().out.splitlines() == out.splitlines()[:-1]
     records = load_records(results / "records.csv")
     assert len(records) == 2 * 10
     assert (results / "summary.json").exists()

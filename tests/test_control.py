@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fsolink import control
-from fsolink.airlut import AirTable, RatePlan, lookup_air, net_bit_rate
+from fsolink.airlut import AirTable, lookup_air, net_bit_rate
 from fsolink.channel import CLEAR, RAIN, RainModelConfig, SnrTrace, gen_trace
 from fsolink.control import (
     FIXED_RATES_BPS,
@@ -354,6 +354,14 @@ def test_accumulate_gain_curve_monotone_when_adaptive_faster():
 def test_accumulate_rejects_empty():
     with pytest.raises(ValueError):
         accumulate_report([], 25.0)
+
+
+def test_emit_report_rejects_empty_records_before_any_output(tmp_path):
+    records = [_record()]
+    rep = accumulate_report(records, 25.0)
+    with pytest.raises(ValueError, match="no records"):
+        emit_report(rep, [], tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_uneven_records_rejected_before_any_output(tmp_path):

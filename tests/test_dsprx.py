@@ -9,6 +9,8 @@ import pytest
 
 from fsolink.channel import ImpairmentConfig, apply_impairments, awgn_transmit, full_impairments
 from fsolink.dsprx import (
+    CMA_TAPS,
+    LMS_TAPS,
     RRC_TAPS,
     SPS,
     SYMBOL_RATE,
@@ -59,7 +61,7 @@ def test_rrc_taps_unit_energy():
 
 def test_waveform_round_trip_keeps_symbol_alignment():
     frame = build_tx_frame(DIST, 1024, seed=0)
-    wf = matched_filter(tx_waveform(frame.symbols, CFG), CFG)
+    wf = matched_filter(tx_waveform(frame.symbols))
     sampled = wf[:, :: SPS]
     # Residual is RRC truncation ISI only: high SNR, no misalignment.
     assert _snr(sampled[0][32:-32], frame.symbols[0][32:-32]) > 45.0
@@ -67,20 +69,9 @@ def test_waveform_round_trip_keeps_symbol_alignment():
 
 def test_equalizer_config_validation():
     with pytest.raises(ValueError):
-        EqualizerConfig(cma_taps=24)
-    with pytest.raises(ValueError):
-        EqualizerConfig(lms_taps=10)
-    with pytest.raises(ValueError):
         EqualizerConfig(cma_step=0.0)
     with pytest.raises(ValueError):
         EqualizerConfig(lms_step=-1e-4)
-
-
-@pytest.mark.parametrize("taps", [{"cma_taps": 0}, {"lms_taps": 0},
-                                  {"cma_taps": -1}, {"lms_taps": -3}])
-def test_equalizer_config_rejects_nonpositive_taps(taps):
-    with pytest.raises(ValueError, match="positive odd"):
-        EqualizerConfig(**taps)
 
 
 # -------------------------------------------------------------- Gram-Schmidt
@@ -129,15 +120,14 @@ def test_gs_output_always_orthogonal():
 @pytest.fixture(scope="module")
 def clean_frame():
     frame = build_tx_frame(DIST, 2**14, seed=1)
-    wf = matched_filter(tx_waveform(frame.symbols, CFG), CFG)
+    wf = matched_filter(tx_waveform(frame.symbols))
     return frame, wf
 
 
 def test_cma_identity_channel_converges_to_identity(clean_frame):
     frame, wf = clean_frame
-    out, taps = cma_butterfly(wf[0], wf[1], CFG, mode="pilot-based",
-                              reference=frame.reference())
-    c = CFG.cma_taps // 2
+    out, taps = cma_butterfly(wf[0], wf[1], CFG, reference=frame.reference())
+    c = CMA_TAPS // 2
     assert abs(taps["xx"][c]) == pytest.approx(1.0, abs=0.05)
     assert abs(taps["yy"][c]) == pytest.approx(1.0, abs=0.05)
     assert float(np.max(np.abs(taps["xy"]))) < 0.05
@@ -151,8 +141,7 @@ def test_cma_inverts_polarization_rotation(clean_frame):
     imp = ImpairmentConfig(combined_linewidth_hz=0.0,
                            pol_rotation_rad=math.radians(30.0))
     wf_rot = apply_impairments(wf, imp, 2 * SYMBOL_RATE)
-    out, _ = cma_butterfly(wf_rot[0], wf_rot[1], CFG, mode="pilot-based",
-                           reference=frame.reference())
+    out, _ = cma_butterfly(wf_rot[0], wf_rot[1], CFG, reference=frame.reference())
     sl = slice(6000, out.shape[1] - 64)
     assert _norm_xcorr(out[0][sl], out[1][sl]) < 0.1
     assert _snr(out[0][sl], frame.symbols[0][sl]) > 25.0
@@ -160,10 +149,9 @@ def test_cma_inverts_polarization_rotation(clean_frame):
 
 def test_cma_qpsk_awgn_15db_near_matched_bound():
     frame = build_tx_frame(QPSK, 2**14, seed=2)
-    rx = awgn_transmit(tx_waveform(frame.symbols, CFG), 15.0, seed=3)
-    rx = matched_filter(rx, CFG)
-    out, _ = cma_butterfly(rx[0], rx[1], CFG, mode="pilot-based",
-                           reference=frame.reference())
+    rx = awgn_transmit(tx_waveform(frame.symbols), 15.0, seed=3)
+    rx = matched_filter(rx)
+    out, _ = cma_butterfly(rx[0], rx[1], CFG, reference=frame.reference())
     sl = slice(6000, out.shape[1] - 64)
     assert _snr(out[0][sl], frame.symbols[0][sl]) == pytest.approx(15.0, abs=1.0)
 
@@ -176,16 +164,9 @@ def test_cma_divergence_raises_with_tap_snapshot(clean_frame):
     bad = EqualizerConfig(cma_step=0.9)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EqualizerDiverged) as exc:
-            cma_butterfly(wf_rot[0], wf_rot[1], bad, mode="pilot-based",
-                          reference=frame.reference())
+            cma_butterfly(wf_rot[0], wf_rot[1], bad, reference=frame.reference())
     assert exc.value.stage == "cma"
     assert sorted(exc.value.taps) == ["xx", "xy", "yx", "yy"]
-
-
-def test_cma_rejects_unknown_mode(clean_frame):
-    frame, wf = clean_frame
-    with pytest.raises(ValueError, match="mode"):
-        cma_butterfly(wf[0], wf[1], CFG, mode="blind", reference=frame.reference())
 
 
 def test_equalizers_reject_short_reference(clean_frame):
@@ -193,7 +174,7 @@ def test_equalizers_reject_short_reference(clean_frame):
     ref = frame.reference()
     short = PilotFrame(symbols=ref.symbols[:, :-1], pilot_mask=ref.pilot_mask[:-1])
     with pytest.raises(ValueError, match="reference shorter"):
-        cma_butterfly(wf[0], wf[1], CFG, mode="pilot-based", reference=short)
+        cma_butterfly(wf[0], wf[1], CFG, reference=short)
     with pytest.raises(ValueError, match="reference shorter"):
         lms_4x4(frame.symbols, CFG, short)
 
@@ -204,10 +185,9 @@ def test_cma_noop_when_converged_on_identity():
     frame = build_tx_frame(DIST, 2048, seed=3)
     x = np.zeros((2, 2048 * SPS), dtype=complex)
     x[:, :: SPS] = frame.symbols
-    out, taps = cma_butterfly(x[0], x[1], CFG, mode="pilot-based",
-                              reference=frame.reference())
+    out, taps = cma_butterfly(x[0], x[1], CFG, reference=frame.reference())
     assert float(np.max(np.abs(out - frame.symbols))) < 1e-6
-    c = CFG.cma_taps // 2
+    c = CMA_TAPS // 2
     assert taps["xx"][c] == 1.0 and taps["yy"][c] == 1.0
 
 
@@ -253,7 +233,7 @@ def test_foe_flags_ambiguity_edge(pilot_frame):
 
 
 def test_foe_needs_two_pilots():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two pilots"):
         frequency_recovery(np.ones(16, complex),
                            np.eye(1, 16, 0, dtype=bool)[0],
                            np.ones((1, 1), complex))
@@ -264,10 +244,9 @@ def test_foe_needs_two_pilots():
 def test_cpe_constant_phase_exact(pilot_frame):
     frame, pref = pilot_frame
     z = frame.symbols[0] * np.exp(1j * 0.7)
-    phase = cpe_phase(z, frame.pilot_mask, pref[0], CFG.cpe_avg_window)
+    phase = cpe_phase(z, frame.pilot_mask, pref[0])
     np.testing.assert_allclose(phase, 0.7, atol=1e-9)
-    out = z * np.exp(-1j * cpe_phase(z, frame.pilot_mask, pref[0],
-                                     CFG.cpe_avg_window))
+    out = z * np.exp(-1j * cpe_phase(z, frame.pilot_mask, pref[0]))
     np.testing.assert_allclose(out, frame.symbols[0], atol=1e-9)
 
 
@@ -276,15 +255,14 @@ def test_cpe_linear_ramp_exact(pilot_frame):
     n = frame.symbols.shape[1]
     ramp = 0.3 + 4.1e-4 * np.arange(n)
     z = frame.symbols[0] * np.exp(1j * ramp)
-    phase = cpe_phase(z, frame.pilot_mask, pref[0], CFG.cpe_avg_window)
+    phase = cpe_phase(z, frame.pilot_mask, pref[0])
     np.testing.assert_allclose(phase, ramp, atol=1e-9)
 
 
 def test_cpe_noop_on_clean_input(pilot_frame):
     frame, pref = pilot_frame
     z = frame.symbols[0]
-    out = z * np.exp(-1j * cpe_phase(z, frame.pilot_mask, pref[0],
-                                     CFG.cpe_avg_window))
+    out = z * np.exp(-1j * cpe_phase(z, frame.pilot_mask, pref[0]))
     np.testing.assert_allclose(out, frame.symbols[0], atol=1e-9)
 
 
@@ -295,7 +273,7 @@ def test_cpe_tracks_wiener_phase_noise(pilot_frame):
     z = apply_impairments(frame.symbols.copy(), imp, SYMBOL_RATE)
     true_phase = np.unwrap(np.angle(z[0] / frame.symbols[0]))
     z = awgn_transmit(z, 20.0, seed=7)
-    est = cpe_phase(z[0], frame.pilot_mask, pref[0], CFG.cpe_avg_window)
+    est = cpe_phase(z[0], frame.pilot_mask, pref[0])
     residual_deg = math.degrees(float(np.std(est - true_phase)))
     assert residual_deg < 3.0
 
@@ -303,9 +281,32 @@ def test_cpe_tracks_wiener_phase_noise(pilot_frame):
 def test_cpe_needs_two_pilots():
     mask = np.zeros(16, dtype=bool)
     mask[0] = True
-    with pytest.raises(ValueError):
-        cpe_phase(np.ones(16, complex), mask, np.ones(1, complex),
-                  CFG.cpe_avg_window)
+    with pytest.raises(ValueError, match="two pilots"):
+        cpe_phase(np.ones(16, complex), mask, np.ones(1, complex))
+
+
+def _bookkeeping_mismatches(frame, pref):
+    """(stage, symbols, mask, pilot reference) cases where one input does
+    not agree with the others."""
+    z, mask = frame.symbols, frame.pilot_mask
+    return [
+        (frequency_recovery, z[0], mask, pref),  # one pol, not two
+        (frequency_recovery, z[:, :-16], mask, pref[:, :-1]),  # mask too long
+        (frequency_recovery, z, mask, pref[:, :-1]),  # a pilot short
+        (frequency_recovery, z, mask, pref[:1]),  # one pol of pilots
+        (cpe_phase, z, mask, pref),  # two pols, not one
+        (cpe_phase, z[0, :-16], mask, pref[0, :-1]),  # mask too long
+        (cpe_phase, z[0], mask, pref[0, :-1]),  # a pilot short
+        (cpe_phase, z[0], mask, pref[:1]),  # reference not one-dimensional
+    ]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_pilot_stages_reject_mismatched_bookkeeping(pilot_frame, case):
+    frame, pref = pilot_frame
+    stage, z, mask, ref = _bookkeeping_mismatches(frame, pref)[case]
+    with pytest.raises(ValueError, match="pilot bookkeeping does not match"):
+        stage(z, mask, ref)
 
 
 # ----------------------------------------------------------------- 4x4 LMS
@@ -314,8 +315,8 @@ def test_lms_identity_channel_is_exact_noop():
     frame = build_tx_frame(DIST, 2**13, seed=8)
     out, w = lms_4x4(frame.symbols, CFG, frame.reference())
     np.testing.assert_array_equal(out, frame.symbols)
-    c = (CFG.lms_taps - 1) // 2
-    eye = np.zeros((4, 4, CFG.lms_taps))
+    c = (LMS_TAPS - 1) // 2
+    eye = np.zeros((4, 4, LMS_TAPS))
     for r in range(4):
         eye[r, r, c] = 1.0
     # Off-diagonal tap energy under 1% of the identity energy.
@@ -342,7 +343,7 @@ def test_lms_divergence_raises_with_weight_snapshot():
         with pytest.raises(EqualizerDiverged) as exc:
             lms_4x4(z, bad, frame.reference())
     assert exc.value.stage == "lms"
-    assert exc.value.taps.shape == (4, 4, bad.lms_taps)
+    assert exc.value.taps.shape == (4, 4, LMS_TAPS)
 
 
 def test_lms_skew_ablation_gains_at_least_5db():
