@@ -2,9 +2,11 @@
 """Sweep the SNR predictor's window length and margin over the default trace
 and print the mean effective adaptive rate for each combination.
 
-The stock settings (N=3, 2 dB) should sit at or near the top of the grid:
-longer windows lag the rain transitions, shorter margins trade throughput
-for outage risk.
+The "best" cell is the one with the highest mean effective rate; outage is
+neither reported nor weighed. Small margins and short windows raise the
+rate and the outage together, so the top cell need not be the stock setting
+(N=3, 2 dB): on the default 3-hour trace at 20k symbols, N=1 with a 1 dB
+margin ranks above it at 1.62% outage, against 0.23% for the stock setting.
 """
 
 import argparse

@@ -52,6 +52,11 @@ class MCConfig:
             raise ValueError("Monte-Carlo symbol count must be positive")
 
 
+def _check_ngmi_th(ngmi_th: float) -> None:
+    if not 0.0 < ngmi_th < 1.0:
+        raise ValueError(f"NGMI threshold must lie in (0, 1), got {ngmi_th}")
+
+
 @dataclass(frozen=True)
 class AirTable:
     """Monotone SNR -> AIR map plus the provenance needed to rebuild it."""
@@ -76,8 +81,7 @@ class AirTable:
             raise ValueError("SNR grid must be strictly increasing")
         if np.any(np.diff(a) < 0):
             raise ValueError("AIR must be non-decreasing in SNR")
-        if not 0.0 < self.ngmi_th < 1.0:
-            raise ValueError("NGMI threshold must lie in (0, 1)")
+        _check_ngmi_th(self.ngmi_th)
         if np.any(a < 0) or np.any(a > 2.0 * math.log2(self.M) + 1e-12):
             raise ValueError("AIR must lie in [0, 2 log2 M]")
         object.__setattr__(self, "snr_db", s)
@@ -143,6 +147,7 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
         raise ValueError("need at least two grid points")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("SNR grid must be strictly increasing")
+    _check_ngmi_th(ngmi_th)
 
     h_hi_bits = math.log2(M)
     lo_steps = round(ENTROPY_FLOOR_BITS / ENTROPY_STEP_BITS)
@@ -203,4 +208,7 @@ def save_air_table(table: AirTable, path) -> None:
 
 def load_air_table(path) -> AirTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return AirTable.from_dict(json.load(fh))
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: AIR table must be a JSON object")
+    return AirTable.from_dict(raw)

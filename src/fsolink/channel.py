@@ -109,8 +109,11 @@ def default_rain_config(seed: int = 1234) -> RainModelConfig:
 def gen_trace(cfg: RainModelConfig, duration_s: float, sampling_period_s: float = 25.0) -> SnrTrace:
     """Generate SNR(t) = regime_mean(t) + AR(1) fluctuation, deterministically
     from cfg.seed."""
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration_s}")
+    if not 0 < sampling_period_s < math.inf:
+        raise ValueError("sampling period must be positive and finite, "
+                         f"got {sampling_period_s}")
     n = int(duration_s // sampling_period_s)
     if n == 0:
         raise ValueError("duration shorter than one sampling period")

@@ -62,8 +62,10 @@ def _rain_config_from_json(path: str | None, seed: int | None) -> tuple:
     else:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-        period = float(raw.pop("sampling_period_s", 25.0))
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: rain model must be a JSON object")
         try:
+            period = float(raw.pop("sampling_period_s", 25.0))
             cfg = RainModelConfig(**raw)
         except TypeError as e:
             raise ValueError(f"{path}: {e}") from None

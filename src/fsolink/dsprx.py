@@ -115,24 +115,14 @@ class EqualizerConfig:
 
 
 @dataclass(frozen=True)
-class TxFrame:
-    """Transmitted dual-pol frame plus the bookkeeping the receiver and the
-    scorer need. point_idx is -1 at pilot positions."""
+class TxFrame(PilotFrame):
+    """Transmitted dual-pol frame: the (2, n_sym) unit-power symbol stream
+    and its pilot positions, which every pilot-aided receiver stage reads as
+    its reference, plus the bookkeeping the scorer needs. point_idx is -1 at
+    pilot positions."""
 
-    symbols: np.ndarray  # (2, n_sym) unit average power
-    pilot_mask: np.ndarray  # (n_sym,) bool
     point_idx: np.ndarray  # (2, n_sym) int, constellation index or -1
     dist: ShapedDistribution
-
-    @property
-    def n_symbols(self) -> int:
-        return self.symbols.shape[1]
-
-    def reference(self) -> PilotFrame:
-        """What the adaptive stages are allowed to know: the symbol stream
-        (training prefix + pilots are the honest subset) and the pilot
-        positions."""
-        return PilotFrame(symbols=self.symbols, pilot_mask=self.pilot_mask)
 
 
 @dataclass(frozen=True)
@@ -151,15 +141,20 @@ def _rrc_filter(rows: np.ndarray) -> np.ndarray:
     return np.stack([np.convolve(row, RRC_TAPS, mode="same") for row in rows])
 
 
+def _dual_pol(symbols: np.ndarray) -> np.ndarray:
+    z = np.asarray(symbols, dtype=complex)
+    if z.ndim != 2 or z.shape[0] != 2:
+        raise ValueError("expected dual-pol input of shape (2, N)")
+    return z
+
+
 def tx_waveform(symbols: np.ndarray) -> np.ndarray:
     """Upsample dual-pol symbols by SPS and pulse-shape with the RRC.
 
     Centered convolution keeps symbol k at sample k*SPS; with unit-energy
     taps the matched-filter output returns the symbols at unit gain.
     """
-    symbols = np.asarray(symbols, dtype=complex)
-    if symbols.ndim != 2 or symbols.shape[0] != 2:
-        raise ValueError("expected symbols of shape (2, N)")
+    symbols = _dual_pol(symbols)
     up = np.zeros((2, symbols.shape[1] * SPS), dtype=complex)
     up[:, ::SPS] = symbols
     return _rrc_filter(up)
@@ -195,14 +190,22 @@ def _wrap_phase(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _step_schedule(n: int, cfg: EqualizerConfig, reference: PilotFrame,
-                   warm: float, track: float) -> np.ndarray:
-    """Per-output adaptation step over the n outputs the reference covers:
-    `warm` on every training symbol, `track` at the pilots after the
-    training prefix, 0 (no update) elsewhere."""
+def _pilot_mask(n: int, reference: PilotFrame) -> np.ndarray:
+    """The reference's pilot mask over the first n symbols, which the
+    reference must cover: the input check of every pilot-aided stage."""
     if reference.symbols.shape[1] < n:
         raise ValueError("reference shorter than the symbol stream")
-    steps = np.where(reference.pilot_mask[:n], track, 0.0)
+    return reference.pilot_mask[:n]
+
+
+def _step_schedule(n: int, cfg: EqualizerConfig, reference: PilotFrame,
+                   warm: float, track: float) -> np.ndarray:
+    """Per-output adaptation step over the first n symbols of the reference:
+    `warm` on every training symbol, `track` at the pilots after the
+    training prefix, 0 (no update) elsewhere. The equalizers read the
+    reference only where the step is nonzero, so the payload it carries
+    never drives adaptation."""
+    steps = np.where(_pilot_mask(n, reference), track, 0.0)
     steps[:cfg.training_symbols] = warm
     return steps
 
@@ -295,21 +298,15 @@ def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
                   error, publish)
 
 
-def _pilot_bookkeeping(symbols, pilot_mask, pilot_ref, ndim: int):
-    """Check that a pilot-aided stage's inputs agree and return (symbols,
-    pilot_ref, pilot positions): at least two pilots, symbols of `ndim`
-    dimensions whose last axis the mask covers, and one reference symbol
-    per pilot on every leading axis."""
-    z = np.asarray(symbols, dtype=complex)
-    ref = np.asarray(pilot_ref, dtype=complex)
-    pilot_mask = np.asarray(pilot_mask, dtype=bool)
-    pos = np.flatnonzero(pilot_mask)
+def _pilot_phasors(symbols, reference: PilotFrame):
+    """Return (dual-pol symbols, pilot positions, (2, n_pilots) received
+    pilots times the conjugate of the reference's), given at least two
+    pilots among the symbols."""
+    z = _dual_pol(symbols)
+    pos = np.flatnonzero(_pilot_mask(z.shape[1], reference))
     if pos.size < 2:
         raise ValueError("need at least two pilots")
-    if (z.ndim != ndim or z.shape[-1] != pilot_mask.size
-            or ref.shape != z.shape[:-1] + (pos.size,)):
-        raise ValueError("pilot bookkeeping does not match the symbol stream")
-    return z, ref, pos
+    return z, pos, z[:, pos] * np.conj(reference.symbols[:, pos])
 
 
 def _modal_spacing(positions: np.ndarray) -> int:
@@ -318,8 +315,7 @@ def _modal_spacing(positions: np.ndarray) -> int:
     return int(vals[np.argmax(counts)])
 
 
-def frequency_recovery(symbols: np.ndarray, pilot_mask: np.ndarray,
-                       pilot_ref: np.ndarray):
+def frequency_recovery(symbols: np.ndarray, reference: PilotFrame):
     """Estimate and remove a common carrier frequency offset from the mean
     phase increment between consecutive pilots.
 
@@ -327,12 +323,11 @@ def frequency_recovery(symbols: np.ndarray, pilot_mask: np.ndarray,
     unambiguous for |offset| < SYMBOL_RATE / (2 * pilot spacing); estimates
     whose mean increment approaches +-pi raise the ambiguity flag.
     """
-    z, ref, pos = _pilot_bookkeeping(symbols, pilot_mask, pilot_ref, 2)
+    z, pos, phasors = _pilot_phasors(symbols, reference)
     spacing = _modal_spacing(pos)
+    keep = np.diff(pos) == spacing
     acc = 0.0 + 0.0j
-    for pol in range(z.shape[0]):
-        r = z[pol, pos] * np.conj(ref[pol])
-        keep = np.diff(pos) == spacing
+    for r in phasors:
         acc += np.sum(r[1:][keep] * np.conj(r[:-1][keep]))
     dphi = float(np.angle(acc))
     ambiguous = abs(dphi) > 0.9 * math.pi
@@ -349,19 +344,18 @@ def _matched_average(values: np.ndarray, window: int) -> np.ndarray:
 
 
 def _interp_with_tails(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp extended linearly past both ends; needs len(xp) >= 2."""
     y = np.interp(x, xp, fp)
-    if xp.size >= 2:
-        left = (fp[1] - fp[0]) / (xp[1] - xp[0])
-        right = (fp[-1] - fp[-2]) / (xp[-1] - xp[-2])
-        y = np.where(x < xp[0], fp[0] + (x - xp[0]) * left, y)
-        y = np.where(x > xp[-1], fp[-1] + (x - xp[-1]) * right, y)
+    left = (fp[1] - fp[0]) / (xp[1] - xp[0])
+    right = (fp[-1] - fp[-2]) / (xp[-1] - xp[-2])
+    y = np.where(x < xp[0], fp[0] + (x - xp[0]) * left, y)
+    y = np.where(x > xp[-1], fp[-1] + (x - xp[-1]) * right, y)
     return y
 
 
-def cpe_phase(symbols: np.ndarray, pilot_mask: np.ndarray,
-              pilot_ref: np.ndarray) -> np.ndarray:
-    """Carrier phase trajectory estimate for one polarization, in radians
-    per symbol position.
+def cpe_phase(symbols: np.ndarray, reference: PilotFrame) -> np.ndarray:
+    """Carrier phase trajectory estimate, (2, N) radians per polarization
+    and symbol position; each polarization is estimated on its own.
 
     Per-pilot phases arg(rx conj(ref)) are unwrapped, smoothed over
     CPE_AVG_WINDOW pilots, and linearly interpolated to every symbol (linear
@@ -369,12 +363,15 @@ def cpe_phase(symbols: np.ndarray, pilot_mask: np.ndarray,
     kernel as the phases, so affine phase trajectories survive the smoothing
     exactly regardless of the window.
     """
-    z, ref, pos = _pilot_bookkeeping(symbols, pilot_mask, pilot_ref, 1)
-    psi = np.unwrap(np.angle(z[pos] * np.conj(ref)))
+    z, pos, phasors = _pilot_phasors(symbols, reference)
     window = min(CPE_AVG_WINDOW, pos.size)
-    sm_phase = _matched_average(psi, window)
     sm_pos = _matched_average(pos.astype(float), window)
-    return _interp_with_tails(np.arange(z.size, dtype=float), sm_pos, sm_phase)
+    t = np.arange(z.shape[1], dtype=float)
+    return np.stack([
+        _interp_with_tails(t, sm_pos,
+                           _matched_average(np.unwrap(np.angle(r)), window))
+        for r in phasors
+    ])
 
 
 def _iq_rails(z: np.ndarray) -> np.ndarray:
@@ -400,9 +397,7 @@ def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
     smaller tracking step, through the same loop and divergence check as
     cma_butterfly. Returns the outputs and the (4, 4, LMS_TAPS) taps.
     """
-    z = np.asarray(symbols, dtype=complex)
-    if z.ndim != 2 or z.shape[0] != 2:
-        raise ValueError("expected dual-pol symbols of shape (2, N)")
+    z = _dual_pol(symbols)
     n = z.shape[1]
     steps = _step_schedule(n, cfg, reference, cfg.lms_step, cfg.lms_track_step)
 
@@ -478,10 +473,7 @@ def rx_chain(waveform: np.ndarray, frame: TxFrame, cfg: EqualizerConfig) -> Chai
     tail are excluded. The demapper noise variance is estimated from pilot
     error vectors, as a receiver without payload knowledge would.
     """
-    wf = np.asarray(waveform, dtype=complex)
-    if wf.ndim != 2 or wf.shape[0] != 2:
-        raise ValueError("expected dual-pol waveform of shape (2, N)")
-    reference = frame.reference()
+    wf = _dual_pol(waveform)
 
     def guard(stage: str, fn, *args, **kwargs):
         try:
@@ -500,24 +492,18 @@ def rx_chain(waveform: np.ndarray, frame: TxFrame, cfg: EqualizerConfig) -> Chai
         rails.append(i_rail + 1j * q_rail)
     wf = np.stack(rails)
 
-    z, _ = guard("cma", cma_butterfly, wf[0], wf[1], cfg, reference)
-
-    pilot_ref = np.stack([frame.symbols[p, frame.pilot_mask] for p in range(2)])
+    z, _ = guard("cma", cma_butterfly, wf[0], wf[1], cfg, frame)
     z, freq_offset_hz, ambiguous = guard(
-        "frequency_recovery", frequency_recovery, z, frame.pilot_mask, pilot_ref)
-
-    phases = np.stack([
-        guard("cpe", cpe_phase, z[pol], frame.pilot_mask, pilot_ref[pol])
-        for pol in range(2)
-    ])
+        "frequency_recovery", frequency_recovery, z, frame)
+    phases = guard("cpe", cpe_phase, z, frame)
     z = z * np.exp(-1j * phases)
     removed_phase = (2.0 * math.pi * freq_offset_hz
                      * np.arange(z.shape[1]) / SYMBOL_RATE)[None, :] + phases
 
     if cfg.enable_lms:
-        z, _ = guard("lms", lms_4x4, z, cfg, reference, removed_phase)
+        z, _ = guard("lms", lms_4x4, z, cfg, frame, removed_phase)
 
-    n_sym = frame.n_symbols
+    n_sym = frame.symbols.shape[1]
     scored = np.zeros(n_sym, dtype=bool)
     scored[cfg.training_symbols:max(cfg.training_symbols, n_sym - GUARD_SYMBOLS)] = True
     payload = scored & ~frame.pilot_mask

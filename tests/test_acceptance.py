@@ -414,7 +414,7 @@ def test_criterion_7_dsp_chain_ablations(capsys):
         wf, ImpairmentConfig(combined_linewidth_hz=0.0,
                              pol_rotation_rad=math.radians(30.0)),
         2 * SYMBOL_RATE)
-    out, _ = cma_butterfly(rot[0], rot[1], cfg, reference=frame.reference())
+    out, _ = cma_butterfly(rot[0], rot[1], cfg, reference=frame)
     sl = slice(6000, out.shape[1] - 64)
     pol_snr = snr_from_evm(evm_percent(out[0][sl], frame.symbols[0][sl]))
     if pol_snr <= 25.0:
@@ -423,12 +423,10 @@ def test_criterion_7_dsp_chain_ablations(capsys):
 
     # Frequency recovery: 25 MHz at 20 dB within 1%.
     frame = build_tx_frame(DIST45, 2**14, seed=4)
-    pos = np.flatnonzero(frame.pilot_mask)
-    pref = frame.symbols[:, pos]
     t = np.arange(frame.symbols.shape[1]) / SYMBOL_RATE
     z = awgn_transmit(frame.symbols * np.exp(2j * np.pi * 25e6 * t), 20.0,
                       seed=5)
-    _, offset, ambiguous = frequency_recovery(z, frame.pilot_mask, pref)
+    _, offset, ambiguous = frequency_recovery(z, frame)
     if ambiguous or abs(offset - 25e6) / 25e6 >= 0.01:
         failures.append(f"frequency recovery {offset / 1e6:.3f} MHz off 25")
 
@@ -438,7 +436,7 @@ def test_criterion_7_dsp_chain_ablations(capsys):
                           SYMBOL_RATE)
     true_phase = np.unwrap(np.angle(z[0] / frame.symbols[0]))
     z = awgn_transmit(z, 20.0, seed=7)
-    est = cpe_phase(z[0], frame.pilot_mask, pref[0])
+    est = cpe_phase(z, frame)[0]
     residual_deg = math.degrees(float(np.std(est - true_phase)))
     if residual_deg >= 3.0:
         failures.append(f"phase-tracking residual {residual_deg:.2f} deg >= 3")
@@ -451,7 +449,7 @@ def test_criterion_7_dsp_chain_ablations(capsys):
         ImpairmentConfig(combined_linewidth_hz=0.0,
                          iq_amplitude_imbalance=0.05), SYMBOL_RATE)
     sl = slice(12_000, 2**14 - 64)
-    out, _ = lms_4x4(z, cfg_lms, frame.reference())
+    out, _ = lms_4x4(z, cfg_lms, frame)
     res_evm = evm_percent(out[0][sl], frame.symbols[0][sl])
     if res_evm >= 0.5:
         failures.append(f"4x4 left {res_evm:.3f}% EVM on 5% IQ imbalance")

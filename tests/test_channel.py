@@ -97,6 +97,12 @@ def test_gen_trace_duration_validation():
         gen_trace(_cfg(), -5.0)
     with pytest.raises(ValueError):
         gen_trace(_cfg(), 10.0)  # shorter than one period
+    for duration in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            gen_trace(_cfg(), duration)
+    for period in (0.0, -25.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sampling period must be positive"):
+            gen_trace(_cfg(), 1000.0, period)
 
 
 def test_default_config_is_calibrated_for_three_hours():

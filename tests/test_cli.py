@@ -80,6 +80,17 @@ def test_build_lut_rejects_bad_grid(tmp_path, capsys):
         assert spec in err
 
 
+def test_build_lut_rejects_threshold_before_any_grid_point(tmp_path, capsys):
+    for th in ("1.5", "nan"):
+        rc = main(["build-lut", "--grid", "26:30:2", "--mc", "2000",
+                   "--ngmi-th", th, "--out", str(tmp_path / "x.json")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "NGMI threshold" in err[0]
+        assert err[0].startswith("error:")
+    assert not (tmp_path / "x.json").exists()
+
+
 # ---------------------------------------------------------------- gen-trace
 
 def test_gen_trace_default_model(tmp_path, capsys):
@@ -119,6 +130,31 @@ def test_gen_trace_bad_config_key(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_trace_rejects_non_finite_duration(tmp_path, capsys):
+    for duration in ("inf", "nan"):
+        rc = main(["gen-trace", "--duration", duration,
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration must be positive and finite")
+        assert err.count("\n") == 1
+
+
+def test_gen_trace_rejects_bad_sampling_period(tmp_path, capsys):
+    cfg_path = tmp_path / "model.json"
+    for period in (0, -25):
+        cfg = {"clear_mean_db": 30.0, "clear_std_db": 0.01,
+               "rain_mean_drop_db": 1.0, "rain_std_db": 0.02, "ar1_rho": 0.1,
+               "sampling_period_s": period}
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["gen-trace", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sampling period must be positive")
+        assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- run/report
 
 @pytest.fixture()
@@ -135,6 +171,20 @@ def small_campaign(tmp_path):
     assert main(["build-lut", "--grid", "26:30:2", "--mc", "2000",
                  "--seed", "5", "--out", str(lut), "--quiet"]) == 0
     return trace, lut, tmp_path / "results"
+
+
+def test_json_inputs_must_be_objects(small_campaign, capsys):
+    trace, lut, out = small_campaign
+    array = out.parent / "array.json"
+    array.write_text("[1, 2]")
+    for args in (["gen-trace", "--config", str(array),
+                  "--out", str(out.parent / "t.csv")],
+                 ["run", "--trace", str(trace), "--lut", str(array),
+                  "--out", str(out)]):
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(array) in err and "JSON object" in err
 
 
 def test_run_campaign_end_to_end(small_campaign, capsys):

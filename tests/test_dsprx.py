@@ -126,7 +126,7 @@ def clean_frame():
 
 def test_cma_identity_channel_converges_to_identity(clean_frame):
     frame, wf = clean_frame
-    out, taps = cma_butterfly(wf[0], wf[1], CFG, reference=frame.reference())
+    out, taps = cma_butterfly(wf[0], wf[1], CFG, reference=frame)
     c = CMA_TAPS // 2
     assert abs(taps["xx"][c]) == pytest.approx(1.0, abs=0.05)
     assert abs(taps["yy"][c]) == pytest.approx(1.0, abs=0.05)
@@ -141,7 +141,7 @@ def test_cma_inverts_polarization_rotation(clean_frame):
     imp = ImpairmentConfig(combined_linewidth_hz=0.0,
                            pol_rotation_rad=math.radians(30.0))
     wf_rot = apply_impairments(wf, imp, 2 * SYMBOL_RATE)
-    out, _ = cma_butterfly(wf_rot[0], wf_rot[1], CFG, reference=frame.reference())
+    out, _ = cma_butterfly(wf_rot[0], wf_rot[1], CFG, reference=frame)
     sl = slice(6000, out.shape[1] - 64)
     assert _norm_xcorr(out[0][sl], out[1][sl]) < 0.1
     assert _snr(out[0][sl], frame.symbols[0][sl]) > 25.0
@@ -151,7 +151,7 @@ def test_cma_qpsk_awgn_15db_near_matched_bound():
     frame = build_tx_frame(QPSK, 2**14, seed=2)
     rx = awgn_transmit(tx_waveform(frame.symbols), 15.0, seed=3)
     rx = matched_filter(rx)
-    out, _ = cma_butterfly(rx[0], rx[1], CFG, reference=frame.reference())
+    out, _ = cma_butterfly(rx[0], rx[1], CFG, reference=frame)
     sl = slice(6000, out.shape[1] - 64)
     assert _snr(out[0][sl], frame.symbols[0][sl]) == pytest.approx(15.0, abs=1.0)
 
@@ -164,19 +164,23 @@ def test_cma_divergence_raises_with_tap_snapshot(clean_frame):
     bad = EqualizerConfig(cma_step=0.9)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EqualizerDiverged) as exc:
-            cma_butterfly(wf_rot[0], wf_rot[1], bad, reference=frame.reference())
+            cma_butterfly(wf_rot[0], wf_rot[1], bad, reference=frame)
     assert exc.value.stage == "cma"
     assert sorted(exc.value.taps) == ["xx", "xy", "yx", "yy"]
 
 
 def test_equalizers_reject_short_reference(clean_frame):
     frame, wf = clean_frame
-    ref = frame.reference()
-    short = PilotFrame(symbols=ref.symbols[:, :-1], pilot_mask=ref.pilot_mask[:-1])
+    short = PilotFrame(symbols=frame.symbols[:, :-1],
+                       pilot_mask=frame.pilot_mask[:-1])
     with pytest.raises(ValueError, match="reference shorter"):
         cma_butterfly(wf[0], wf[1], CFG, reference=short)
     with pytest.raises(ValueError, match="reference shorter"):
         lms_4x4(frame.symbols, CFG, short)
+    with pytest.raises(ValueError, match="reference shorter"):
+        frequency_recovery(frame.symbols, short)
+    with pytest.raises(ValueError, match="reference shorter"):
+        cpe_phase(frame.symbols, short)
 
 
 def test_cma_noop_when_converged_on_identity():
@@ -185,7 +189,7 @@ def test_cma_noop_when_converged_on_identity():
     frame = build_tx_frame(DIST, 2048, seed=3)
     x = np.zeros((2, 2048 * SPS), dtype=complex)
     x[:, :: SPS] = frame.symbols
-    out, taps = cma_butterfly(x[0], x[1], CFG, reference=frame.reference())
+    out, taps = cma_butterfly(x[0], x[1], CFG, reference=frame)
     assert float(np.max(np.abs(out - frame.symbols))) < 1e-6
     c = CMA_TAPS // 2
     assert taps["xx"][c] == 1.0 and taps["yy"][c] == 1.0
@@ -195,125 +199,110 @@ def test_cma_noop_when_converged_on_identity():
 
 @pytest.fixture(scope="module")
 def pilot_frame():
-    frame = build_tx_frame(DIST, 2**14, seed=4)
-    pos = np.flatnonzero(frame.pilot_mask)
-    pref = frame.symbols[:, pos]
-    return frame, pref
+    return build_tx_frame(DIST, 2**14, seed=4)
+
+
+def _one_pilot_reference():
+    mask = np.zeros(16, dtype=bool)
+    mask[0] = True
+    return PilotFrame(symbols=np.ones((2, 16), complex), pilot_mask=mask)
 
 
 def test_foe_zero_offset(pilot_frame):
-    frame, pref = pilot_frame
-    corrected, offset, ambiguous = frequency_recovery(
-        frame.symbols, frame.pilot_mask, pref)
+    frame = pilot_frame
+    corrected, offset, ambiguous = frequency_recovery(frame.symbols, frame)
     assert abs(offset) < 1e-6
     assert not ambiguous
     np.testing.assert_allclose(corrected, frame.symbols, atol=1e-9)
 
 
 def test_foe_recovers_25mhz_under_noise(pilot_frame):
-    frame, pref = pilot_frame
+    frame = pilot_frame
     n = frame.symbols.shape[1]
     t = np.arange(n) / SYMBOL_RATE
     z = frame.symbols * np.exp(2j * np.pi * 25e6 * t)
     z = awgn_transmit(z, 20.0, seed=5)
-    _, offset, ambiguous = frequency_recovery(z, frame.pilot_mask, pref)
+    _, offset, ambiguous = frequency_recovery(z, frame)
     assert abs(offset - 25e6) / 25e6 < 0.01
     assert not ambiguous
 
 
 def test_foe_flags_ambiguity_edge(pilot_frame):
-    frame, pref = pilot_frame
+    frame = pilot_frame
     n = frame.symbols.shape[1]
     t = np.arange(n) / SYMBOL_RATE
     f_edge = 0.97 * SYMBOL_RATE / 32  # pilot spacing 16 -> Nyquist at R/32
     z = frame.symbols * np.exp(2j * np.pi * f_edge * t)
-    _, offset, ambiguous = frequency_recovery(z, frame.pilot_mask, pref)
+    _, offset, ambiguous = frequency_recovery(z, frame)
     assert ambiguous
     assert offset == pytest.approx(f_edge, rel=1e-6)
 
 
 def test_foe_needs_two_pilots():
+    ref = _one_pilot_reference()
     with pytest.raises(ValueError, match="two pilots"):
-        frequency_recovery(np.ones(16, complex),
-                           np.eye(1, 16, 0, dtype=bool)[0],
-                           np.ones((1, 1), complex))
+        frequency_recovery(ref.symbols, ref)
 
 
 # ---------------------------------------------------------------- pilot CPE
 
 def test_cpe_constant_phase_exact(pilot_frame):
-    frame, pref = pilot_frame
-    z = frame.symbols[0] * np.exp(1j * 0.7)
-    phase = cpe_phase(z, frame.pilot_mask, pref[0])
+    frame = pilot_frame
+    z = frame.symbols * np.exp(1j * 0.7)
+    phase = cpe_phase(z, frame)
+    assert phase.shape == z.shape
     np.testing.assert_allclose(phase, 0.7, atol=1e-9)
-    out = z * np.exp(-1j * cpe_phase(z, frame.pilot_mask, pref[0]))
-    np.testing.assert_allclose(out, frame.symbols[0], atol=1e-9)
+    out = z * np.exp(-1j * phase)
+    np.testing.assert_allclose(out, frame.symbols, atol=1e-9)
 
 
 def test_cpe_linear_ramp_exact(pilot_frame):
-    frame, pref = pilot_frame
+    frame = pilot_frame
     n = frame.symbols.shape[1]
     ramp = 0.3 + 4.1e-4 * np.arange(n)
-    z = frame.symbols[0] * np.exp(1j * ramp)
-    phase = cpe_phase(z, frame.pilot_mask, pref[0])
-    np.testing.assert_allclose(phase, ramp, atol=1e-9)
+    ramps = np.stack([ramp, -0.5 * ramp])  # each pol estimated on its own
+    z = frame.symbols * np.exp(1j * ramps)
+    phase = cpe_phase(z, frame)
+    np.testing.assert_allclose(phase, ramps, atol=1e-9)
 
 
 def test_cpe_noop_on_clean_input(pilot_frame):
-    frame, pref = pilot_frame
-    z = frame.symbols[0]
-    out = z * np.exp(-1j * cpe_phase(z, frame.pilot_mask, pref[0]))
-    np.testing.assert_allclose(out, frame.symbols[0], atol=1e-9)
+    frame = pilot_frame
+    z = frame.symbols
+    out = z * np.exp(-1j * cpe_phase(z, frame))
+    np.testing.assert_allclose(out, frame.symbols, atol=1e-9)
 
 
 def test_cpe_tracks_wiener_phase_noise(pilot_frame):
     # 200 kHz combined linewidth at 64 GBaud, pilots 1/16, SNR 20 dB.
-    frame, pref = pilot_frame
+    frame = pilot_frame
     imp = ImpairmentConfig(combined_linewidth_hz=200e3, seed=6)
     z = apply_impairments(frame.symbols.copy(), imp, SYMBOL_RATE)
     true_phase = np.unwrap(np.angle(z[0] / frame.symbols[0]))
     z = awgn_transmit(z, 20.0, seed=7)
-    est = cpe_phase(z[0], frame.pilot_mask, pref[0])
+    est = cpe_phase(z, frame)[0]
     residual_deg = math.degrees(float(np.std(est - true_phase)))
     assert residual_deg < 3.0
 
 
 def test_cpe_needs_two_pilots():
-    mask = np.zeros(16, dtype=bool)
-    mask[0] = True
+    ref = _one_pilot_reference()
     with pytest.raises(ValueError, match="two pilots"):
-        cpe_phase(np.ones(16, complex), mask, np.ones(1, complex))
+        cpe_phase(ref.symbols, ref)
 
 
-def _bookkeeping_mismatches(frame, pref):
-    """(stage, symbols, mask, pilot reference) cases where one input does
-    not agree with the others."""
-    z, mask = frame.symbols, frame.pilot_mask
-    return [
-        (frequency_recovery, z[0], mask, pref),  # one pol, not two
-        (frequency_recovery, z[:, :-16], mask, pref[:, :-1]),  # mask too long
-        (frequency_recovery, z, mask, pref[:, :-1]),  # a pilot short
-        (frequency_recovery, z, mask, pref[:1]),  # one pol of pilots
-        (cpe_phase, z, mask, pref),  # two pols, not one
-        (cpe_phase, z[0, :-16], mask, pref[0, :-1]),  # mask too long
-        (cpe_phase, z[0], mask, pref[0, :-1]),  # a pilot short
-        (cpe_phase, z[0], mask, pref[:1]),  # reference not one-dimensional
-    ]
-
-
-@pytest.mark.parametrize("case", range(8))
-def test_pilot_stages_reject_mismatched_bookkeeping(pilot_frame, case):
-    frame, pref = pilot_frame
-    stage, z, mask, ref = _bookkeeping_mismatches(frame, pref)[case]
-    with pytest.raises(ValueError, match="pilot bookkeeping does not match"):
-        stage(z, mask, ref)
+@pytest.mark.parametrize("stage", [frequency_recovery, cpe_phase])
+def test_pilot_stages_reject_single_pol(pilot_frame, stage):
+    frame = pilot_frame
+    with pytest.raises(ValueError, match="dual-pol"):
+        stage(frame.symbols[0], frame)
 
 
 # ----------------------------------------------------------------- 4x4 LMS
 
 def test_lms_identity_channel_is_exact_noop():
     frame = build_tx_frame(DIST, 2**13, seed=8)
-    out, w = lms_4x4(frame.symbols, CFG, frame.reference())
+    out, w = lms_4x4(frame.symbols, CFG, frame)
     np.testing.assert_array_equal(out, frame.symbols)
     c = (LMS_TAPS - 1) // 2
     eye = np.zeros((4, 4, LMS_TAPS))
@@ -330,7 +319,7 @@ def test_lms_compensates_5pct_iq_imbalance():
     z = apply_impairments(frame.symbols.copy(), imp, SYMBOL_RATE)
     sl = slice(12_000, 2**14 - 64)
     assert evm_percent(z[0][sl], frame.symbols[0][sl]) > 2.0  # fault visible
-    out, _ = lms_4x4(z, cfg, frame.reference())
+    out, _ = lms_4x4(z, cfg, frame)
     assert evm_percent(out[0][sl], frame.symbols[0][sl]) < 0.5
 
 
@@ -341,7 +330,7 @@ def test_lms_divergence_raises_with_weight_snapshot():
     bad = EqualizerConfig(lms_step=0.5)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EqualizerDiverged) as exc:
-            lms_4x4(z, bad, frame.reference())
+            lms_4x4(z, bad, frame)
     assert exc.value.stage == "lms"
     assert exc.value.taps.shape == (4, 4, LMS_TAPS)
 
