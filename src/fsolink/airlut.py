@@ -110,6 +110,8 @@ class AirTable:
             )
         except KeyError as e:
             raise ValueError(f"AIR table is missing key {e.args[0]!r}") from None
+        except TypeError as e:
+            raise ValueError(f"AIR table field of the wrong type: {e}") from None
 
 
 _PLAN = RatePlan()  # the one rate plan the link runs

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
 ]
 
 CLEAR, RAIN = "clear", "rain"
+SAMPLING_PERIOD_S = 25.0  # default trace grid, seconds per SNR sample
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,7 @@ class SnrTrace:
     t_s: np.ndarray
     snr_db: np.ndarray
     weather: tuple[str, ...]
-    sampling_period_s: float = 25.0
+    sampling_period_s: float = SAMPLING_PERIOD_S
 
     def __post_init__(self):
         t = np.asarray(self.t_s, dtype=float)
@@ -70,6 +72,13 @@ class RainModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("clear_mean_db", "clear_std_db", "rain_mean_drop_db",
+                     "rain_std_db", "ar1_rho"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.rain_std_db < self.clear_std_db:
             raise ValueError("rain must not have lower SNR variance than clear sky")
         if not 0.0 <= self.ar1_rho < 1.0:
@@ -106,7 +115,8 @@ def default_rain_config(seed: int = 1234) -> RainModelConfig:
     )
 
 
-def gen_trace(cfg: RainModelConfig, duration_s: float, sampling_period_s: float = 25.0) -> SnrTrace:
+def gen_trace(cfg: RainModelConfig, duration_s: float,
+              sampling_period_s: float = SAMPLING_PERIOD_S) -> SnrTrace:
     """Generate SNR(t) = regime_mean(t) + AR(1) fluctuation, deterministically
     from cfg.seed."""
     if not 0 < duration_s < math.inf:
@@ -189,15 +199,23 @@ def full_impairments(seed: int = 0) -> ImpairmentConfig:
     )
 
 
-def _fractional_delay(rail: np.ndarray, tau: float) -> np.ndarray:
+def _fractional_delay(rails: np.ndarray, tau: float) -> np.ndarray:
     # exact for band-limited rails: linear phase in the DFT domain
-    n = rail.size
-    spec = np.fft.rfft(rail)
+    n = rails.shape[-1]
+    spec = np.fft.rfft(rails)
     f = np.fft.rfftfreq(n)
     spec *= np.exp(-2j * np.pi * f * tau)
     if n % 2 == 0:
-        spec[-1] = spec[-1].real  # keep the inverse transform real
+        spec[..., -1] = spec[..., -1].real  # keep the inverse transform real
     return np.fft.irfft(spec, n)
+
+
+def _dual_pol(samples: np.ndarray) -> np.ndarray:
+    """The waveform path's one input check: both polarizations, (2, N) complex."""
+    z = np.asarray(samples, dtype=complex)
+    if z.ndim != 2 or z.shape[0] != 2:
+        raise ValueError("expected dual-pol input of shape (2, N)")
+    return z
 
 
 def apply_impairments(samples: np.ndarray, cfg: ImpairmentConfig, sample_rate: float) -> np.ndarray:
@@ -208,10 +226,7 @@ def apply_impairments(samples: np.ndarray, cfg: ImpairmentConfig, sample_rate: f
     IQ imbalance and IQ skew that the DSP chain is built to undo. Any
     zero-valued stage is skipped outright.
     """
-    x = np.asarray(samples, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != 2:
-        raise ValueError("expected dual-pol samples of shape (2, N)")
-    x = x.copy()
+    x = _dual_pol(samples).copy()
     n = x.shape[1]
     rng = np.random.default_rng(cfg.seed)
 
@@ -233,16 +248,12 @@ def apply_impairments(samples: np.ndarray, cfg: ImpairmentConfig, sample_rate: f
     if cfg.iq_amplitude_imbalance or cfg.iq_phase_imbalance_rad:
         g = cfg.iq_amplitude_imbalance
         phi = cfg.iq_phase_imbalance_rad
-        for pol in range(2):
-            i, q = x[pol].real, x[pol].imag
-            qt = math.sin(phi) * i + math.cos(phi) * q
-            x[pol] = (1 + g / 2) * i + 1j * (1 - g / 2) * qt
+        i, q = x.real, x.imag
+        qt = math.sin(phi) * i + math.cos(phi) * q
+        x = (1 + g / 2) * i + 1j * (1 - g / 2) * qt
 
     if cfg.iq_skew_samples:
-        for pol in range(2):
-            i = x[pol].real
-            q = _fractional_delay(np.ascontiguousarray(x[pol].imag), cfg.iq_skew_samples)
-            x[pol] = i + 1j * q
+        x = x.real + 1j * _fractional_delay(x.imag, cfg.iq_skew_samples)
 
     return x
 
@@ -300,6 +311,6 @@ def load_trace(path) -> SnrTrace:
             raise ValueError(f"{path}:{bad}: timestamps not increasing")
         period = float(dt[0])
     else:
-        period = 25.0
+        period = SAMPLING_PERIOD_S
     return SnrTrace(t_s=t_arr, snr_db=np.asarray(snr), weather=tuple(weather),
                     sampling_period_s=period)

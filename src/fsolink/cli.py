@@ -19,6 +19,7 @@ import numpy as np
 
 from .airlut import MCConfig, build_air_table, load_air_table, save_air_table
 from .channel import (
+    SAMPLING_PERIOD_S,
     RainModelConfig,
     default_rain_config,
     gen_trace,
@@ -58,16 +59,16 @@ def _rain_config_from_json(path: str | None, seed: int | None) -> tuple:
     fall back to the calibrated default."""
     if path is None:
         cfg = default_rain_config()
-        period = 25.0
+        period = SAMPLING_PERIOD_S
     else:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: rain model must be a JSON object")
         try:
-            period = float(raw.pop("sampling_period_s", 25.0))
+            period = float(raw.pop("sampling_period_s", SAMPLING_PERIOD_S))
             cfg = RainModelConfig(**raw)
-        except TypeError as e:
+        except (TypeError, ValueError) as e:
             raise ValueError(f"{path}: {e}") from None
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
@@ -122,7 +123,7 @@ def _cmd_report(args) -> int:
     in_dir = Path(args.in_dir)
     records = load_records(in_dir / "records.csv")
     times = sorted({r.t_s for r in records})
-    period = times[1] - times[0] if len(times) > 1 else 25.0
+    period = times[1] - times[0] if len(times) > 1 else SAMPLING_PERIOD_S
     report = accumulate_report(records, period)
     emit_report(report, records, in_dir)
     _print_summary(report)

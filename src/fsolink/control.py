@@ -386,8 +386,13 @@ def load_records(path) -> list:
         if len(parts) != len(RECORD_COLUMNS):
             raise ValueError(f"{path}:{ln_no}: expected "
                              f"{len(RECORD_COLUMNS)} columns, got {len(parts)}")
-        out.append(IterationRecord(
-            *(parse(v) for parse, v in zip(_COLUMN_PARSERS, parts))))
+        values = []
+        for col, parse, v in zip(RECORD_COLUMNS, _COLUMN_PARSERS, parts):
+            try:
+                values.append(parse(v))
+            except (ValueError, KeyError):
+                raise ValueError(f"{path}:{ln_no}: {col}: bad value {v!r}") from None
+        out.append(IterationRecord(*values))
     try:
         _by_scheme(out)
     except ValueError as e:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import ImpairmentConfig, apply_impairments, awgn_transmit
+from .channel import ImpairmentConfig, _dual_pol, apply_impairments, awgn_transmit
 from .metrics import MetricReport, evm_percent, gmi_from_samples
 from .shaping import PilotFrame, RatePlan, ShapedDistribution, insert_pilots
 
@@ -141,13 +141,6 @@ def _rrc_filter(rows: np.ndarray) -> np.ndarray:
     return np.stack([np.convolve(row, RRC_TAPS, mode="same") for row in rows])
 
 
-def _dual_pol(symbols: np.ndarray) -> np.ndarray:
-    z = np.asarray(symbols, dtype=complex)
-    if z.ndim != 2 or z.shape[0] != 2:
-        raise ValueError("expected dual-pol input of shape (2, N)")
-    return z
-
-
 def tx_waveform(symbols: np.ndarray) -> np.ndarray:
     """Upsample dual-pol symbols by SPS and pulse-shape with the RRC.
 
@@ -162,28 +155,31 @@ def tx_waveform(symbols: np.ndarray) -> np.ndarray:
 
 def matched_filter(samples: np.ndarray) -> np.ndarray:
     """Receive-side RRC filtering (the RRC is its own matched filter)."""
-    return _rrc_filter(np.asarray(samples, dtype=complex))
+    return _rrc_filter(_dual_pol(samples))
 
 
-def gram_schmidt(i_rail: np.ndarray, q_rail: np.ndarray):
-    """Orthogonalize the quadrature rail against the in-phase rail.
+def gram_schmidt(samples: np.ndarray) -> np.ndarray:
+    """Orthogonalize each polarization's quadrature rail against its
+    in-phase rail.
 
     Q' = Q - (<I,Q>/<I,I>) I, then both rails are rescaled to carry half of
-    the original combined power, so the stage is transparent to total power.
+    the polarization's original combined power, so the stage is transparent
+    to total power. Returns the (2, N) orthogonalized samples.
     """
-    i_rail = np.asarray(i_rail, dtype=float)
-    q_rail = np.asarray(q_rail, dtype=float)
-    if i_rail.shape != q_rail.shape or i_rail.ndim != 1:
-        raise ValueError("rails must be equal-length 1-D arrays")
-    p_i = float(np.dot(i_rail, i_rail))
-    if p_i == 0.0:
-        raise ValueError("zero-power in-phase rail")
-    q_orth = q_rail - (np.dot(i_rail, q_rail) / p_i) * i_rail
-    p_q = float(np.dot(q_orth, q_orth))
-    if p_q <= 1e-24 * p_i:
-        raise ValueError("degenerate rails: quadrature fully correlated with in-phase")
-    target = 0.5 * (p_i + float(np.dot(q_rail, q_rail)))
-    return (i_rail * math.sqrt(target / p_i), q_orth * math.sqrt(target / p_q))
+    z = _dual_pol(samples)
+    out = np.empty_like(z)
+    for pol, (i_rail, q_rail) in enumerate(zip(z.real, z.imag)):
+        p_i = float(np.dot(i_rail, i_rail))
+        if p_i == 0.0:
+            raise ValueError("zero-power in-phase rail")
+        q_orth = q_rail - (np.dot(i_rail, q_rail) / p_i) * i_rail
+        p_q = float(np.dot(q_orth, q_orth))
+        if p_q <= 1e-24 * p_i:
+            raise ValueError("degenerate rails: quadrature fully correlated with in-phase")
+        target = 0.5 * (p_i + float(np.dot(q_rail, q_rail)))
+        out[pol] = (i_rail * math.sqrt(target / p_i)
+                    + 1j * (q_orth * math.sqrt(target / p_q)))
+    return out
 
 
 def _wrap_phase(x: float) -> float:
@@ -211,7 +207,7 @@ def _step_schedule(n: int, cfg: EqualizerConfig, reference: PilotFrame,
 
 
 def _adapt(stage: str, rails: np.ndarray, taps: int, stride: int,
-           steps: np.ndarray, error, publish):
+           steps: np.ndarray, error):
     """Stochastic-gradient FIR equalizer shared by the adaptive stages.
 
     `rails` (R, N) are zero-padded by half a filter on each side; output k
@@ -221,8 +217,9 @@ def _adapt(stage: str, rails: np.ndarray, taps: int, stride: int,
     conj(u)). Every 256 outputs the power per polarization (outputs are
     dual-pol: R complex rails or R/2 real rail pairs) is checked against
     DIVERGENCE_FACTOR times the input's per-polarization power per
-    output; on failure EqualizerDiverged carries publish(copy of the taps).
-    Returns the (R, len(steps)) outputs and publish(taps).
+    output; on failure EqualizerDiverged carries a copy of the taps.
+    Returns the (R, len(steps)) outputs and the (R, R, taps) taps, indexed
+    [output rail, input rail, tap].
     """
     n_rails, n_in = rails.shape
     c = (taps - 1) // 2
@@ -246,29 +243,26 @@ def _adapt(stage: str, rails: np.ndarray, taps: int, stride: int,
             if not math.isfinite(power) or power > limit:
                 raise EqualizerDiverged(
                     stage, f"output power {power:.3g} exceeds {limit:.3g}",
-                    publish(w.copy()))
+                    w.reshape(n_rails, n_rails, taps).copy())
 
-    return out, publish(w)
+    return out, w.reshape(n_rails, n_rails, taps)
 
 
-def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
+def cma_butterfly(samples: np.ndarray, cfg: EqualizerConfig,
                   reference: PilotFrame):
-    """2x2 butterfly equalizer of CMA_TAPS-tap filters at SPS samples/symbol,
-    one output symbol per SPS input samples.
+    """2x2 butterfly equalizer of CMA_TAPS-tap filters over the (2, N*SPS)
+    samples, one output symbol per SPS input samples.
 
     The first cfg.training_symbols outputs adapt data-aided (LMS against the
     known symbols, with a per-pol phase tracker so a carrier offset does not
     masquerade as an error). Afterwards radius-directed updates run at pilot
     positions only (phase-blind; the pilot modulus is the target radius).
-    Returns the outputs and the taps {"xx", "xy", "yx", "yy"}. Raises
-    EqualizerDiverged when output power exceeds DIVERGENCE_FACTOR times the
-    input sample power.
+    Returns the (2, N) outputs and the (2, 2, CMA_TAPS) taps, indexed
+    [output pol, input pol, tap]. Raises EqualizerDiverged when output power
+    exceeds DIVERGENCE_FACTOR times the input sample power.
     """
-    x_pol = np.ascontiguousarray(x_pol, dtype=complex)
-    y_pol = np.ascontiguousarray(y_pol, dtype=complex)
-    if x_pol.shape != y_pol.shape or x_pol.ndim != 1:
-        raise ValueError("polarizations must be equal-length 1-D arrays")
-    n_sym = x_pol.size // SPS
+    samples = _dual_pol(samples)
+    n_sym = samples.shape[1] // SPS
     if n_sym < 1:
         raise ValueError("input shorter than one symbol")
     steps = _step_schedule(n_sym, cfg, reference, cfg.cma_step, CMA_TRACK_STEP)
@@ -290,12 +284,7 @@ def cma_butterfly(x_pol: np.ndarray, y_pol: np.ndarray, cfg: EqualizerConfig,
             e[pol] = d * complex(math.cos(theta[pol]), math.sin(theta[pol])) - z[pol]
         return e
 
-    def publish(w):  # row = output pol, column block = input pol
-        return {"xx": w[0, :CMA_TAPS], "xy": w[0, CMA_TAPS:],
-                "yx": w[1, :CMA_TAPS], "yy": w[1, CMA_TAPS:]}
-
-    return _adapt("cma", np.stack([x_pol, y_pol]), CMA_TAPS, SPS, steps,
-                  error, publish)
+    return _adapt("cma", samples, CMA_TAPS, SPS, steps, error)
 
 
 def _pilot_phasors(symbols, reference: PilotFrame):
@@ -411,8 +400,7 @@ def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
 
     d = _iq_rails(reference.symbols[:, :n] * rot)
     out, weights = _adapt("lms", _iq_rails(z * rot), LMS_TAPS, 1, steps,
-                          lambda k, o: d[:, k] - o,
-                          lambda w: w.reshape(4, 4, LMS_TAPS))
+                          lambda k, o: d[:, k] - o)
     return (out[0::2] + 1j * out[1::2]) * np.conj(rot), weights
 
 
@@ -473,8 +461,6 @@ def rx_chain(waveform: np.ndarray, frame: TxFrame, cfg: EqualizerConfig) -> Chai
     tail are excluded. The demapper noise variance is estimated from pilot
     error vectors, as a receiver without payload knowledge would.
     """
-    wf = _dual_pol(waveform)
-
     def guard(stage: str, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
@@ -483,16 +469,10 @@ def rx_chain(waveform: np.ndarray, frame: TxFrame, cfg: EqualizerConfig) -> Chai
         except Exception as e:
             raise StageError(stage, str(e)) from e
 
-    wf = guard("matched_filter", matched_filter, wf)
-
-    rails = []
-    for pol in range(2):
-        i_rail, q_rail = guard("gram_schmidt", gram_schmidt,
-                               wf[pol].real, wf[pol].imag)
-        rails.append(i_rail + 1j * q_rail)
-    wf = np.stack(rails)
-
-    z, _ = guard("cma", cma_butterfly, wf[0], wf[1], cfg, frame)
+    # checked outside the guard: a malformed waveform is a ValueError
+    wf = guard("matched_filter", matched_filter, _dual_pol(waveform))
+    wf = guard("gram_schmidt", gram_schmidt, wf)
+    z, _ = guard("cma", cma_butterfly, wf, cfg, frame)
     z, freq_offset_hz, ambiguous = guard(
         "frequency_recovery", frequency_recovery, z, frame)
     phases = guard("cpe", cpe_phase, z, frame)

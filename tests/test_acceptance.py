@@ -402,8 +402,9 @@ def test_criterion_7_dsp_chain_ablations(capsys):
     rng = np.random.default_rng(1)
     sym = np.exp(1j * (2 * np.pi * rng.integers(0, 4, 20_000) / 4 + np.pi / 4))
     phi = math.radians(10.0)
-    i2, q2 = gram_schmidt(sym.real,
-                          math.sin(phi) * sym.real + math.cos(phi) * sym.imag)
+    q = math.sin(phi) * sym.real + math.cos(phi) * sym.imag
+    gs = gram_schmidt(np.stack([sym.real + 1j * q] * 2))
+    i2, q2 = gs[0].real, gs[0].imag
     if abs(np.dot(i2, q2)) / i2.size >= 1e-6:
         failures.append("orthogonalization left residual quadrature error")
 
@@ -414,7 +415,7 @@ def test_criterion_7_dsp_chain_ablations(capsys):
         wf, ImpairmentConfig(combined_linewidth_hz=0.0,
                              pol_rotation_rad=math.radians(30.0)),
         2 * SYMBOL_RATE)
-    out, _ = cma_butterfly(rot[0], rot[1], cfg, reference=frame)
+    out, _ = cma_butterfly(rot, cfg, reference=frame)
     sl = slice(6000, out.shape[1] - 64)
     pol_snr = snr_from_evm(evm_percent(out[0][sl], frame.symbols[0][sl]))
     if pol_snr <= 25.0:

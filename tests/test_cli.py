@@ -155,6 +155,24 @@ def test_gen_trace_rejects_bad_sampling_period(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", "x"), ("seed", 1.5), ("seed", True),
+    ("clear_mean_db", "x"), ("ar1_rho", None), ("rain_std_db", float("nan")),
+])
+def test_gen_trace_rejects_wrong_typed_config(tmp_path, capsys, field, value):
+    cfg = {"clear_mean_db": 30.0, "clear_std_db": 0.01,
+           "rain_mean_drop_db": 1.0, "rain_std_db": 0.02, "ar1_rho": 0.1,
+           "seed": 1, field: value}
+    cfg_path = tmp_path / "model.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["gen-trace", "--config", str(cfg_path),
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- run/report
 
 @pytest.fixture()
@@ -224,6 +242,20 @@ def test_run_waveform_mode_end_to_end(tmp_path):
     assert len(records) == 2
     assert all(np.isfinite(r.ngmi) and r.air == 8.0 for r in records)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("field", ["M", "seed", "mc_symbols", "ngmi_th"])
+def test_run_rejects_wrong_typed_lut_field(small_campaign, capsys, field):
+    trace, lut, results = small_campaign
+    doc = json.loads(lut.read_text())
+    doc[field] = None
+    lut.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["run", "--trace", str(trace), "--lut", str(lut),
+               "--out", str(results)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: AIR table") and err.count("\n") == 1
 
 
 def test_run_rejects_unknown_scheme(small_campaign, capsys):

@@ -428,6 +428,21 @@ def test_load_records_validates(tmp_path):
         load_records(path)
 
 
+@pytest.mark.parametrize("column, bad", [("snr_true_db", "x"),
+                                         ("in_service", "maybe")])
+def test_load_records_names_line_and_column(tmp_path, column, bad):
+    records = [_record()]
+    emit_report(accumulate_report(records, 25.0), records, tmp_path)
+    path = tmp_path / "records.csv"
+    header, row = path.read_text().splitlines()[:2]
+    cells = row.split(",")
+    cells[header.split(",").index(column)] = bad
+    path.write_text(f"{header}\n{','.join(cells)}\n")
+    with pytest.raises(ValueError,
+                       match=rf"records\.csv:2: {column}: bad value '{bad}'"):
+        load_records(path)
+
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_predictor_grid(coarse_table):

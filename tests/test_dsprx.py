@@ -51,6 +51,14 @@ def _snr(rx, tx):
     return snr_from_evm(evm_percent(rx, tx))
 
 
+def _gs_rails(i, q):
+    """Gram-Schmidt on a stream whose two polarizations both carry the rails
+    (i, q); each is orthogonalized on its own, so both come out the same."""
+    out = gram_schmidt(np.stack([i + 1j * q] * 2))
+    np.testing.assert_array_equal(out[1], out[0])
+    return out[0].real, out[0].imag
+
+
 # ------------------------------------------------------------ pulse shaping
 
 def test_rrc_taps_unit_energy():
@@ -79,7 +87,7 @@ def test_equalizer_config_validation():
 def test_gs_orthogonal_equal_power_input_unchanged():
     i = np.tile([1.0, 1.0, -1.0, -1.0], 256)
     q = np.tile([1.0, -1.0, 1.0, -1.0], 256)
-    i2, q2 = gram_schmidt(i, q)
+    i2, q2 = _gs_rails(i, q)
     np.testing.assert_allclose(i2, i, atol=1e-9)
     np.testing.assert_allclose(q2, q, atol=1e-9)
 
@@ -87,9 +95,9 @@ def test_gs_orthogonal_equal_power_input_unchanged():
 def test_gs_degenerate_rails_rejected():
     i = np.tile([1.0, -1.0], 64)
     with pytest.raises(ValueError, match="degenerate"):
-        gram_schmidt(i, 2.0 * i)
+        _gs_rails(i, 2.0 * i)
     with pytest.raises(ValueError, match="zero-power"):
-        gram_schmidt(np.zeros(16), np.ones(16))
+        _gs_rails(np.zeros(16), np.ones(16))
 
 
 def test_gs_removes_10_degree_phase_imbalance():
@@ -98,7 +106,7 @@ def test_gs_removes_10_degree_phase_imbalance():
     phi = math.radians(10.0)
     i = sym.real
     q = math.sin(phi) * sym.real + math.cos(phi) * sym.imag
-    i2, q2 = gram_schmidt(i, q)
+    i2, q2 = _gs_rails(i, q)
     assert abs(np.dot(i2, q2)) / i2.size < 1e-6
     # Total power is preserved by the half-and-half renormalization.
     assert (np.dot(i2, i2) + np.dot(q2, q2)) == pytest.approx(
@@ -110,7 +118,7 @@ def test_gs_output_always_orthogonal():
     for _ in range(10):
         i = rng.normal(size=4096)
         q = rng.normal(size=4096) + rng.normal() * i
-        i2, q2 = gram_schmidt(i, q)
+        i2, q2 = _gs_rails(i, q)
         p = math.sqrt(float(np.dot(i2, i2)) * float(np.dot(q2, q2)))
         assert abs(np.dot(i2, q2)) / p < 1e-9
 
@@ -126,12 +134,13 @@ def clean_frame():
 
 def test_cma_identity_channel_converges_to_identity(clean_frame):
     frame, wf = clean_frame
-    out, taps = cma_butterfly(wf[0], wf[1], CFG, reference=frame)
+    out, taps = cma_butterfly(wf, CFG, reference=frame)
     c = CMA_TAPS // 2
-    assert abs(taps["xx"][c]) == pytest.approx(1.0, abs=0.05)
-    assert abs(taps["yy"][c]) == pytest.approx(1.0, abs=0.05)
-    assert float(np.max(np.abs(taps["xy"]))) < 0.05
-    assert float(np.max(np.abs(taps["yx"]))) < 0.05
+    assert taps.shape == (2, 2, CMA_TAPS)
+    assert abs(taps[0, 0, c]) == pytest.approx(1.0, abs=0.05)
+    assert abs(taps[1, 1, c]) == pytest.approx(1.0, abs=0.05)
+    assert float(np.max(np.abs(taps[0, 1]))) < 0.05
+    assert float(np.max(np.abs(taps[1, 0]))) < 0.05
     sl = slice(6000, out.shape[1] - 64)
     assert _snr(out[0][sl], frame.symbols[0][sl]) > 40.0
 
@@ -141,7 +150,7 @@ def test_cma_inverts_polarization_rotation(clean_frame):
     imp = ImpairmentConfig(combined_linewidth_hz=0.0,
                            pol_rotation_rad=math.radians(30.0))
     wf_rot = apply_impairments(wf, imp, 2 * SYMBOL_RATE)
-    out, _ = cma_butterfly(wf_rot[0], wf_rot[1], CFG, reference=frame)
+    out, _ = cma_butterfly(wf_rot, CFG, reference=frame)
     sl = slice(6000, out.shape[1] - 64)
     assert _norm_xcorr(out[0][sl], out[1][sl]) < 0.1
     assert _snr(out[0][sl], frame.symbols[0][sl]) > 25.0
@@ -151,7 +160,7 @@ def test_cma_qpsk_awgn_15db_near_matched_bound():
     frame = build_tx_frame(QPSK, 2**14, seed=2)
     rx = awgn_transmit(tx_waveform(frame.symbols), 15.0, seed=3)
     rx = matched_filter(rx)
-    out, _ = cma_butterfly(rx[0], rx[1], CFG, reference=frame)
+    out, _ = cma_butterfly(rx, CFG, reference=frame)
     sl = slice(6000, out.shape[1] - 64)
     assert _snr(out[0][sl], frame.symbols[0][sl]) == pytest.approx(15.0, abs=1.0)
 
@@ -164,9 +173,9 @@ def test_cma_divergence_raises_with_tap_snapshot(clean_frame):
     bad = EqualizerConfig(cma_step=0.9)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EqualizerDiverged) as exc:
-            cma_butterfly(wf_rot[0], wf_rot[1], bad, reference=frame)
+            cma_butterfly(wf_rot, bad, reference=frame)
     assert exc.value.stage == "cma"
-    assert sorted(exc.value.taps) == ["xx", "xy", "yx", "yy"]
+    assert exc.value.taps.shape == (2, 2, CMA_TAPS)
 
 
 def test_equalizers_reject_short_reference(clean_frame):
@@ -174,7 +183,7 @@ def test_equalizers_reject_short_reference(clean_frame):
     short = PilotFrame(symbols=frame.symbols[:, :-1],
                        pilot_mask=frame.pilot_mask[:-1])
     with pytest.raises(ValueError, match="reference shorter"):
-        cma_butterfly(wf[0], wf[1], CFG, reference=short)
+        cma_butterfly(wf, CFG, reference=short)
     with pytest.raises(ValueError, match="reference shorter"):
         lms_4x4(frame.symbols, CFG, short)
     with pytest.raises(ValueError, match="reference shorter"):
@@ -189,10 +198,10 @@ def test_cma_noop_when_converged_on_identity():
     frame = build_tx_frame(DIST, 2048, seed=3)
     x = np.zeros((2, 2048 * SPS), dtype=complex)
     x[:, :: SPS] = frame.symbols
-    out, taps = cma_butterfly(x[0], x[1], CFG, reference=frame)
+    out, taps = cma_butterfly(x, CFG, reference=frame)
     assert float(np.max(np.abs(out - frame.symbols))) < 1e-6
     c = CMA_TAPS // 2
-    assert taps["xx"][c] == 1.0 and taps["yy"][c] == 1.0
+    assert taps[0, 0, c] == 1.0 and taps[1, 1, c] == 1.0
 
 
 # ------------------------------------------------------- frequency recovery
@@ -291,11 +300,22 @@ def test_cpe_needs_two_pilots():
         cpe_phase(ref.symbols, ref)
 
 
-@pytest.mark.parametrize("stage", [frequency_recovery, cpe_phase])
+_SINGLE_POL_CALLS = {
+    "tx_waveform": lambda z, frame: tx_waveform(z),
+    "matched_filter": lambda z, frame: matched_filter(z),
+    "gram_schmidt": lambda z, frame: gram_schmidt(z),
+    "cma_butterfly": lambda z, frame: cma_butterfly(z, CFG, frame),
+    "frequency_recovery": frequency_recovery,
+    "cpe_phase": cpe_phase,
+    "lms_4x4": lambda z, frame: lms_4x4(z, CFG, frame),
+}
+
+
+@pytest.mark.parametrize("stage", _SINGLE_POL_CALLS)
 def test_pilot_stages_reject_single_pol(pilot_frame, stage):
     frame = pilot_frame
     with pytest.raises(ValueError, match="dual-pol"):
-        stage(frame.symbols[0], frame)
+        _SINGLE_POL_CALLS[stage](frame.symbols[0], frame)
 
 
 # ----------------------------------------------------------------- 4x4 LMS
