@@ -210,7 +210,10 @@ def save_air_table(table: AirTable, path) -> None:
 
 def load_air_table(path) -> AirTable:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as e:  # JSON syntax, or bytes that are not UTF-8
+            raise ValueError(f"{path}: {e}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: AIR table must be a JSON object")
     return AirTable.from_dict(raw)

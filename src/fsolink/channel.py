@@ -261,13 +261,69 @@ def apply_impairments(samples: np.ndarray, cfg: ImpairmentConfig, sample_rate: f
 TRACE_HEADER = ["t_s", "snr_db", "weather"]
 
 
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer, str)):
+        return str(v)
+    return repr(float(v))  # the shortest string that reads back exactly
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write one header row, then the rows, as UTF-8 CSV with LF line
+    endings: bools as true/false, integers and strings as str, any other
+    real (numpy scalars included) as repr(float(v))."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(map(_cell, row) for row in rows)
+    except OSError as e:
+        raise OSError(f"cannot write {path}: {e}") from e
+
+
+def _read_csv(path, header, parsers) -> list:
+    """Read a CSV file with the given header row and return (line number,
+    values) for each non-blank row, each cell stripped of surrounding
+    whitespace and run through its column's parser. An empty file has no
+    rows. Errors name the line: `path:1: expected header ...`,
+    `path:N: expected K columns, got J` or `path:N: column: bad value 'v'`."""
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        head = next(reader, None)
+        if head is None:
+            return rows
+        if tuple(h.strip() for h in head) != tuple(header):
+            raise ValueError(f"{path}:1: expected header {','.join(header)}")
+        for cells in reader:
+            if not cells:
+                continue
+            line = reader.line_num
+            if len(cells) != len(header):
+                raise ValueError(f"{path}:{line}: expected {len(header)} "
+                                 f"columns, got {len(cells)}")
+            values = []
+            try:
+                for parse, cell in zip(parsers, cells):
+                    values.append(parse(cell.strip()))
+            except (ValueError, KeyError):
+                raise ValueError(f"{path}:{line}: {header[len(values)]}: "
+                                 f"bad value {cell.strip()!r}") from None
+            rows.append((line, values))
+    return rows
+
+
+def _finite_float(cell: str) -> float:
+    v = float(cell)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value {cell!r}")
+    return v
+
+
 def save_trace(trace: SnrTrace, path) -> None:
     """Write the trace as UTF-8 CSV with LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(TRACE_HEADER)
-        for t, s, lab in zip(trace.t_s, trace.snr_db, trace.weather):
-            w.writerow([repr(float(t)), repr(float(s)), lab])
+    _write_csv(path, TRACE_HEADER, zip(trace.t_s, trace.snr_db, trace.weather))
 
 
 def load_trace(path) -> SnrTrace:
@@ -275,42 +331,14 @@ def load_trace(path) -> SnrTrace:
 
     Errors name the offending line number.
     """
-    t_s, snr, weather = [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty trace")
-        if [h.strip() for h in header] != TRACE_HEADER:
-            raise ValueError(f"{path}:1: expected header {','.join(TRACE_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                t = float(row[0])
-                s = float(row[1])
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            if not math.isfinite(t) or not math.isfinite(s):
-                raise ValueError(f"{path}:{lineno}: non-finite value")
-            lab = row[2].strip()
-            if lab not in (CLEAR, RAIN):
-                raise ValueError(f"{path}:{lineno}: unknown weather label {lab!r}")
-            t_s.append(t)
-            snr.append(s)
-            weather.append(lab)
-    if not t_s:
+    rows = _read_csv(path, TRACE_HEADER, (_finite_float, _finite_float,
+                                          {CLEAR: CLEAR, RAIN: RAIN}.__getitem__))
+    if not rows:
         raise ValueError(f"{path}: empty trace")
-    t_arr = np.asarray(t_s)
-    if t_arr.size > 1:
-        dt = np.diff(t_arr)
-        if np.any(dt <= 0):
-            bad = int(np.argmax(dt <= 0)) + 3  # +2 header/base, +1 second row of pair
-            raise ValueError(f"{path}:{bad}: timestamps not increasing")
-        period = float(dt[0])
-    else:
-        period = SAMPLING_PERIOD_S
-    return SnrTrace(t_s=t_arr, snr_db=np.asarray(snr), weather=tuple(weather),
+    for (_, (t_prev, _, _)), (line, (t, _, _)) in zip(rows, rows[1:]):
+        if t <= t_prev:
+            raise ValueError(f"{path}:{line}: timestamps not increasing")
+    t_s, snr, weather = zip(*(values for _, values in rows))
+    period = t_s[1] - t_s[0] if len(t_s) > 1 else SAMPLING_PERIOD_S
+    return SnrTrace(t_s=np.array(t_s), snr_db=np.array(snr), weather=weather,
                     sampling_period_s=period)

@@ -62,7 +62,10 @@ def _rain_config_from_json(path: str | None, seed: int | None) -> tuple:
         period = SAMPLING_PERIOD_S
     else:
         with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
+            try:
+                raw = json.load(f)
+            except ValueError as e:  # JSON syntax, or bytes that are not UTF-8
+                raise ValueError(f"{path}: {e}") from None
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: rain model must be a JSON object")
         try:

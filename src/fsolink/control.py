@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .airlut import AirTable, air_for_rate, lookup_air, net_bit_rate
-from .channel import SnrTrace
+from .channel import SnrTrace, _finite_float, _read_csv, _write_csv
 from .metrics import awgn_link_metrics
 from .shaping import (
     ENTROPY_FLOOR_BITS,
@@ -127,11 +127,13 @@ class IterationRecord:
 
 
 # records.csv holds one column per IterationRecord field, in field order;
-# load_records parses each column by its field's annotation
+# load_records parses each column by its field's annotation, and every float
+# but the NaN-by-convention snr_est_db must be finite
 RECORD_COLUMNS = tuple(f.name for f in fields(IterationRecord))
-_PARSE = {"int": int, "float": float, "str": str,
+_PARSE = {"int": int, "float": _finite_float, "str": str,
           "bool": {"true": True, "false": False}.__getitem__}
-_COLUMN_PARSERS = tuple(_PARSE[f.type] for f in fields(IterationRecord))
+_COLUMN_PARSERS = tuple(float if f.name == "snr_est_db" else _PARSE[f.type]
+                        for f in fields(IterationRecord))
 
 
 @dataclass(frozen=True)
@@ -146,18 +148,6 @@ class CampaignReport:
     outage_fraction: dict
     delivered_bytes: dict
     gain_vs_fixed_bytes: dict  # fixed scheme -> cumulative gain time series
-
-    def to_dict(self) -> dict:
-        return {
-            "schemes": list(self.schemes),
-            "n_iterations": self.n_iterations,
-            "sampling_period_s": self.sampling_period_s,
-            "mean_effective_rate_bps": dict(self.mean_effective_rate_bps),
-            "outage_fraction": dict(self.outage_fraction),
-            "delivered_bytes": dict(self.delivered_bytes),
-            "gain_vs_fixed_bytes": {k: [float(x) for x in v]
-                                    for k, v in self.gain_vs_fixed_bytes.items()},
-        }
 
 
 _PROBE_DIST = mb_distribution(0.0, ConstellationTemplate.square_qam(4))
@@ -266,12 +256,19 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
 
 def _by_scheme(records) -> dict:
     """Group records by scheme, in order of first appearance. There must be
-    records, and every scheme must cover the same iterations."""
+    records of known schemes, each scheme's iterations must increase, and
+    every scheme must cover the same iterations."""
     if not records:
         raise ValueError("no records")
     out: dict = {}
     for r in records:
-        out.setdefault(r.scheme, []).append(r)
+        if r.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {r.scheme!r}; choose from {SCHEMES}")
+        rows = out.setdefault(r.scheme, [])
+        if rows and r.n <= rows[-1].n:
+            raise ValueError(f"scheme {r.scheme!r}: iteration {r.n} follows "
+                             f"{rows[-1].n}; iterations must increase")
+        rows.append(r)
     iterations = {s: [r.n for r in rows] for s, rows in out.items()}
     first, first_n = next(iter(iterations.items()))
     for scheme, n in iterations.items():
@@ -314,14 +311,6 @@ def accumulate_report(records, sampling_period_s: float) -> CampaignReport:
     )
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def emit_report(report: CampaignReport, records, out_dir) -> None:
     """Write records.csv, summary.json, and the per-panel CSV files into
     out_dir (created if missing); empty or uneven records are rejected
@@ -333,71 +322,46 @@ def emit_report(report: CampaignReport, records, out_dir) -> None:
     except OSError as e:
         raise OSError(f"cannot create report directory {out}: {e}") from e
 
-    def write(path: Path, text: str) -> None:
-        try:
-            path.write_text(text, encoding="utf-8", newline="")
-        except OSError as e:
-            raise OSError(f"cannot write {path}: {e}") from e
+    _write_csv(out / "records.csv", RECORD_COLUMNS,
+               ([getattr(r, c) for c in RECORD_COLUMNS] for r in records))
 
-    lines = [",".join(RECORD_COLUMNS)]
-    for r in records:
-        lines.append(",".join(_format_value(getattr(r, c)) for c in RECORD_COLUMNS))
-    write(out / "records.csv", "\n".join(lines) + "\n")
+    summary = out / "summary.json"
+    text = json.dumps(asdict(report), indent=2,
+                      default=np.ndarray.tolist)
+    try:
+        summary.write_text(text + "\n", encoding="utf-8", newline="")
+    except OSError as e:
+        raise OSError(f"cannot write {summary}: {e}") from e
 
-    write(out / "summary.json", json.dumps(report.to_dict(), indent=2) + "\n")
-
-    schemes = tuple(groups)
     base = next(iter(groups.values()))
-    t = [r.t_s for r in base]
 
     def panel(name: str, columns: dict) -> None:
-        head = ["t_s"] + list(columns)
-        rows = [",".join(head)]
-        for i, ti in enumerate(t):
-            rows.append(",".join([repr(ti)] + [
-                _format_value(columns[c][i]) for c in columns]))
-        write(out / name, "\n".join(rows) + "\n")
+        _write_csv(out / name, ["t_s", *columns],
+                   zip([r.t_s for r in base], *columns.values()))
 
     snr_cols = {"snr_true_db": [r.snr_true_db for r in base]}
-    for s in schemes:
-        snr_cols[f"snr_meas_db_{s}"] = [r.snr_meas_db for r in groups[s]]
+    for s, rows in groups.items():
+        snr_cols[f"snr_meas_db_{s}"] = [r.snr_meas_db for r in rows]
     panel("snr_vs_t.csv", snr_cols)
-
-    panel("ngmi_vs_t.csv",
-          {f"ngmi_{s}": [r.ngmi for r in groups[s]] for s in schemes})
-    panel("rate_vs_t.csv",
-          {f"rate_bps_{s}": [r.rate_bps for r in groups[s]] for s in schemes})
+    for name, col in (("ngmi_vs_t.csv", "ngmi"), ("rate_vs_t.csv", "rate_bps")):
+        panel(name, {f"{col}_{s}": [getattr(r, col) for r in rows]
+                     for s, rows in groups.items()})
     if report.gain_vs_fixed_bytes:
         panel("gain_vs_t.csv",
-              {f"gain_bytes_vs_{s}": list(v)
+              {f"gain_bytes_vs_{s}": v
                for s, v in report.gain_vs_fixed_bytes.items()})
 
 
 def load_records(path) -> list:
     """Parse a records.csv written by emit_report back into records; every
-    scheme must cover the same iterations."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0] != ",".join(RECORD_COLUMNS):
-        raise ValueError(f"{path}: unexpected records.csv header")
-    out = []
-    for ln_no, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != len(RECORD_COLUMNS):
-            raise ValueError(f"{path}:{ln_no}: expected "
-                             f"{len(RECORD_COLUMNS)} columns, got {len(parts)}")
-        values = []
-        for col, parse, v in zip(RECORD_COLUMNS, _COLUMN_PARSERS, parts):
-            try:
-                values.append(parse(v))
-            except (ValueError, KeyError):
-                raise ValueError(f"{path}:{ln_no}: {col}: bad value {v!r}") from None
-        out.append(IterationRecord(*values))
+    scheme must be known and cover the same, increasing iterations."""
+    records = [IterationRecord(*values) for _, values
+               in _read_csv(path, RECORD_COLUMNS, _COLUMN_PARSERS)]
     try:
-        _by_scheme(out)
+        _by_scheme(records)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    return out
+    return records
 
 
 def sweep_predictor(trace: SnrTrace, table: AirTable, n_values, margins_db,

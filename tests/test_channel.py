@@ -238,6 +238,31 @@ def test_trace_file_is_utf8_lf_with_header(tmp_path):
     assert raw.decode("utf-8").splitlines()[0] == "t_s,snr_db,weather"
 
 
+def test_load_accepts_quoted_padded_crlf_and_blank_lines(tmp_path):
+    path = tmp_path / "loose.csv"
+    path.write_bytes(b' t_s , snr_db,weather \r\n"0.0",15.0, clear\r\n\r\n'
+                     b'25.0,"14.5",rain \r\n')
+    back = load_trace(path)
+    np.testing.assert_array_equal(back.t_s, [0.0, 25.0])
+    np.testing.assert_array_equal(back.snr_db, [15.0, 14.5])
+    assert back.weather == (CLEAR, RAIN)
+    assert back.sampling_period_s == 25.0
+
+
+@pytest.mark.parametrize("row, message", [
+    ("x,15.0,clear", "t_s: bad value 'x'"),
+    ("25.0,inf,clear", "snr_db: bad value 'inf'"),
+    ("25.0,15.0,sunny", "weather: bad value 'sunny'"),
+    ("0.0,15.0,clear", "timestamps not increasing"),
+])
+def test_load_errors_name_the_exact_line_and_column(tmp_path, row, message):
+    # the blank line still counts, so the bad row is line 4
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t_s,snr_db,weather\n0.0,15.0,clear\n\n{row}\n")
+    with pytest.raises(ValueError, match=rf"bad\.csv:4: {message}$"):
+        load_trace(path)
+
+
 def test_load_rejects_nan_row_naming_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t_s,snr_db,weather\n0.0,15.0,clear\n25.0,NaN,clear\n")
@@ -279,6 +304,21 @@ def test_load_rejects_wrong_column_count(tmp_path):
     path.write_text("t_s,snr_db,weather\n0.0,15.0\n")
     with pytest.raises(ValueError, match="3 columns"):
         load_trace(path)
+
+
+def test_csv_writer_formats_by_type(tmp_path):
+    path = tmp_path / "cells.csv"
+    channel._write_csv(path, ("a", "b", "c", "d", "e", "f", "g"),
+                       [(True, False, 3, np.int64(-4), "rain",
+                         np.float64(0.1), 1e22)])
+    assert path.read_bytes() == (b"a,b,c,d,e,f,g\n"
+                                 b"true,false,3,-4,rain,0.1,1e+22\n")
+
+
+def test_csv_writer_names_the_file_it_cannot_write(tmp_path):
+    path = tmp_path / "missing" / "trace.csv"
+    with pytest.raises(OSError, match=rf"cannot write {path}"):
+        save_trace(gen_trace(_cfg(), 100.0), path)
 
 
 def test_snr_trace_validation():

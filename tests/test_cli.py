@@ -3,6 +3,7 @@ codes for the four subcommands."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -304,6 +305,43 @@ def test_report_rejects_uneven_records_without_rewriting(small_campaign, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error:") and "adaptive" in err and "records.csv" in err
     assert {f.name: f.read_bytes() for f in results.iterdir()} == before
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (",fixed400,", ",bogus,", "unknown scheme 'bogus'"),
+    (",400000000000.0,", ",nan,", r"records\.csv:2: rate_bps: bad value 'nan'"),
+])
+def test_report_rejects_bad_records_without_rewriting(small_campaign, capsys,
+                                                      old, new, message):
+    trace, lut, results = small_campaign
+    assert main(["run", "--trace", str(trace), "--lut", str(lut),
+                 "--schemes", "fixed400", "--seed", "1",
+                 "--mc-symbols", "2000", "--out", str(results)]) == 0
+    records = results / "records.csv"
+    records.write_text(records.read_text().replace(old, new))
+    before = {f.name: f.read_bytes() for f in results.iterdir()}
+    capsys.readouterr()
+    assert main(["report", "--in", str(results)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert re.search(message, err)
+    assert {f.name: f.read_bytes() for f in results.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["run", "gen-trace"])
+def test_json_syntax_errors_name_the_file(small_campaign, capsys, command):
+    trace, lut, out = small_campaign
+    bad = out.parent / "bad.json"
+    bad.write_text("{bad")
+    args = {"run": ["run", "--trace", str(trace), "--lut", str(bad),
+                    "--out", str(out)],
+            "gen-trace": ["gen-trace", "--config", str(bad),
+                          "--out", str(out.parent / "t.csv")]}[command]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: Expecting property name")
+    assert err.count("\n") == 1
 
 
 def test_report_missing_records(tmp_path, capsys):

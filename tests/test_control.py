@@ -379,6 +379,22 @@ def test_uneven_records_rejected_before_any_output(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("scheme, iterations, message", [
+    ("bogus", (0, 1, 2), "unknown scheme 'bogus'"),
+    ("adaptive", (0, 1, 1), "iteration 1 follows 1"),
+    ("adaptive", (0, 2, 1), "iteration 1 follows 2"),
+])
+def test_bad_schemes_and_iterations_rejected_before_any_output(
+        tmp_path, scheme, iterations, message):
+    rep = accumulate_report([_record()], 25.0)
+    records = [_record(n=i, t_s=25.0 * i, scheme=scheme) for i in iterations]
+    with pytest.raises(ValueError, match=message):
+        accumulate_report(records, 25.0)
+    with pytest.raises(ValueError, match=message):
+        emit_report(rep, records, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------ report files
 
 def _nan_safe(rec):
@@ -413,6 +429,33 @@ def test_emit_report_round_trip(tmp_path, coarse_table):
         assert doc["delivered_bytes"][s] == rep.delivered_bytes[s]
 
 
+def test_panel_cells_are_plain_floats(tmp_path, coarse_table):
+    records = run_campaign(_const_trace(14.0, 4), SCHEMES, coarse_table,
+                           seed=17, mc_symbols=10_000)
+    emit_report(accumulate_report(records, 25.0), records, tmp_path)
+    for name in ("snr_vs_t.csv", "ngmi_vs_t.csv", "rate_vs_t.csv",
+                 "gain_vs_t.csv"):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert len(lines) == 5, name
+        for line in lines[1:]:
+            for cell in line.split(","):
+                float(cell)
+
+
+def test_summary_json_holds_every_report_field(tmp_path):
+    records = [_record(n=i, t_s=25.0 * i, scheme=s,
+                       rate_bps=FIXED_RATES_BPS.get(s, 500e9))
+               for i in range(3) for s in SCHEMES]
+    rep = accumulate_report(records, 25.0)
+    emit_report(rep, records, tmp_path)
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert list(doc) == [f.name for f in dataclasses.fields(CampaignReport)]
+    assert doc["schemes"] == list(SCHEMES)
+    assert doc["n_iterations"] == 3
+    assert doc["gain_vs_fixed_bytes"]["fixed400"] == \
+        rep.gain_vs_fixed_bytes["fixed400"].tolist()
+
+
 def test_records_csv_header(tmp_path):
     records = [_record()]
     emit_report(accumulate_report(records, 25.0), records, tmp_path)
@@ -440,6 +483,17 @@ def test_load_records_names_line_and_column(tmp_path, column, bad):
     path.write_text(f"{header}\n{','.join(cells)}\n")
     with pytest.raises(ValueError,
                        match=rf"records\.csv:2: {column}: bad value '{bad}'"):
+        load_records(path)
+
+
+def test_load_records_rejects_non_finite_values(tmp_path):
+    records = [_record(snr_est_db=math.nan)]
+    emit_report(accumulate_report(records, 25.0), records, tmp_path)
+    path = tmp_path / "records.csv"
+    assert math.isnan(load_records(path)[0].snr_est_db)  # NaN by convention
+    path.write_text(path.read_text().replace(",500000000000.0,", ",nan,"))
+    with pytest.raises(ValueError,
+                       match=r"records\.csv:2: rate_bps: bad value 'nan'"):
         load_records(path)
 
 
