@@ -4,6 +4,7 @@ or CSV replay), per-symbol AWGN, and sample-level waveform impairments."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 import numbers
 from dataclasses import dataclass
@@ -287,30 +288,38 @@ def _read_csv(path, header, parsers) -> list:
     values) for each non-blank row, each cell stripped of surrounding
     whitespace and run through its column's parser. An empty file has no
     rows. Errors name the line: `path:1: expected header ...`,
-    `path:N: expected K columns, got J` or `path:N: column: bad value 'v'`."""
+    `path:N: expected K columns, got J`, `path:N: column: bad value 'v'` or
+    `path:N: not UTF-8: byte 0xNN`."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8: "
+                         f"byte 0x{raw[e.start]:02x}") from None
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        head = next(reader, None)
-        if head is None:
-            return rows
-        if tuple(h.strip() for h in head) != tuple(header):
-            raise ValueError(f"{path}:1: expected header {','.join(header)}")
-        for cells in reader:
-            if not cells:
-                continue
-            line = reader.line_num
-            if len(cells) != len(header):
-                raise ValueError(f"{path}:{line}: expected {len(header)} "
-                                 f"columns, got {len(cells)}")
-            values = []
-            try:
-                for parse, cell in zip(parsers, cells):
-                    values.append(parse(cell.strip()))
-            except (ValueError, KeyError):
-                raise ValueError(f"{path}:{line}: {header[len(values)]}: "
-                                 f"bad value {cell.strip()!r}") from None
-            rows.append((line, values))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    head = next(reader, None)
+    if head is None:
+        return rows
+    if tuple(h.strip() for h in head) != tuple(header):
+        raise ValueError(f"{path}:1: expected header {','.join(header)}")
+    for cells in reader:
+        if not cells:
+            continue
+        line = reader.line_num
+        if len(cells) != len(header):
+            raise ValueError(f"{path}:{line}: expected {len(header)} "
+                             f"columns, got {len(cells)}")
+        values = []
+        try:
+            for parse, cell in zip(parsers, cells):
+                values.append(parse(cell.strip()))
+        except (ValueError, KeyError):
+            raise ValueError(f"{path}:{line}: {header[len(values)]}: "
+                             f"bad value {cell.strip()!r}") from None
+        rows.append((line, values))
     return rows
 
 

@@ -214,14 +214,17 @@ def _adapt(stage: str, rails: np.ndarray, taps: int, stride: int,
     reads the (R, taps) window starting at input sample stride*k, and row r
     of the (R, R*taps) tap matrix starts as a center spike on rail r. After
     output o of step k the taps move by steps[k] * outer(error(k, o),
-    conj(u)). Every 256 outputs the power per polarization (outputs are
-    dual-pol: R complex rails or R/2 real rail pairs) is checked against
-    DIVERGENCE_FACTOR times the input's per-polarization power per
-    output; on failure EqualizerDiverged carries a copy of the taps.
-    Returns the (R, len(steps)) outputs and the (R, R, taps) taps, indexed
-    [output rail, input rail, tap].
+    conj(u)), one output at a time; the outputs between two updates see
+    fixed taps, so each such run is one matrix product. Every 256 outputs
+    the power per polarization (outputs are dual-pol: R complex rails or
+    R/2 real rail pairs) is checked against DIVERGENCE_FACTOR times the
+    input's per-polarization power per output; on failure EqualizerDiverged
+    carries a copy of the taps after that checkpoint's output. Returns the
+    (R, len(steps)) outputs and the (R, R, taps) taps, indexed [output
+    rail, input rail, tap].
     """
     n_rails, n_in = rails.shape
+    n_out = steps.size
     c = (taps - 1) // 2
     windows = sliding_window_view(np.pad(rails, ((0, 0), (c, c))), taps,
                                   axis=1)[:, ::stride]
@@ -229,17 +232,26 @@ def _adapt(stage: str, rails: np.ndarray, taps: int, stride: int,
     w[np.arange(n_rails), np.arange(n_rails) * taps + c] = 1.0
     in_power = float(np.sum(np.abs(rails) ** 2)) / (2 * n_in)
     limit = DIVERGENCE_FACTOR * in_power * stride
-    out = np.empty((n_rails, steps.size), dtype=rails.dtype)
+    out = np.empty((n_rails, n_out), dtype=rails.dtype)
 
-    for k, mu in enumerate(steps.tolist()):
-        u = windows[:, k].ravel()
-        o = w @ u
-        out[:, k] = o
-        if mu:
-            w += mu * np.outer(error(k, o), u.conj())
+    # The watchdog's 256-output intervals, each cut at its updates: an
+    # update output adapts the taps, the outputs between updates are one
+    # product with the taps fixed.
+    for start in range(0, n_out, 256):
+        stop = min(start + 256, n_out)
+        a = start
+        for k in (np.flatnonzero(steps[start:stop]) + start).tolist() + [stop]:
+            if a < k:
+                out[:, a:k] = w @ windows[:, a:k].transpose(1, 0, 2).reshape(k - a, -1).T
+            if k < stop:
+                u = windows[:, k].ravel()
+                o = w @ u
+                out[:, k] = o
+                w += (steps[k] * error(k, o))[:, None] * u.conj()
+            a = k + 1
 
-        if k % 256 == 255:
-            power = float(np.sum(np.abs(out[:, k - 255:k + 1]) ** 2)) / (2 * 256)
+        if stop % 256 == 0:
+            power = float(np.sum(np.abs(out[:, start:stop]) ** 2)) / (2 * 256)
             if not math.isfinite(power) or power > limit:
                 raise EqualizerDiverged(
                     stage, f"output power {power:.3g} exceeds {limit:.3g}",

@@ -270,6 +270,13 @@ def test_load_rejects_nan_row_naming_line(tmp_path):
         load_trace(path)
 
 
+def test_load_rejects_non_utf8_naming_file_and_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"t_s,snr_db,weather\n0.0,15.0,clear\n25.0,15.0,cl\xe9ar\n")
+    with pytest.raises(ValueError, match=r"latin1\.csv:3: not UTF-8: byte 0xe9$"):
+        load_trace(path)
+
+
 def test_load_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -275,6 +275,17 @@ def test_run_missing_trace_file(small_campaign, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_non_utf8_trace(small_campaign, capsys):
+    trace, lut, results = small_campaign
+    trace.write_bytes(trace.read_bytes().replace(b"clear", b"cl\xe9ar", 1))
+    capsys.readouterr()
+    rc = main(["run", "--trace", str(trace), "--lut", str(lut),
+               "--out", str(results)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {trace}:2: not UTF-8: byte 0xe9\n"
+
+
 def test_report_recomputes_from_records(small_campaign, capsys):
     trace, lut, results = small_campaign
     assert main(["run", "--trace", str(trace), "--lut", str(lut),

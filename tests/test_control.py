@@ -497,6 +497,16 @@ def test_load_records_rejects_non_finite_values(tmp_path):
         load_records(path)
 
 
+def test_load_records_rejects_non_utf8_naming_file_and_line(tmp_path):
+    records = [_record(), _record(n=1, t_s=25.0)]
+    emit_report(accumulate_report(records, 25.0), records, tmp_path)
+    path = tmp_path / "records.csv"
+    path.write_bytes(path.read_bytes().replace(b"clear", b"cl\xe9ar", 1))
+    with pytest.raises(ValueError,
+                       match=r"records\.csv:2: not UTF-8: byte 0xe9$"):
+        load_records(path)
+
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_predictor_grid(coarse_table):

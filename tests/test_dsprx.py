@@ -3,13 +3,19 @@ invariants on clean inputs, and end-to-end SNR budgets."""
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from fsolink import dsprx
 from fsolink.channel import ImpairmentConfig, apply_impairments, awgn_transmit, full_impairments
 from fsolink.dsprx import (
     CMA_TAPS,
+    DIVERGENCE_FACTOR,
     LMS_TAPS,
     RRC_TAPS,
     SPS,
@@ -366,6 +372,130 @@ def test_lms_skew_ablation_gains_at_least_5db():
     with_lms = rx_chain(rx, frame, cfg_on).report.snr_db
     without_lms = rx_chain(rx, frame, cfg_off).report.snr_db
     assert with_lms - without_lms >= 5.0
+
+
+# ------------------------------------------------- batched adaptation loop
+
+def _adapt_per_symbol(stage, rails, taps, stride, steps, error):
+    """The equalizers' adaptation loop written one output at a time: the
+    reference that dsprx._adapt, which batches the outputs between two
+    updates, must reproduce."""
+    n_rails, n_in = rails.shape
+    c = (taps - 1) // 2
+    windows = sliding_window_view(np.pad(rails, ((0, 0), (c, c))), taps,
+                                  axis=1)[:, ::stride]
+    w = np.zeros((n_rails, n_rails * taps), dtype=rails.dtype)
+    w[np.arange(n_rails), np.arange(n_rails) * taps + c] = 1.0
+    in_power = float(np.sum(np.abs(rails) ** 2)) / (2 * n_in)
+    limit = DIVERGENCE_FACTOR * in_power * stride
+    out = np.empty((n_rails, steps.size), dtype=rails.dtype)
+
+    for k, mu in enumerate(steps.tolist()):
+        u = windows[:, k].ravel()
+        o = w @ u
+        out[:, k] = o
+        if mu:
+            w += mu * np.outer(error(k, o), u.conj())
+
+        if k % 256 == 255:
+            power = float(np.sum(np.abs(out[:, k - 255:k + 1]) ** 2)) / (2 * 256)
+            if not math.isfinite(power) or power > limit:
+                raise EqualizerDiverged(
+                    stage, f"output power {power:.3g} exceeds {limit:.3g}",
+                    w.reshape(n_rails, n_rails, taps).copy())
+
+    return out, w.reshape(n_rails, n_rails, taps)
+
+
+def _batched_and_per_symbol(equalizer, *args):
+    """Run an equalizer through dsprx._adapt and through the per-symbol
+    reference. Each outcome is (returned value or EqualizerDiverged, last
+    output whose error was asked for, or -1)."""
+    outcomes = []
+    for loop in (dsprx._adapt, _adapt_per_symbol):
+        last = [-1]
+
+        def adapt(stage, rails, taps, stride, steps, error, loop=loop, last=last):
+            def traced(k, o):
+                last[0] = k
+                return error(k, o)
+            return loop(stage, rails, taps, stride, steps, traced)
+
+        with mock.patch.object(dsprx, "_adapt", adapt):
+            try:
+                result = equalizer(*args)
+            except EqualizerDiverged as exc:
+                result = exc
+        outcomes.append((result, last[0]))
+    return outcomes
+
+
+def _assert_close(actual, desired):
+    """Equal within 1e-12 of the reference's largest magnitude."""
+    assert actual.shape == desired.shape
+    scale = float(np.max(np.abs(desired)))
+    assert float(np.max(np.abs(actual - desired))) <= 1e-12 * scale
+
+
+def _assert_same_outcome(outcomes):
+    (batched, last_b), (reference, last_r) = outcomes
+    assert type(batched) is type(reference)
+    assert last_b == last_r
+    if isinstance(reference, EqualizerDiverged):
+        assert str(batched) == str(reference)
+        _assert_close(batched.taps, reference.taps)
+    else:
+        for a, b in zip(batched, reference):
+            _assert_close(a, b)
+
+
+_TRAINING = st.one_of(st.just(0), st.integers(1, 1600), st.just(10_000))
+_FRAMES = st.integers(16, 96)  # block length in 16-symbol pilot frames
+
+
+@settings(max_examples=30, deadline=None)
+@given(frames=_FRAMES, training=_TRAINING,
+       step=st.floats(1e-4, 1e-2), seed=st.integers(0, 2**16))
+def test_cma_batched_loop_matches_per_symbol_reference(frames, training, step, seed):
+    frame = build_tx_frame(DIST, 16 * frames, seed=seed)
+    imp = ImpairmentConfig(combined_linewidth_hz=0.0,
+                           pol_rotation_rad=math.radians(20.0))
+    rx = apply_impairments(tx_waveform(frame.symbols), imp, 2 * SYMBOL_RATE)
+    rx = matched_filter(awgn_transmit(rx, 18.0, seed=seed + 1))
+    cfg = EqualizerConfig(cma_step=step, training_symbols=training)
+    _assert_same_outcome(_batched_and_per_symbol(cma_butterfly, rx, cfg, frame))
+
+
+@settings(max_examples=30, deadline=None)
+@given(frames=_FRAMES, training=_TRAINING, step=st.floats(1e-4, 5e-3),
+       track=st.floats(1e-5, 1e-3), seed=st.integers(0, 2**16))
+def test_lms_batched_loop_matches_per_symbol_reference(frames, training, step,
+                                                       track, seed):
+    frame = build_tx_frame(DIST, 16 * frames, seed=seed)
+    imp = ImpairmentConfig(combined_linewidth_hz=0.0, iq_amplitude_imbalance=0.05)
+    z = apply_impairments(frame.symbols.copy(), imp, SYMBOL_RATE)
+    z = awgn_transmit(z, 20.0, seed=seed + 1)
+    cfg = EqualizerConfig(lms_step=step, lms_track_step=track,
+                          training_symbols=training)
+    _assert_same_outcome(_batched_and_per_symbol(lms_4x4, z, cfg, frame))
+
+
+def test_lms_divergence_in_tracking_matches_per_symbol_reference():
+    # Warm-up converges; the oversized pilot step then blows the taps up to
+    # ~1e12 well after the training prefix, inside batched runs.
+    frame = build_tx_frame(DIST, 8192, seed=10)
+    imp = ImpairmentConfig(combined_linewidth_hz=0.0, iq_amplitude_imbalance=0.05)
+    z = apply_impairments(frame.symbols.copy(), imp, SYMBOL_RATE)
+    cfg = EqualizerConfig(training_symbols=1024, lms_track_step=2.0)
+    outcomes = _batched_and_per_symbol(lms_4x4, z, cfg, frame)
+    (batched, last), (reference, _) = outcomes
+    assert isinstance(reference, EqualizerDiverged)
+    assert str(batched) == "[lms] output power 9.44e+25 exceeds 10"
+    # The last update, at pilot 1264, falls after the training prefix and
+    # before the checkpoint that raised: output 1279, the first with
+    # k % 256 == 255 after it. Both loops stop there.
+    assert last == 1264 and last | 255 == 1279
+    _assert_same_outcome(outcomes)
 
 
 # ------------------------------------------------------------ end-to-end
