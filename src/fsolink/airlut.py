@@ -20,6 +20,7 @@ from .metrics import awgn_link_metrics
 from .shaping import (
     ENTROPY_FLOOR_BITS,
     ENTROPY_STEP_BITS,
+    GRID_TEMPLATE,
     RatePlan,
     grid_distribution,
 )
@@ -143,7 +144,6 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
     Bit-identical for a fixed (grid, mc, ngmi_th) triple. Logs one line per
     grid point at INFO.
     """
-    M = 64  # square 64QAM, as the campaign transmits
     grid = np.asarray(snr_grid_db, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("need at least two grid points")
@@ -151,7 +151,7 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
         raise ValueError("SNR grid must be strictly increasing")
     _check_ngmi_th(ngmi_th)
 
-    h_hi_bits = math.log2(M)
+    h_hi_bits = math.log2(GRID_TEMPLATE.M)
     lo_steps = round(ENTROPY_FLOOR_BITS / ENTROPY_STEP_BITS)
     hi_steps = round(h_hi_bits / ENTROPY_STEP_BITS)
     air = np.zeros(grid.size)
@@ -160,9 +160,8 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
         ss = np.random.SeedSequence([mc.seed, i])
 
         def ngmi_at(steps: int) -> float:
-            dist = grid_distribution(steps, M)
-            return awgn_link_metrics(dist, float(snr), mc.mc_symbols,
-                                     np.random.default_rng(ss)).ngmi
+            return awgn_link_metrics(grid_distribution(steps), float(snr),
+                                     mc.mc_symbols, np.random.default_rng(ss)).ngmi
 
         if ngmi_at(lo_steps) < ngmi_th:
             air[i] = 0.0
@@ -180,7 +179,7 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
         _log.info("  %7.2f dB -> AIR %5.2f bits", snr, air[i])
 
     air = np.maximum.accumulate(air)
-    return AirTable(snr_db=grid, air=air, ngmi_th=ngmi_th, M=M,
+    return AirTable(snr_db=grid, air=air, ngmi_th=ngmi_th, M=GRID_TEMPLATE.M,
                     mc_symbols=mc.mc_symbols, seed=mc.seed)
 
 

@@ -28,6 +28,7 @@ from .channel import (
 )
 from .control import (
     SCHEMES,
+    PredictorState,
     accumulate_report,
     emit_report,
     load_records,
@@ -142,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build-lut", help="Monte-Carlo the SNR->AIR table")
     b.add_argument("--ngmi-th", type=float, default=0.9)
     b.add_argument("--grid", default="0:30:0.25", help="SNR grid start:stop:step in dB")
-    b.add_argument("--mc", type=int, default=200_000, help="MC symbols per evaluation")
+    b.add_argument("--mc", type=int, default=MCConfig.mc_symbols,
+                   help="MC symbols per evaluation")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", required=True)
     b.add_argument("--quiet", action="store_true", help="do not log each grid point")
@@ -162,9 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of " + ",".join(SCHEMES))
     r.add_argument("--mode", choices=("analytic", "waveform"), default="analytic")
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--window", type=int, default=3, help="predictor window length N")
-    r.add_argument("--margin", type=float, default=2.0, help="SNR margin in dB")
-    r.add_argument("--mc-symbols", type=int, default=200_000)
+    r.add_argument("--window", type=int, default=PredictorState.n_window,
+                   help="predictor window length N")
+    r.add_argument("--margin", type=float, default=PredictorState.snr_margin_db,
+                   help="SNR margin in dB")
+    r.add_argument("--mc-symbols", type=int, default=MCConfig.mc_symbols)
     r.add_argument("--out", required=True)
     r.set_defaults(fn=_cmd_run)
 

@@ -18,12 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .airlut import AirTable, air_for_rate, lookup_air, net_bit_rate
+from .airlut import AirTable, MCConfig, air_for_rate, lookup_air, net_bit_rate
 from .channel import SnrTrace, _finite_float, _read_csv, _write_csv
 from .metrics import awgn_link_metrics
 from .shaping import (
     ENTROPY_FLOOR_BITS,
     ENTROPY_STEP_BITS,
+    GRID_TEMPLATE,
     ConstellationTemplate,
     ShapedDistribution,
     grid_distribution,
@@ -152,14 +153,20 @@ class CampaignReport:
 
 _PROBE_DIST = mb_distribution(0.0, ConstellationTemplate.square_qam(4))
 
+# each scheme's entropy unless it adapts; the adaptive one warms up at 400G
+_BASE_ENTROPY = {s: air_for_rate(r) / 2.0 for s, r in FIXED_RATES_BPS.items()}
+_BASE_ENTROPY["adaptive"] = _BASE_ENTROPY["fixed400"]
 
-def _measure_analytic(dist: ShapedDistribution, snr_db: float, rng,
+
+def _measure_analytic(dist: ShapedDistribution, snr_db: float, key,
                       n_symbols: int):
+    rng = np.random.default_rng(np.random.SeedSequence(key))
     rep = awgn_link_metrics(dist, snr_db, n_symbols, rng)
     return rep.snr_db, rep.ngmi
 
 
-def _measure_waveform(dist: ShapedDistribution, snr_db: float, key):
+def _measure_waveform(dist: ShapedDistribution, snr_db: float, key,
+                      n_symbols: int):
     from .dsprx import EqualizerConfig, rx_chain, simulate_block
 
     cfg = EqualizerConfig()
@@ -169,9 +176,10 @@ def _measure_waveform(dist: ShapedDistribution, snr_db: float, key):
 
 
 def run_campaign(trace: SnrTrace, schemes, table: AirTable,
-                 mode: str = "analytic",
-                 seed: int = 0, n_window: int = 3, snr_margin_db: float = 2.0,
-                 mc_symbols: int = 200_000) -> list:
+                 mode: str = "analytic", seed: int = 0,
+                 n_window: int = PredictorState.n_window,
+                 snr_margin_db: float = PredictorState.snr_margin_db,
+                 mc_symbols: int = MCConfig.mc_symbols) -> list:
     """Replay the trace for each scheme and return one IterationRecord per
     (iteration, scheme), iteration-major.
 
@@ -181,12 +189,14 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
     fixed-400G entropy while the window fills. Out-of-service iterations
     still measure SNR (uniform-QPSK probe) so the predictor keeps running.
     Waveform mode runs one unimpaired 2e5-sample block per iteration
-    through simulate_block and rx_chain.
-    Seeds derive from (seed, iteration, the scheme's index in SCHEMES): the
-    record list is bit-identical across runs, schemes never share noise,
-    and a scheme's records do not depend on which other schemes run with it.
+    through simulate_block and rx_chain, whatever mc_symbols says.
+    One key (seed, iteration, the scheme's index in SCHEMES) seeds whichever
+    measurement runs: the record list is bit-identical across runs, schemes
+    never share noise, and a scheme's records do not depend on its companions.
     """
-    if mode not in ("analytic", "waveform"):
+    measure = {"analytic": _measure_analytic,
+               "waveform": _measure_waveform}.get(mode)
+    if measure is None:
         raise ValueError(f"unknown mode {mode!r}")
     schemes = tuple(schemes)
     if not schemes:
@@ -196,16 +206,9 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
             raise ValueError(f"unknown scheme {s!r}; choose from {SCHEMES}")
     if len(set(schemes)) != len(schemes):
         raise ValueError(f"a scheme is requested twice: {schemes}")
-    tpl = ConstellationTemplate.square_qam(64)
-    if table.M != tpl.M:
-        raise ValueError(
-            f"AIR table was built for M={table.M}, campaign runs M={tpl.M}")
-
-    fixed_entropy = {
-        name: air_for_rate(rate) / 2.0
-        for name, rate in FIXED_RATES_BPS.items()
-    }
-    warmup_entropy = fixed_entropy["fixed400"]
+    if table.M != GRID_TEMPLATE.M:
+        raise ValueError(f"AIR table was built for M={table.M}, "
+                         f"campaign runs M={GRID_TEMPLATE.M}")
     predictor = PredictorState(n_window=n_window, snr_margin_db=snr_margin_db)
 
     records = []
@@ -213,42 +216,32 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
         snr_true = float(trace.snr_db[n])
         for scheme in schemes:
             key = [seed, n, SCHEMES.index(scheme)]
-            rng = np.random.default_rng(np.random.SeedSequence(key))
-            snr_est = math.nan
-            if scheme != "adaptive":
-                entropy = fixed_entropy[scheme]
-            elif predictor.full:
+            entropy, snr_est = _BASE_ENTROPY[scheme], math.nan
+            adapts = scheme == "adaptive"
+            if adapts and predictor.full:
                 snr_est = predict_snr(predictor)
                 entropy, _, _ = select_rate(table, snr_est)
-            else:
-                entropy = warmup_entropy
-            air = 2.0 * entropy
-            rate = net_bit_rate(air)
 
-            if air == 0.0:
+            if entropy:
+                # entropy lies on the grid, so this is exactly its step
+                dist = grid_distribution(round(entropy / ENTROPY_STEP_BITS))
+                snr_meas, ngmi_val = measure(dist, snr_true, key, mc_symbols)
+            else:
                 # Nothing to transmit; probe the channel so the measured-SNR
                 # stream (and with it the predictor) never starves.
-                snr_meas, _ = _measure_analytic(_PROBE_DIST, snr_true, rng,
+                snr_meas, _ = _measure_analytic(_PROBE_DIST, snr_true, key,
                                                 mc_symbols)
                 ngmi_val = 0.0
-            else:
-                # entropy lies on the grid, so this is exactly its step
-                dist = grid_distribution(round(entropy / ENTROPY_STEP_BITS), tpl.M)
-                if mode == "analytic":
-                    snr_meas, ngmi_val = _measure_analytic(dist, snr_true, rng,
-                                                           mc_symbols)
-                else:
-                    snr_meas, ngmi_val = _measure_waveform(dist, snr_true, key)
-
-            if scheme == "adaptive":
+            if adapts:
                 predictor.push(snr_meas)
 
+            air = 2.0 * entropy
             records.append(IterationRecord(
                 n=n, t_s=float(trace.t_s[n]), scheme=scheme,
                 weather=trace.weather[n], snr_true_db=snr_true,
                 snr_meas_db=float(snr_meas), snr_est_db=float(snr_est),
-                entropy_bits=float(entropy), air=float(air),
-                rate_bps=float(rate), ngmi=float(ngmi_val),
+                entropy_bits=float(entropy), air=air,
+                rate_bps=net_bit_rate(air), ngmi=float(ngmi_val),
                 in_service=bool(ngmi_val >= table.ngmi_th),
             ))
     return records
@@ -366,7 +359,7 @@ def load_records(path) -> list:
 
 def sweep_predictor(trace: SnrTrace, table: AirTable, n_values, margins_db,
                     seed: int = 0,
-                    mc_symbols: int = 200_000) -> dict:
+                    mc_symbols: int = MCConfig.mc_symbols) -> dict:
     """Grid-sweep the predictor's window length and margin; returns
     {(N, margin): mean effective adaptive rate in bps}. Analytic mode only
     (the sweep exists to study the controller, not the waveform DSP)."""

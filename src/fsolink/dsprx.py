@@ -5,7 +5,8 @@ real-valued LMS stage, plus the block simulator that drives the chain.
 
 The chain is data-aided only where a real receiver could be: a known
 training prefix, the pilot sequence, and (for final scoring) the transmitted
-payload. Payload knowledge is never used for adaptation.
+payload. Payload knowledge never drives the equalizers, but the waveform-mode
+campaign adapts its rate on rx_chain's payload-EVM SNR.
 """
 
 from __future__ import annotations
@@ -215,13 +216,13 @@ def _adapt(stage: str, rails: np.ndarray, taps: int, stride: int,
     of the (R, R*taps) tap matrix starts as a center spike on rail r. After
     output o of step k the taps move by steps[k] * outer(error(k, o),
     conj(u)), one output at a time; the outputs between two updates see
-    fixed taps, so each such run is one matrix product. Every 256 outputs
-    the power per polarization (outputs are dual-pol: R complex rails or
-    R/2 real rail pairs) is checked against DIVERGENCE_FACTOR times the
-    input's per-polarization power per output; on failure EqualizerDiverged
-    carries a copy of the taps after that checkpoint's output. Returns the
-    (R, len(steps)) outputs and the (R, R, taps) taps, indexed [output
-    rail, input rail, tap].
+    fixed taps, so each such run is one matrix product. Each 256 outputs,
+    and the shorter last interval, have their mean power per polarization
+    (outputs are dual-pol: R complex rails or R/2 real rail pairs) checked
+    against DIVERGENCE_FACTOR times the input's per-polarization power per
+    output; on failure EqualizerDiverged carries a copy of the taps after
+    that checkpoint's output. Returns the (R, len(steps)) outputs and the
+    (R, R, taps) taps, indexed [output rail, input rail, tap].
     """
     n_rails, n_in = rails.shape
     n_out = steps.size
@@ -234,9 +235,9 @@ def _adapt(stage: str, rails: np.ndarray, taps: int, stride: int,
     limit = DIVERGENCE_FACTOR * in_power * stride
     out = np.empty((n_rails, n_out), dtype=rails.dtype)
 
-    # The watchdog's 256-output intervals, each cut at its updates: an
-    # update output adapts the taps, the outputs between updates are one
-    # product with the taps fixed.
+    # The watchdog's 256-output intervals (the last may be shorter), each cut
+    # at its updates: an update output adapts the taps, the outputs between
+    # updates are one product with the taps fixed.
     for start in range(0, n_out, 256):
         stop = min(start + 256, n_out)
         a = start
@@ -250,12 +251,11 @@ def _adapt(stage: str, rails: np.ndarray, taps: int, stride: int,
                 w += (steps[k] * error(k, o))[:, None] * u.conj()
             a = k + 1
 
-        if stop % 256 == 0:
-            power = float(np.sum(np.abs(out[:, start:stop]) ** 2)) / (2 * 256)
-            if not math.isfinite(power) or power > limit:
-                raise EqualizerDiverged(
-                    stage, f"output power {power:.3g} exceeds {limit:.3g}",
-                    w.reshape(n_rails, n_rails, taps).copy())
+        power = float(np.sum(np.abs(out[:, start:stop]) ** 2)) / (2 * (stop - start))
+        if not math.isfinite(power) or power > limit:
+            raise EqualizerDiverged(
+                stage, f"output power {power:.3g} exceeds {limit:.3g}",
+                w.reshape(n_rails, n_rails, taps).copy())
 
     return out, w.reshape(n_rails, n_rails, taps)
 

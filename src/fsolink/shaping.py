@@ -167,12 +167,15 @@ def solve_nu_for_entropy(h_target: float, template: ConstellationTemplate) -> fl
     return 0.5 * (lo + hi)
 
 
+GRID_TEMPLATE = ConstellationTemplate.square_qam(64)  # the link's constellation
+
+
 @functools.lru_cache(maxsize=None)
-def grid_distribution(steps: int, M: int) -> ShapedDistribution:
-    """Maxwell-Boltzmann distribution over square M-QAM whose entropy is
+def grid_distribution(steps: int) -> ShapedDistribution:
+    """Maxwell-Boltzmann distribution over GRID_TEMPLATE whose entropy is
     steps * ENTROPY_STEP_BITS; cached for the life of the process."""
-    tpl = ConstellationTemplate.square_qam(M)
-    return mb_distribution(solve_nu_for_entropy(steps * ENTROPY_STEP_BITS, tpl), tpl)
+    return mb_distribution(solve_nu_for_entropy(steps * ENTROPY_STEP_BITS,
+                                                GRID_TEMPLATE), GRID_TEMPLATE)
 
 
 @dataclass(frozen=True)

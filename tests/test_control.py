@@ -264,7 +264,8 @@ def test_campaign_rain_response(coarse_table):
     assert out_rain > out_clear
 
 
-def test_campaign_records_the_transmitted_entropy(monkeypatch):
+@pytest.mark.parametrize("mode", ["analytic", "waveform"])
+def test_campaign_records_the_transmitted_entropy(monkeypatch, mode):
     # A 9 -> 10 AIR ramp puts most predictions between grid steps.
     table = AirTable(snr_db=np.array([10.0, 20.0]), air=np.array([9.0, 10.0]),
                      ngmi_th=0.9, M=64, mc_symbols=1000, seed=0)
@@ -275,11 +276,14 @@ def test_campaign_records_the_transmitted_entropy(monkeypatch):
     measure = control._measure_analytic
 
     def spy(dist, *args):
+        # both measurements take the same arguments, so the waveform one
+        # can hand its call to the fast analytic one
         sent.append(dist)
         return measure(dist, *args)
 
-    monkeypatch.setattr(control, "_measure_analytic", spy)
-    records = run_campaign(trace, SCHEMES, table, seed=4, mc_symbols=2000)
+    monkeypatch.setattr(control, f"_measure_{mode}", spy)
+    records = run_campaign(trace, SCHEMES, table, mode=mode, seed=4,
+                           mc_symbols=2000)
     assert len(sent) == len(records)
     for r, dist in zip(records, sent):
         assert r.air == 2.0 * r.entropy_bits

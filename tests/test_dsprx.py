@@ -361,6 +361,18 @@ def test_lms_divergence_raises_with_weight_snapshot():
     assert exc.value.taps.shape == (4, 4, LMS_TAPS)
 
 
+def test_lms_divergence_in_a_block_shorter_than_a_watchdog_interval():
+    # 240 outputs never reach a 256th output, so only the check of the
+    # last, partial interval can catch the blow-up.
+    frame = build_tx_frame(DIST, 240, seed=10)
+    imp = ImpairmentConfig(combined_linewidth_hz=0.0, iq_amplitude_imbalance=0.05)
+    z = apply_impairments(frame.symbols.copy(), imp, SYMBOL_RATE)
+    with np.errstate(all="ignore"):
+        with pytest.raises(EqualizerDiverged) as exc:
+            lms_4x4(z, EqualizerConfig(lms_step=0.5), frame)
+    assert exc.value.stage == "lms"
+
+
 def test_lms_skew_ablation_gains_at_least_5db():
     # 0.4-sample IQ skew at 30 dB channel SNR; compare the full chain with
     # the 4x4 stage enabled vs bypassed on the same received block.
@@ -397,8 +409,9 @@ def _adapt_per_symbol(stage, rails, taps, stride, steps, error):
         if mu:
             w += mu * np.outer(error(k, o), u.conj())
 
-        if k % 256 == 255:
-            power = float(np.sum(np.abs(out[:, k - 255:k + 1]) ** 2)) / (2 * 256)
+        if k % 256 == 255 or k == steps.size - 1:
+            interval = out[:, k - k % 256:k + 1]
+            power = float(np.sum(np.abs(interval) ** 2)) / (2 * interval.shape[1])
             if not math.isfinite(power) or power > limit:
                 raise EqualizerDiverged(
                     stage, f"output power {power:.3g} exceeds {limit:.3g}",

@@ -257,6 +257,6 @@ def test_empty_payload_rejected():
 # ------------------------------------------------------------ entropy grid
 
 def test_grid_distribution_sits_on_the_entropy_grid():
-    dist = grid_distribution(473, 64)
+    dist = grid_distribution(473)
     assert dist.entropy_bits == pytest.approx(473 * ENTROPY_STEP_BITS, abs=1e-8)
-    assert grid_distribution(473, 64) is dist  # one solve per step and size
+    assert grid_distribution(473) is dist  # one solve per step
