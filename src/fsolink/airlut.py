@@ -8,14 +8,14 @@ and, through the frame overheads, to a net bit rate.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
+from .channel import _integer, _read_json, _real, _write_json
 from .metrics import awgn_link_metrics
 from .shaping import (
     ENTROPY_FLOOR_BITS,
@@ -53,66 +53,51 @@ class MCConfig:
             raise ValueError("Monte-Carlo symbol count must be positive")
 
 
-def _check_ngmi_th(ngmi_th: float) -> None:
-    if not 0.0 < ngmi_th < 1.0:
+def _check_grid(snr_db: np.ndarray, ngmi_th) -> None:
+    """What build_air_table checks before its first grid point."""
+    if snr_db.ndim != 1 or snr_db.size < 2:
+        raise ValueError("need at least two grid points")
+    if not np.all(np.isfinite(snr_db)):
+        raise ValueError("SNR grid must be finite")
+    if np.any(np.diff(snr_db) <= 0):
+        raise ValueError("SNR grid must be strictly increasing")
+    if not 0.0 < _real(ngmi_th, "AIR table NGMI threshold") < 1.0:
         raise ValueError(f"NGMI threshold must lie in (0, 1), got {ngmi_th}")
 
 
 @dataclass(frozen=True)
 class AirTable:
-    """Monotone SNR -> AIR map plus the provenance needed to rebuild it."""
+    """Monotone SNR -> AIR map plus the provenance needed to rebuild it.
+    Fields are in lut.json's key order."""
 
-    snr_db: np.ndarray
-    air: np.ndarray
     ngmi_th: float
     M: int
+    snr_db: np.ndarray
+    air: np.ndarray
     mc_symbols: int
     seed: int
 
     def __post_init__(self):
-        s = np.asarray(self.snr_db, dtype=float)
-        a = np.asarray(self.air, dtype=float)
-        if s.ndim != 1 or s.size < 2:
-            raise ValueError("need at least two grid points")
+        for name in ("M", "mc_symbols", "seed"):
+            _integer(getattr(self, name), f"AIR table {name}")
+        s = np.array([_real(v, "AIR table SNR") for v in self.snr_db], dtype=float)
+        a = np.array([_real(v, "AIR table AIR") for v in self.air], dtype=float)
+        _check_grid(s, self.ngmi_th)
         if s.shape != a.shape:
             raise ValueError("grid and AIR lengths differ")
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(a))):
-            raise ValueError("SNR grid and AIR must be finite")
-        if np.any(np.diff(s) <= 0):
-            raise ValueError("SNR grid must be strictly increasing")
         if np.any(np.diff(a) < 0):
             raise ValueError("AIR must be non-decreasing in SNR")
-        _check_ngmi_th(self.ngmi_th)
         if np.any(a < 0) or np.any(a > 2.0 * math.log2(self.M) + 1e-12):
             raise ValueError("AIR must lie in [0, 2 log2 M]")
         object.__setattr__(self, "snr_db", s)
         object.__setattr__(self, "air", a)
 
     def to_dict(self) -> dict:
-        return {
-            "ngmi_th": self.ngmi_th,
-            "M": self.M,
-            "snr_db": [float(v) for v in self.snr_db],
-            "air": [float(v) for v in self.air],
-            "mc_symbols": self.mc_symbols,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "AirTable":
-        try:
-            return cls(
-                snr_db=np.asarray(d["snr_db"], dtype=float),
-                air=np.asarray(d["air"], dtype=float),
-                ngmi_th=float(d["ngmi_th"]),
-                M=int(d["M"]),
-                mc_symbols=int(d["mc_symbols"]),
-                seed=int(d["seed"]),
-            )
-        except KeyError as e:
-            raise ValueError(f"AIR table is missing key {e.args[0]!r}") from None
-        except TypeError as e:
-            raise ValueError(f"AIR table field of the wrong type: {e}") from None
+        return cls(**d)
 
 
 _PLAN = RatePlan()  # the one rate plan the link runs
@@ -145,11 +130,7 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
     grid point at INFO.
     """
     grid = np.asarray(snr_grid_db, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("need at least two grid points")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("SNR grid must be strictly increasing")
-    _check_ngmi_th(ngmi_th)
+    _check_grid(grid, ngmi_th)
 
     h_hi_bits = math.log2(GRID_TEMPLATE.M)
     lo_steps = round(ENTROPY_FLOOR_BITS / ENTROPY_STEP_BITS)
@@ -202,17 +183,8 @@ def min_snr_for_air(table: AirTable, air_target: float) -> float:
 
 
 def save_air_table(table: AirTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, table.to_dict())
 
 
 def load_air_table(path) -> AirTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as e:  # JSON syntax, or bytes that are not UTF-8
-            raise ValueError(f"{path}: {e}") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: AIR table must be a JSON object")
-    return AirTable.from_dict(raw)
+    return _read_json(path, AirTable)

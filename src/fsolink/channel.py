@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,6 +60,20 @@ class SnrTrace:
         return self.t_s.size
 
 
+def _real(v, name: str):
+    """v, if it is a finite real number and not a bool (JSON true is not 1)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"{name} must be a finite number, got {v!r}")
+    return v
+
+
+def _integer(v, name: str):
+    """v, if it is an integer and not a bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class RainModelConfig:
     """Two-regime SNR process: piecewise mean with AR(1) fluctuations whose
@@ -75,11 +90,8 @@ class RainModelConfig:
     def __post_init__(self):
         for name in ("clear_mean_db", "clear_std_db", "rain_mean_drop_db",
                      "rain_std_db", "ar1_rho"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+            _real(getattr(self, name), name)
+        _integer(self.seed, "seed")
         if self.rain_std_db < self.clear_std_db:
             raise ValueError("rain must not have lower SNR variance than clear sky")
         if not 0.0 <= self.ar1_rho < 1.0:
@@ -179,10 +191,8 @@ class ImpairmentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        vals = [self.combined_linewidth_hz, self.freq_offset_hz, self.pol_rotation_rad,
-                self.iq_amplitude_imbalance, self.iq_phase_imbalance_rad, self.iq_skew_samples]
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("impairment values must be finite")
+        for f in fields(self)[:-1]:  # every field but the seed
+            _real(getattr(self, f.name), f.name)
         if self.combined_linewidth_hz < 0:
             raise ValueError("linewidth must be >= 0")
 
@@ -270,17 +280,24 @@ def _cell(v) -> str:
     return repr(float(v))  # the shortest string that reads back exactly
 
 
+def _write_text(path, text: str) -> None:
+    """Write text as UTF-8 with LF line endings; an OSError names the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise OSError(f"cannot write {path}: {e}") from e
+
+
 def _write_csv(path, header, rows) -> None:
     """Write one header row, then the rows, as UTF-8 CSV with LF line
     endings: bools as true/false, integers and strings as str, any other
     real (numpy scalars included) as repr(float(v))."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(map(_cell, row) for row in rows)
-    except OSError as e:
-        raise OSError(f"cannot write {path}: {e}") from e
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(map(_cell, row) for row in rows)
+    _write_text(path, buf.getvalue())
 
 
 def _read_csv(path, header, parsers) -> list:
@@ -323,11 +340,29 @@ def _read_csv(path, header, parsers) -> list:
     return rows
 
 
+def _write_json(path, obj) -> None:
+    """Write obj as UTF-8 JSON with LF line endings, two-space indent and
+    a final newline; numpy arrays are written as lists."""
+    _write_text(path, json.dumps(obj, indent=2, default=np.ndarray.tolist) + "\n")
+
+
+def _read_json(path, build):
+    """Read a UTF-8 file holding one JSON object and return build(**obj).
+    Any ValueError or TypeError (syntax, a byte that is not UTF-8, a
+    non-object, a missing, unknown or wrong-typed key, a broken invariant)
+    becomes one ValueError `path: ...`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        return build(**obj)
+    except (ValueError, TypeError) as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def _finite_float(cell: str) -> float:
-    v = float(cell)
-    if not math.isfinite(v):
-        raise ValueError(f"non-finite value {cell!r}")
-    return v
+    return _real(float(cell), "value")
 
 
 def save_trace(trace: SnrTrace, path) -> None:

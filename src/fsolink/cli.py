@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -21,6 +19,8 @@ from .airlut import MCConfig, build_air_table, load_air_table, save_air_table
 from .channel import (
     SAMPLING_PERIOD_S,
     RainModelConfig,
+    _read_json,
+    _real,
     default_rain_config,
     gen_trace,
     load_trace,
@@ -43,11 +43,9 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {spec!r}")
     try:
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_real(float(p), "grid value") for p in parts)
     except ValueError:
-        raise ValueError(f"grid values must be numeric, got {spec!r}") from None
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ValueError(f"grid values must be finite, got {spec!r}")
+        raise ValueError(f"grid values must be finite numbers, got {spec!r}") from None
     if step <= 0 or stop <= start:
         raise ValueError(f"grid needs stop > start and step > 0, got {spec!r}")
     n = int(round((stop - start) / step))
@@ -59,21 +57,15 @@ def _rain_config_from_json(path: str | None, seed: int | None) -> tuple:
     """Load a RainModelConfig (plus sampling period) from a JSON file, or
     fall back to the calibrated default."""
     if path is None:
-        cfg = default_rain_config()
-        period = SAMPLING_PERIOD_S
+        cfg, period = default_rain_config(), SAMPLING_PERIOD_S
     else:
-        with open(path, encoding="utf-8") as f:
-            try:
-                raw = json.load(f)
-            except ValueError as e:  # JSON syntax, or bytes that are not UTF-8
-                raise ValueError(f"{path}: {e}") from None
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: rain model must be a JSON object")
-        try:
-            period = float(raw.pop("sampling_period_s", SAMPLING_PERIOD_S))
-            cfg = RainModelConfig(**raw)
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"{path}: {e}") from None
+        def build(sampling_period_s=SAMPLING_PERIOD_S, **fields):
+            if _real(sampling_period_s, "sampling_period_s") <= 0:
+                raise ValueError("sampling_period_s must be positive, "
+                                 f"got {sampling_period_s!r}")
+            return RainModelConfig(**fields), float(sampling_period_s)
+
+        cfg, period = _read_json(path, build)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     return cfg, period

@@ -11,7 +11,6 @@ threshold; everything else is discarded as outage.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .airlut import AirTable, MCConfig, air_for_rate, lookup_air, net_bit_rate
-from .channel import SnrTrace, _finite_float, _read_csv, _write_csv
+from .channel import SnrTrace, _finite_float, _read_csv, _real, _write_csv, _write_json
 from .metrics import awgn_link_metrics
 from .shaping import (
     ENTROPY_FLOOR_BITS,
@@ -62,8 +61,7 @@ class PredictorState:
     def __post_init__(self):
         if self.n_window < 1:
             raise ValueError("window length must be >= 1")
-        if not math.isfinite(self.snr_margin_db):
-            raise ValueError("margin must be finite")
+        _real(self.snr_margin_db, "margin")
 
     @property
     def full(self) -> bool:
@@ -109,8 +107,11 @@ class IterationRecord:
 
     Out-of-service iterations (air = 0) carry ngmi = 0.0 by convention:
     no payload exists to score, and the convention keeps the invariant
-    in_service == (ngmi >= threshold) exact. snr_est_db is NaN while the
-    predictor window is still filling and for the fixed schemes.
+    in_service == (ngmi >= threshold) exact. A waveform-mode iteration whose
+    rx_chain raises a StageError is an outage too: it keeps its attempted
+    entropy, air and rate, with ngmi = 0.0 and the QPSK probe's SNR.
+    snr_est_db is NaN while the predictor window is still filling and for
+    the fixed schemes.
     """
 
     n: int
@@ -165,13 +166,22 @@ def _measure_analytic(dist: ShapedDistribution, snr_db: float, key,
     return rep.snr_db, rep.ngmi
 
 
+def _probe(snr_db: float, key, n_symbols: int):
+    """Nothing to score: a uniform-QPSK probe keeps the measured-SNR stream,
+    and with it the predictor, running. NGMI is 0 by convention."""
+    return _measure_analytic(_PROBE_DIST, snr_db, key, n_symbols)[0], 0.0
+
+
 def _measure_waveform(dist: ShapedDistribution, snr_db: float, key,
                       n_symbols: int):
-    from .dsprx import EqualizerConfig, rx_chain, simulate_block
+    from .dsprx import EqualizerConfig, StageError, rx_chain, simulate_block
 
     cfg = EqualizerConfig()
     frame, rx = simulate_block(dist, snr_db, None, cfg, seed=key)
-    res = rx_chain(rx, frame, cfg)
+    try:
+        res = rx_chain(rx, frame, cfg)
+    except StageError:  # a failed DSP block is an outage
+        return _probe(snr_db, key, n_symbols)
     return res.report.snr_db, res.report.ngmi
 
 
@@ -227,11 +237,7 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
                 dist = grid_distribution(round(entropy / ENTROPY_STEP_BITS))
                 snr_meas, ngmi_val = measure(dist, snr_true, key, mc_symbols)
             else:
-                # Nothing to transmit; probe the channel so the measured-SNR
-                # stream (and with it the predictor) never starves.
-                snr_meas, _ = _measure_analytic(_PROBE_DIST, snr_true, key,
-                                                mc_symbols)
-                ngmi_val = 0.0
+                snr_meas, ngmi_val = _probe(snr_true, key, mc_symbols)
             if adapts:
                 predictor.push(snr_meas)
 
@@ -318,13 +324,7 @@ def emit_report(report: CampaignReport, records, out_dir) -> None:
     _write_csv(out / "records.csv", RECORD_COLUMNS,
                ([getattr(r, c) for c in RECORD_COLUMNS] for r in records))
 
-    summary = out / "summary.json"
-    text = json.dumps(asdict(report), indent=2,
-                      default=np.ndarray.tolist)
-    try:
-        summary.write_text(text + "\n", encoding="utf-8", newline="")
-    except OSError as e:
-        raise OSError(f"cannot write {summary}: {e}") from e
+    _write_json(out / "summary.json", asdict(report))
 
     base = next(iter(groups.values()))
 

@@ -1,8 +1,10 @@
 """SNR -> AIR lookup table and the exact rate arithmetic around it."""
 
+import dataclasses
 import json
 import logging
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -190,5 +192,41 @@ def test_json_round_trip_and_schema(tmp_path):
 def test_load_rejects_missing_key(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"ngmi_th": 0.9, "M": 64, "snr_db": [1, 2]}))
-    with pytest.raises(ValueError, match="missing key"):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") +
+                       r".*missing .*'air', 'mc_symbols', and 'seed'"):
         load_air_table(path)
+
+
+# lut.json as save_air_table wrote it before the table went through the
+# shared JSON codec
+PARENT_LUT = """{
+  "ngmi_th": 0.9,
+  "M": 64,
+  "snr_db": [
+    0.0,
+    15.0,
+    30.0
+  ],
+  "air": [
+    0.0,
+    8.36,
+    12.0
+  ],
+  "mc_symbols": 20000,
+  "seed": 7
+}
+"""
+
+
+def test_table_codec_round_trips(tmp_path):
+    path, again = tmp_path / "lut.json", tmp_path / "again.json"
+    path.write_text(PARENT_LUT, encoding="utf-8")
+    table = load_air_table(path)
+    save_air_table(table, again)
+    assert again.read_bytes() == path.read_bytes()
+    built = build_air_table([10.0, 20.0], MCConfig(mc_symbols=1000, seed=3))
+    for t in (table, built):
+        back = AirTable.from_dict(t.to_dict())
+        for f in dataclasses.fields(AirTable):
+            assert np.array_equal(getattr(back, f.name), getattr(t, f.name))
+            assert type(getattr(back, f.name)) is type(getattr(t, f.name))

@@ -152,7 +152,7 @@ def test_gen_trace_rejects_bad_sampling_period(tmp_path, capsys):
                    "--out", str(tmp_path / "t.csv")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: sampling period must be positive")
+        assert err.startswith(f"error: {cfg_path}: sampling_period_s must be positive")
         assert err.count("\n") == 1
 
 
@@ -192,18 +192,69 @@ def small_campaign(tmp_path):
     return trace, lut, tmp_path / "results"
 
 
-def test_json_inputs_must_be_objects(small_campaign, capsys):
+DROP = object()
+
+
+def _edited(**changes):
+    """The valid input with keys changed (dropped where the value is DROP),
+    as JSON bytes."""
+    def make(doc):
+        doc = {**doc, **changes}
+        return json.dumps({k: v for k, v in doc.items() if v is not DROP}).encode()
+    return make
+
+
+# (case, the malformed bytes made from the valid input, what the error says)
+_BAD_JSON_EITHER = [
+    ("syntax", lambda doc: b"{bad", "Expecting property name"),
+    ("latin-1", lambda doc: json.dumps(doc).encode().replace(b"seed", b"s\xe9ed"),
+     "can't decode byte 0xe9"),
+    ("array", lambda doc: b"[1, 2]", "expected a JSON object"),
+    ("unknown-key", _edited(extra=1), "unexpected keyword argument 'extra'"),
+    ("float-seed", _edited(seed=2.5), "seed must be an integer, got 2.5"),
+    ("string-seed", _edited(seed="7"), "seed must be an integer, got '7'"),
+    ("bool-seed", _edited(seed=True), "seed must be an integer, got True"),
+]
+_BAD_JSON = [pytest.param(command, make, text, id=f"{command}-{case}")
+             for command in ("run", "gen-trace")
+             for case, make, text in _BAD_JSON_EITHER] + [
+    pytest.param("run", _edited(seed=DROP), "missing .*'seed'", id="run-missing-key"),
+    pytest.param("run", _edited(M=64.9), "AIR table M must be an integer, got 64.9",
+                 id="run-float-M"),
+    pytest.param("run", _edited(mc_symbols=2.5),
+                 "AIR table mc_symbols must be an integer, got 2.5",
+                 id="run-float-mc_symbols"),
+    pytest.param("run", _edited(snr_db=["26", "28", "30"]),
+                 "AIR table SNR must be a finite number, got '26'",
+                 id="run-string-SNR"),
+    pytest.param("run", _edited(snr_db=[30.0, 28.0, 26.0]),
+                 "SNR grid must be strictly increasing", id="run-invariant"),
+    pytest.param("gen-trace", _edited(ar1_rho=DROP), "missing .*'ar1_rho'",
+                 id="gen-trace-missing-key"),
+    pytest.param("gen-trace", _edited(sampling_period_s=True),
+                 "sampling_period_s must be a finite number, got True",
+                 id="gen-trace-bool-period"),
+    pytest.param("gen-trace", _edited(rain_std_db=0.0),
+                 "rain must not have lower SNR variance", id="gen-trace-invariant"),
+]
+
+
+@pytest.mark.parametrize("command, make, text", _BAD_JSON)
+def test_json_inputs_must_be_objects(small_campaign, capsys, command, make, text):
+    # every malformed --lut or --config file gives one error line naming it
     trace, lut, out = small_campaign
-    array = out.parent / "array.json"
-    array.write_text("[1, 2]")
-    for args in (["gen-trace", "--config", str(array),
-                  "--out", str(out.parent / "t.csv")],
-                 ["run", "--trace", str(trace), "--lut", str(array),
-                  "--out", str(out)]):
-        assert main(args) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert str(array) in err and "JSON object" in err
+    good = {"run": lut, "gen-trace": out.parent / "model.json"}[command]
+    bad = out.parent / "bad.json"
+    bad.write_bytes(make(json.loads(good.read_text())))
+    args = {"run": ["run", "--trace", str(trace), "--lut", str(bad),
+                    "--out", str(out)],
+            "gen-trace": ["gen-trace", "--config", str(bad),
+                          "--out", str(out.parent / "t.csv")]}[command]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert re.search(text, err)
 
 
 def test_run_campaign_end_to_end(small_campaign, capsys):
@@ -256,7 +307,7 @@ def test_run_rejects_wrong_typed_lut_field(small_campaign, capsys, field):
                "--out", str(results)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: AIR table") and err.count("\n") == 1
+    assert err.startswith(f"error: {lut}: AIR table") and err.count("\n") == 1
 
 
 def test_run_rejects_unknown_scheme(small_campaign, capsys):
@@ -337,22 +388,6 @@ def test_report_rejects_bad_records_without_rewriting(small_campaign, capsys,
     assert err.startswith("error:") and err.count("\n") == 1
     assert re.search(message, err)
     assert {f.name: f.read_bytes() for f in results.iterdir()} == before
-
-
-@pytest.mark.parametrize("command", ["run", "gen-trace"])
-def test_json_syntax_errors_name_the_file(small_campaign, capsys, command):
-    trace, lut, out = small_campaign
-    bad = out.parent / "bad.json"
-    bad.write_text("{bad")
-    args = {"run": ["run", "--trace", str(trace), "--lut", str(bad),
-                    "--out", str(out)],
-            "gen-trace": ["gen-trace", "--config", str(bad),
-                          "--out", str(out.parent / "t.csv")]}[command]
-    capsys.readouterr()
-    assert main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: Expecting property name")
-    assert err.count("\n") == 1
 
 
 def test_report_missing_records(tmp_path, capsys):

@@ -294,6 +294,30 @@ def test_campaign_records_the_transmitted_entropy(monkeypatch, mode):
                if r.scheme == "adaptive" and not math.isnan(r.snr_est_db))
 
 
+def test_failed_dsp_block_is_an_outage_not_an_abort(monkeypatch):
+    from fsolink import dsprx
+
+    def diverge(rx, frame, cfg):
+        raise dsprx.EqualizerDiverged("lms", "output power inf exceeds 10",
+                                      np.zeros((2, 2, 3)))
+
+    monkeypatch.setattr(dsprx, "rx_chain", diverge)
+    trace = _const_trace(20.0, 2)
+    records = run_campaign(trace, ("fixed400", "adaptive"), _toy_table(),
+                           mode="waveform", seed=2, n_window=1,
+                           mc_symbols=2000)
+    assert len(records) == 4
+    for r in records:
+        key = [2, r.n, SCHEMES.index(r.scheme)]
+        probe_snr, _ = control._measure_analytic(control._PROBE_DIST, 20.0,
+                                                 key, 2000)
+        assert r.ngmi == 0.0 and not r.in_service
+        assert r.entropy_bits > 0.0 and r.air == 2.0 * r.entropy_bits
+        assert r.snr_meas_db == probe_snr
+    # the predictor kept running on the probe's SNR
+    assert not math.isnan(records[-1].snr_est_db)
+
+
 def test_campaign_scheme_records_do_not_depend_on_companions():
     trace = SnrTrace(t_s=25.0 * np.arange(10), snr_db=np.linspace(9.0, 17.0, 10),
                      weather=(CLEAR,) * 10)
