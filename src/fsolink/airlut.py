@@ -100,23 +100,20 @@ class AirTable:
         return cls(**d)
 
 
-_PLAN = RatePlan()  # the one rate plan the link runs
-
-
 def net_bit_rate(air_bits: float) -> float:
     """Net information rate in bit/s: AIR (bits per dual-pol symbol) times
     the rate plan's net symbol rate, in exact rational arithmetic."""
-    if not 0 <= air_bits <= _PLAN.max_air_bits:
-        raise ValueError(f"AIR {air_bits} outside [0, {_PLAN.max_air_bits}]")
-    return float(Fraction(air_bits) * _PLAN.net_symbol_rate)
+    if not 0 <= air_bits <= RatePlan.max_air_bits:
+        raise ValueError(f"AIR {air_bits} outside [0, {RatePlan.max_air_bits}]")
+    return float(Fraction(air_bits) * RatePlan.net_symbol_rate)
 
 
 def air_for_rate(rate_bps: float) -> float:
     """Exact inverse of net_bit_rate."""
-    max_rate = Fraction(_PLAN.max_air_bits) * _PLAN.net_symbol_rate
+    max_rate = Fraction(RatePlan.max_air_bits) * RatePlan.net_symbol_rate
     if not 0 <= rate_bps <= max_rate:
         raise ValueError(f"rate {rate_bps} outside [0, {float(max_rate)}]")
-    return float(Fraction(rate_bps) / _PLAN.net_symbol_rate)
+    return float(Fraction(rate_bps) / RatePlan.net_symbol_rate)
 
 
 def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),

@@ -60,10 +60,12 @@ class SnrTrace:
         return self.t_s.size
 
 
-def _real(v, name: str):
-    """v, if it is a finite real number and not a bool (JSON true is not 1)."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-        raise ValueError(f"{name} must be a finite number, got {v!r}")
+def _real(v, name: str, finite: bool = True):
+    """v, if it is a real number, not a bool (JSON true is not 1) and not
+    NaN; +-inf passes only when not `finite`."""
+    if (isinstance(v, bool) or not isinstance(v, numbers.Real) or math.isnan(v)
+            or finite and math.isinf(v)):
+        raise ValueError(f"{name} must be a {'finite ' * finite}number, got {v!r}")
     return v
 
 
@@ -96,7 +98,8 @@ class RainModelConfig:
             raise ValueError("rain must not have lower SNR variance than clear sky")
         if not 0.0 <= self.ar1_rho < 1.0:
             raise ValueError("AR(1) correlation must lie in [0, 1)")
-        iv = tuple((float(a), float(b)) for a, b in self.rain_intervals)
+        iv = tuple(tuple(float(_real(v, "rain interval bound", finite=False)) for v in ab)
+                   for ab in self.rain_intervals)
         last_end = -math.inf
         for a, b in iv:
             if b <= a:

@@ -35,6 +35,8 @@ from .control import (
     run_campaign,
 )
 
+__all__ = ["build_parser", "main"]
+
 
 def _parse_grid(spec: str) -> np.ndarray:
     """Parse 'start:stop:step' (stop inclusive) into a strictly increasing

@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ImpairmentConfig, _dual_pol, apply_impairments, awgn_transmit
 from .metrics import MetricReport, evm_percent, gmi_from_samples
-from .shaping import PilotFrame, RatePlan, ShapedDistribution, insert_pilots
+from .shaping import PILOT_SPACING, RatePlan, ShapedDistribution, insert_pilots, pilot_mask
 
 __all__ = [
     "EqualizerConfig",
@@ -32,13 +32,14 @@ __all__ = [
     "gram_schmidt",
     "cma_butterfly",
     "frequency_recovery",
+    "cpe_phase",
     "lms_4x4",
     "build_tx_frame",
     "simulate_block",
     "rx_chain",
 ]
 
-SYMBOL_RATE = float(RatePlan().gross_symbol_rate)  # symbols/s
+SYMBOL_RATE = float(RatePlan.gross_symbol_rate)  # symbols/s
 SPS = 2  # samples per symbol on the waveform path
 RRC_BETA = 0.35  # root-raised-cosine roll-off
 RRC_SPAN_SYMBOLS = 16  # RRC length, symbol periods
@@ -116,12 +117,13 @@ class EqualizerConfig:
 
 
 @dataclass(frozen=True)
-class TxFrame(PilotFrame):
-    """Transmitted dual-pol frame: the (2, n_sym) unit-power symbol stream
-    and its pilot positions, which every pilot-aided receiver stage reads as
-    its reference, plus the bookkeeping the scorer needs. point_idx is -1 at
+class TxFrame:
+    """Transmitted dual-pol frame: the (2, n_sym) unit-power symbol stream,
+    which every pilot-aided receiver stage reads at `pilot_mask` as its
+    reference, plus the bookkeeping the scorer needs. point_idx is -1 at
     pilot positions."""
 
+    symbols: np.ndarray  # (2, n_sym) complex, pilots at pilot_mask(n_sym)
     point_idx: np.ndarray  # (2, n_sym) int, constellation index or -1
     dist: ShapedDistribution
 
@@ -187,15 +189,15 @@ def _wrap_phase(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _pilot_mask(n: int, reference: PilotFrame) -> np.ndarray:
-    """The reference's pilot mask over the first n symbols, which the
-    reference must cover: the input check of every pilot-aided stage."""
+def _pilot_mask(n: int, reference: TxFrame) -> np.ndarray:
+    """pilot_mask(n), given a reference that covers the first n symbols:
+    the input check of every pilot-aided stage."""
     if reference.symbols.shape[1] < n:
         raise ValueError("reference shorter than the symbol stream")
-    return reference.pilot_mask[:n]
+    return pilot_mask(n)
 
 
-def _step_schedule(n: int, cfg: EqualizerConfig, reference: PilotFrame,
+def _step_schedule(n: int, cfg: EqualizerConfig, reference: TxFrame,
                    warm: float, track: float) -> np.ndarray:
     """Per-output adaptation step over the first n symbols of the reference:
     `warm` on every training symbol, `track` at the pilots after the
@@ -261,7 +263,7 @@ def _adapt(stage: str, rails: np.ndarray, taps: int, stride: int,
 
 
 def cma_butterfly(samples: np.ndarray, cfg: EqualizerConfig,
-                  reference: PilotFrame):
+                  reference: TxFrame):
     """2x2 butterfly equalizer of CMA_TAPS-tap filters over the (2, N*SPS)
     samples, one output symbol per SPS input samples.
 
@@ -299,7 +301,7 @@ def cma_butterfly(samples: np.ndarray, cfg: EqualizerConfig,
     return _adapt("cma", samples, CMA_TAPS, SPS, steps, error)
 
 
-def _pilot_phasors(symbols, reference: PilotFrame):
+def _pilot_phasors(symbols, reference: TxFrame):
     """Return (dual-pol symbols, pilot positions, (2, n_pilots) received
     pilots times the conjugate of the reference's), given at least two
     pilots among the symbols."""
@@ -310,29 +312,21 @@ def _pilot_phasors(symbols, reference: PilotFrame):
     return z, pos, z[:, pos] * np.conj(reference.symbols[:, pos])
 
 
-def _modal_spacing(positions: np.ndarray) -> int:
-    diffs = np.diff(positions)
-    vals, counts = np.unique(diffs, return_counts=True)
-    return int(vals[np.argmax(counts)])
-
-
-def frequency_recovery(symbols: np.ndarray, reference: PilotFrame):
+def frequency_recovery(symbols: np.ndarray, reference: TxFrame):
     """Estimate and remove a common carrier frequency offset from the mean
     phase increment between consecutive pilots.
 
     Returns (corrected symbols, offset_hz, ambiguous). The estimator is
-    unambiguous for |offset| < SYMBOL_RATE / (2 * pilot spacing); estimates
+    unambiguous for |offset| < SYMBOL_RATE / (2 * PILOT_SPACING); estimates
     whose mean increment approaches +-pi raise the ambiguity flag.
     """
-    z, pos, phasors = _pilot_phasors(symbols, reference)
-    spacing = _modal_spacing(pos)
-    keep = np.diff(pos) == spacing
+    z, _, phasors = _pilot_phasors(symbols, reference)
     acc = 0.0 + 0.0j
     for r in phasors:
-        acc += np.sum(r[1:][keep] * np.conj(r[:-1][keep]))
+        acc += np.sum(r[1:] * np.conj(r[:-1]))
     dphi = float(np.angle(acc))
     ambiguous = abs(dphi) > 0.9 * math.pi
-    offset_hz = dphi * SYMBOL_RATE / (2.0 * math.pi * spacing)
+    offset_hz = dphi * SYMBOL_RATE / (2.0 * math.pi * PILOT_SPACING)
     t = np.arange(z.shape[1]) / SYMBOL_RATE
     corrected = z * np.exp(-2j * math.pi * offset_hz * t)[None, :]
     return corrected, offset_hz, ambiguous
@@ -354,7 +348,7 @@ def _interp_with_tails(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndar
     return y
 
 
-def cpe_phase(symbols: np.ndarray, reference: PilotFrame) -> np.ndarray:
+def cpe_phase(symbols: np.ndarray, reference: TxFrame) -> np.ndarray:
     """Carrier phase trajectory estimate, (2, N) radians per polarization
     and symbol position; each polarization is estimated on its own.
 
@@ -381,7 +375,7 @@ def _iq_rails(z: np.ndarray) -> np.ndarray:
 
 
 def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
-            reference: PilotFrame,
+            reference: TxFrame,
             carrier_phase: np.ndarray | None = None):
     """4x4 real-valued LMS over the rails (XI, XQ, YI, YQ) at 1 sample per
     symbol: 16 real FIR filters of LMS_TAPS, able to undo IQ skew and
@@ -419,29 +413,20 @@ def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
 def build_tx_frame(dist: ShapedDistribution, n_symbols: int, seed) -> TxFrame:
     """Assemble a dual-pol pilot-framed stream of exactly n_symbols symbols
     per polarization (n_symbols must fill whole pilot frames)."""
-    pilot_rate = RatePlan().pilot_rate
-    num, den = pilot_rate.numerator, pilot_rate.denominator
-    if n_symbols % den:
-        raise ValueError(f"symbol count must be a multiple of {den}")
-    n_payload = n_symbols * num // den
+    if n_symbols % PILOT_SPACING:
+        raise ValueError(f"symbol count must be a multiple of {PILOT_SPACING}")
+    mask = pilot_mask(n_symbols)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     data_seed, pilot_x, pilot_y = ss.spawn(3)
     rng = np.random.default_rng(data_seed)
 
-    idx = rng.choice(dist.template.M, size=(2, n_payload), p=dist.p)
+    idx = rng.choice(dist.template.M, size=(2, n_symbols - int(mask.sum())), p=dist.p)
     alphabet = dist.tx_points()
-    symbols = np.empty((2, n_symbols), dtype=complex)
+    symbols = np.stack([insert_pilots(alphabet[row], seed=int(pseed.generate_state(1)[0]))
+                        for row, pseed in zip(idx, (pilot_x, pilot_y))])
     point_idx = np.full((2, n_symbols), -1, dtype=np.int64)
-    mask = None
-    for pol, pseed in ((0, pilot_x), (1, pilot_y)):
-        frame = insert_pilots(alphabet[idx[pol]], pilot_rate,
-                              seed=int(pseed.generate_state(1)[0]))
-        if frame.symbols.size != n_symbols:
-            raise AssertionError("framing arithmetic is off")
-        symbols[pol] = frame.symbols
-        point_idx[pol, ~frame.pilot_mask] = idx[pol]
-        mask = frame.pilot_mask
-    return TxFrame(symbols=symbols, pilot_mask=mask, point_idx=point_idx, dist=dist)
+    point_idx[:, ~mask] = idx
+    return TxFrame(symbols=symbols, point_idx=point_idx, dist=dist)
 
 
 def simulate_block(dist: ShapedDistribution, snr_db: float,
@@ -496,13 +481,14 @@ def rx_chain(waveform: np.ndarray, frame: TxFrame, cfg: EqualizerConfig) -> Chai
         z, _ = guard("lms", lms_4x4, z, cfg, frame, removed_phase)
 
     n_sym = frame.symbols.shape[1]
+    pilots = pilot_mask(n_sym)
     scored = np.zeros(n_sym, dtype=bool)
     scored[cfg.training_symbols:max(cfg.training_symbols, n_sym - GUARD_SYMBOLS)] = True
-    payload = scored & ~frame.pilot_mask
+    payload = scored & ~pilots
     if not payload.any():
         raise StageError("metrics", "no payload symbols left to score")
 
-    settled = scored & frame.pilot_mask
+    settled = scored & pilots
     err = z[:, settled] - frame.symbols[:, settled]
     noise_var_est = max(float(np.mean(np.abs(err) ** 2)), 1e-12)
 

@@ -15,10 +15,10 @@ __all__ = [
     "ConstellationTemplate",
     "ShapedDistribution",
     "RatePlan",
-    "PilotFrame",
     "mb_distribution",
     "solve_nu_for_entropy",
     "grid_distribution",
+    "pilot_mask",
     "insert_pilots",
 ]
 
@@ -101,7 +101,7 @@ class ShapedDistribution:
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "entropy_bits", entropy_bits(p))
+        object.__setattr__(self, "entropy_bits", _entropy_bits(p))
 
     @property
     def avg_power(self) -> float:
@@ -114,7 +114,7 @@ class ShapedDistribution:
         return self.template.points / math.sqrt(self.avg_power)
 
 
-def entropy_bits(p: np.ndarray) -> float:
+def _entropy_bits(p: np.ndarray) -> float:
     """Shannon entropy in bits; zero-probability points contribute nothing."""
     p = np.asarray(p, dtype=float)
     nz = p[p > 0]
@@ -178,65 +178,41 @@ def grid_distribution(steps: int) -> ShapedDistribution:
                                                 GRID_TEMPLATE), GRID_TEMPLATE)
 
 
-@dataclass(frozen=True)
+PILOT_SPACING = 16  # symbols per frame: one pilot, then the payload
+
+
+def pilot_mask(n: int) -> np.ndarray:
+    """True at the pilots of an n-symbol framed stream: the head of each
+    frame of PILOT_SPACING symbols."""
+    return np.arange(n) % PILOT_SPACING == 0
+
+
 class RatePlan:
     """Static rate structure of the transmitted frame, turning AIR into net
     bit-rate."""
 
-    gross_symbol_rate: int = 64_000_000_000  # symbols/s
-    fec_rate: Fraction = Fraction(5, 6)
-    pilot_rate: Fraction = Fraction(15, 16)
-    max_air_bits: float = 12.0  # two polarizations of a 64-point template
-
-    def __post_init__(self):
-        if not 0 < self.fec_rate <= 1 or not 0 < self.pilot_rate < 1:
-            raise ValueError("rates must lie in (0, 1]")
-
-    @property
-    def net_symbol_rate(self) -> Fraction:
-        """Payload symbol rate after FEC and pilot overhead, exact."""
-        return self.gross_symbol_rate * self.fec_rate * self.pilot_rate
+    __slots__ = ()  # the plan is fixed: instances carry no settable field
+    gross_symbol_rate = 64_000_000_000  # symbols/s
+    fec_rate = Fraction(5, 6)
+    pilot_rate = Fraction(PILOT_SPACING - 1, PILOT_SPACING)
+    max_air_bits = 12.0  # two polarizations of a 64-point template
+    net_symbol_rate = gross_symbol_rate * fec_rate * pilot_rate  # payload, exact
 
 
 _QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2)
 
 
-@dataclass(frozen=True)
-class PilotFrame:
-    """Pilot-bearing symbol stream and where its pilots sit."""
-
-    symbols: np.ndarray  # complex, payload with pilots interleaved
-    pilot_mask: np.ndarray  # bool, True at pilot positions
-
-
-def insert_pilots(payload: np.ndarray, pilot_rate: Fraction,
-                  seed: int = 0) -> PilotFrame:
-    """Interleave seeded pseudo-random unit-power QPSK pilots into a
-    payload stream.
-
-    For rate P/D each frame of D slots carries D-P pilots, spread evenly
-    from slot 0, and P payload symbols; a unit-power payload (such as
-    `ShapedDistribution.tx_points`) keeps unit power after framing. A
-    partial last frame ends just before its first payload slot with no
-    payload left.
-    """
-    if not 0 < pilot_rate < 1:
-        raise ValueError(f"pilot rate must lie in (0, 1), got {pilot_rate}")
+def insert_pilots(payload: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Frame a payload stream, which must fill whole frames of
+    PILOT_SPACING - 1 symbols: a seeded pseudo-random unit-power QPSK pilot
+    heads each frame. A unit-power payload (such as
+    `ShapedDistribution.tx_points`) keeps unit power after framing."""
     payload = np.asarray(payload)
-    if payload.size == 0:
-        raise ValueError("payload is empty")
-
-    num, den = pilot_rate.numerator, pilot_rate.denominator
-    n_p = den - num
-    slots = np.zeros(den, dtype=bool)
-    slots[(np.arange(n_p) * den) // n_p] = True
-    mask = np.tile(slots, -(-payload.size // num))
-    if payload.size % num:
-        mask = mask[:np.flatnonzero(~mask)[payload.size]]
-    rng = np.random.default_rng(seed)
-    pilots = _QPSK[rng.integers(0, 4, int(mask.sum()))]
-
-    symbols = np.empty(mask.size, dtype=complex)
-    symbols[mask] = pilots
-    symbols[~mask] = payload
-    return PilotFrame(symbols=symbols, pilot_mask=mask)
+    n_frames, rest = divmod(payload.size, PILOT_SPACING - 1)
+    if n_frames == 0 or rest:
+        raise ValueError(f"payload of {payload.size} symbols does not fill "
+                         f"whole frames of {PILOT_SPACING - 1}")
+    frames = np.empty((n_frames, PILOT_SPACING), dtype=complex)
+    frames[:, 0] = _QPSK[np.random.default_rng(seed).integers(0, 4, n_frames)]
+    frames[:, 1:] = payload.reshape(n_frames, -1)
+    return frames.ravel()

@@ -66,9 +66,11 @@ def test_rate_round_trip_is_exact():
                                                                      abs=1e-12)
 
 
-def test_rate_plan_validation():
-    with pytest.raises(ValueError):
+def test_rate_plan_is_fixed():
+    with pytest.raises(TypeError):
         RatePlan(fec_rate=Fraction(7, 6))
+    with pytest.raises(AttributeError):
+        RatePlan().fec_rate = Fraction(7, 6)
 
 
 # ------------------------------------------------------------- table type

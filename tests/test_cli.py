@@ -174,6 +174,37 @@ def test_gen_trace_rejects_wrong_typed_config(tmp_path, capsys, field, value):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("interval", [
+    [True, "200"], [True, 200.0], [100.0, "200"], [float("nan"), 200.0],
+    [100.0, float("nan")], [None, 200.0],
+])
+def test_gen_trace_rejects_wrong_typed_rain_interval(tmp_path, capsys, interval):
+    cfg = {"clear_mean_db": 30.0, "clear_std_db": 0.01,
+           "rain_mean_drop_db": 1.0, "rain_std_db": 0.02, "ar1_rho": 0.1,
+           "rain_intervals": [interval]}
+    cfg_path = tmp_path / "model.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["gen-trace", "--config", str(cfg_path),
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: rain interval bound must be a number")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_gen_trace_accepts_everlasting_rain(tmp_path):
+    cfg = {"clear_mean_db": 30.0, "clear_std_db": 0.01,
+           "rain_mean_drop_db": 1.0, "rain_std_db": 0.02, "ar1_rho": 0.1,
+           "rain_intervals": [[float("-inf"), float("inf")]]}
+    cfg_path = tmp_path / "model.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "t.csv"
+    assert main(["gen-trace", "--config", str(cfg_path), "--duration", "100",
+                 "--out", str(out)]) == 0
+    assert set(load_trace(out).weather) == {"rain"}
+
+
 # ---------------------------------------------------------------- run/report
 
 @pytest.fixture()

@@ -1,6 +1,7 @@
 """Receiver DSP chain: per-stage behavior on targeted impairments, no-op
 invariants on clean inputs, and end-to-end SNR budgets."""
 
+import dataclasses
 import math
 import time
 from unittest import mock
@@ -36,9 +37,10 @@ from fsolink.dsprx import (
 )
 from fsolink.metrics import evm_percent, snr_from_evm
 from fsolink.shaping import (
+    PILOT_SPACING,
     ConstellationTemplate,
-    PilotFrame,
     mb_distribution,
+    pilot_mask,
     solve_nu_for_entropy,
 )
 
@@ -186,8 +188,7 @@ def test_cma_divergence_raises_with_tap_snapshot(clean_frame):
 
 def test_equalizers_reject_short_reference(clean_frame):
     frame, wf = clean_frame
-    short = PilotFrame(symbols=frame.symbols[:, :-1],
-                       pilot_mask=frame.pilot_mask[:-1])
+    short = dataclasses.replace(frame, symbols=frame.symbols[:, :-1])
     with pytest.raises(ValueError, match="reference shorter"):
         cma_butterfly(wf, CFG, reference=short)
     with pytest.raises(ValueError, match="reference shorter"):
@@ -218,9 +219,7 @@ def pilot_frame():
 
 
 def _one_pilot_reference():
-    mask = np.zeros(16, dtype=bool)
-    mask[0] = True
-    return PilotFrame(symbols=np.ones((2, 16), complex), pilot_mask=mask)
+    return build_tx_frame(DIST, PILOT_SPACING, seed=1)
 
 
 def test_foe_zero_offset(pilot_frame):
@@ -246,7 +245,7 @@ def test_foe_flags_ambiguity_edge(pilot_frame):
     frame = pilot_frame
     n = frame.symbols.shape[1]
     t = np.arange(n) / SYMBOL_RATE
-    f_edge = 0.97 * SYMBOL_RATE / 32  # pilot spacing 16 -> Nyquist at R/32
+    f_edge = 0.97 * SYMBOL_RATE / (2 * PILOT_SPACING)
     z = frame.symbols * np.exp(2j * np.pi * f_edge * t)
     _, offset, ambiguous = frequency_recovery(z, frame)
     assert ambiguous
@@ -568,3 +567,11 @@ def test_simulate_block_validates_sample_count():
 def test_build_tx_frame_validates_multiple_of_frame():
     with pytest.raises(ValueError):
         build_tx_frame(DIST, 1000, seed=0)
+
+
+def test_build_tx_frame_marks_pilots_at_the_grid():
+    frame = build_tx_frame(DIST, 800, seed=2)
+    mask = pilot_mask(800)
+    np.testing.assert_array_equal(frame.point_idx == -1, np.stack([mask, mask]))
+    payload = frame.symbols[:, ~mask]
+    np.testing.assert_array_equal(payload, DIST.tx_points()[frame.point_idx[:, ~mask]])

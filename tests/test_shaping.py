@@ -2,7 +2,6 @@
 quantization, frame arithmetic, and pilot insertion."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,10 +12,12 @@ from fsolink.ccdm import quantize_composition
 from fsolink.shaping import (
     ENTROPY_FLOOR_BITS,
     ENTROPY_STEP_BITS,
+    PILOT_SPACING,
     ConstellationTemplate,
     grid_distribution,
     insert_pilots,
     mb_distribution,
+    pilot_mask,
     solve_nu_for_entropy,
 )
 
@@ -183,75 +184,66 @@ def _payload(n, seed=5):
 
 
 def test_pilots_one_full_frame():
-    frame = insert_pilots(_payload(15), Fraction(15, 16))
-    assert frame.symbols.size == 16
-    assert frame.pilot_mask[0]
-    assert frame.pilot_mask.sum() == 1
+    symbols = insert_pilots(_payload(15))
+    assert symbols.size == 16
+    assert abs(symbols[0]) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_array_equal(symbols[1:], _payload(15))
 
 
 def test_pilots_two_frames():
-    frame = insert_pilots(_payload(30), Fraction(15, 16))
-    assert frame.symbols.size == 32
-    assert set(np.flatnonzero(frame.pilot_mask).tolist()) == {0, 16}
+    payload = _payload(30)
+    symbols = insert_pilots(payload)
+    assert symbols.size == 32
+    np.testing.assert_array_equal(symbols[1:16], payload[:15])
+    np.testing.assert_array_equal(symbols[17:], payload[15:])
 
 
 def test_pilot_magnitude_equals_avg_power():
-    frame = insert_pilots(_payload(45), Fraction(15, 16))
-    np.testing.assert_allclose(np.abs(frame.symbols[frame.pilot_mask]), 1.0,
-                               atol=1e-12)
+    symbols = insert_pilots(_payload(45))
+    np.testing.assert_allclose(np.abs(symbols[pilot_mask(48)]), 1.0, atol=1e-12)
 
 
 def test_pilot_framing_preserves_average_power():
     payload = _payload(150)
     payload = payload / math.sqrt(float(np.mean(np.abs(payload) ** 2)))
-    frame = insert_pilots(payload, Fraction(15, 16))
-    assert float(np.mean(np.abs(frame.symbols) ** 2)) == pytest.approx(1.0,
-                                                                       abs=1e-12)
+    symbols = insert_pilots(payload)
+    assert float(np.mean(np.abs(symbols) ** 2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pilots_are_qpsk_and_seeded():
-    a = insert_pilots(_payload(150), Fraction(15, 16), seed=3)
-    b = insert_pilots(_payload(150), Fraction(15, 16), seed=3)
-    c = insert_pilots(_payload(150), Fraction(15, 16), seed=4)
-    np.testing.assert_array_equal(a.symbols, b.symbols)
-    assert not np.array_equal(a.symbols, c.symbols)
-    pilots = a.symbols[a.pilot_mask]
+    a = insert_pilots(_payload(150), seed=3)
+    b = insert_pilots(_payload(150), seed=3)
+    c = insert_pilots(_payload(150), seed=4)
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
+    pilots = a[pilot_mask(a.size)]
     # QPSK points: both rails at +-1/sqrt(2).
     np.testing.assert_allclose(np.abs(pilots.real), 1 / math.sqrt(2), atol=1e-12)
     np.testing.assert_allclose(np.abs(pilots.imag), 1 / math.sqrt(2), atol=1e-12)
 
 
 def test_pilot_payload_round_trip():
-    payload = _payload(77)
-    frame = insert_pilots(payload, Fraction(15, 16))
-    np.testing.assert_array_equal(frame.symbols[~frame.pilot_mask], payload)
+    payload = _payload(75)
+    symbols = insert_pilots(payload)
+    np.testing.assert_array_equal(symbols[~pilot_mask(symbols.size)], payload)
 
 
-@pytest.mark.parametrize("n_payload, n_frame, pilots", [
-    (1, 3, [0, 2]),
-    (3, 5, [0, 2]),
-    (4, 8, [0, 2, 5, 7]),
-    (7, 13, [0, 2, 5, 7, 10, 12]),
-])
-def test_pilots_partial_frame_keeps_trailing_pilot(n_payload, n_frame, pilots):
-    # rate 3/5 puts pilots in slots 0 and 2; a partial last frame stops at
-    # its first payload slot with no payload left
-    payload = _payload(n_payload)
-    frame = insert_pilots(payload, Fraction(3, 5))
-    assert frame.symbols.size == n_frame
-    assert np.flatnonzero(frame.pilot_mask).tolist() == pilots
-    np.testing.assert_array_equal(frame.symbols[~frame.pilot_mask], payload)
-
-
-@pytest.mark.parametrize("rate", [Fraction(1, 1), Fraction(0, 1), Fraction(-1, 2)])
-def test_pilot_rate_validation(rate):
-    with pytest.raises(ValueError):
-        insert_pilots(_payload(10), rate)
+@pytest.mark.parametrize("n", [1, 14, 16, 29, 76])
+def test_partial_frame_rejected(n):
+    with pytest.raises(ValueError, match="whole frames"):
+        insert_pilots(_payload(n))
 
 
 def test_empty_payload_rejected():
     with pytest.raises(ValueError):
-        insert_pilots(np.array([]), Fraction(15, 16))
+        insert_pilots(np.array([]))
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 100, 1600])
+def test_pilot_mask_marks_every_frame_head(n):
+    mask = pilot_mask(n)
+    assert mask.shape == (n,)
+    assert np.flatnonzero(mask).tolist() == list(range(0, n, PILOT_SPACING))
 
 
 # ------------------------------------------------------------ entropy grid
