@@ -170,10 +170,11 @@ def awgn_transmit(symbols: np.ndarray, snr_db: float, seed) -> np.ndarray:
     `seed` may be an int or an existing numpy Generator.
     """
     rng = np.random.default_rng(seed)
-    symbols = np.asarray(symbols, dtype=complex)
+    rx = np.array(symbols, dtype=complex)  # a copy, noised in place
     sigma = math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
-    noise = sigma * (rng.standard_normal(symbols.shape) + 1j * rng.standard_normal(symbols.shape))
-    return symbols + noise
+    rx.real += sigma * rng.standard_normal(rx.shape)
+    rx.imag += sigma * rng.standard_normal(rx.shape)
+    return rx
 
 
 @dataclass(frozen=True)

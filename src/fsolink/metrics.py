@@ -60,14 +60,18 @@ def _posterior_llrs(d2: np.ndarray, logp: np.ndarray, bits: np.ndarray,
     mass is then >= 1, so flooring both at _TINY and saturating at
     _LLR_MAX < -log(_TINY) leaves every LLR either exact or saturated,
     whatever the rescaling. Candidates run along axis -2 so that the
-    reductions over them are elementwise over contiguous samples.
+    reductions over them are elementwise over contiguous samples. d2 is
+    overwritten, so that a block's (..., K, n) work is one array.
     """
-    a = logp - d2 / noise_var
+    a = np.divide(d2, -noise_var, out=d2)
+    a += logp
     a -= a.max(axis=-2, keepdims=True)
-    e = np.exp(a)
-    s = np.maximum(np.concatenate([1.0 - bits, bits], axis=-2) @ e, _TINY)
+    e = np.exp(a, out=a)
+    s = np.concatenate([1.0 - bits, bits], axis=-2) @ e
+    np.maximum(s, _TINY, out=s)
     b = bits.shape[-2]
-    return np.clip(np.log(s[..., :b, :] / s[..., b:, :]), -_LLR_MAX, _LLR_MAX)
+    r = np.log(np.divide(s[..., :b, :], s[..., b:, :]))
+    return np.clip(r, -_LLR_MAX, _LLR_MAX, out=r)
 
 
 def _joint_llrs(y: np.ndarray, dist: ShapedDistribution,
@@ -80,48 +84,27 @@ def _joint_llrs(y: np.ndarray, dist: ShapedDistribution,
     return _posterior_llrs(d2, logp, bits, noise_var).T
 
 
-def _axis_split(dist: ShapedDistribution):
-    """Per-axis view of dist, or None when it does not factor.
-
-    Returns (levels, logp, bits) of shapes (2, L, 1), (2, L, 1) and
-    (2, m/2, L): index 0 is the in-phase axis, 1 the quadrature axis.
-    That needs points on an L x L grid indexed i*L + q, labels whose high
-    half depends on i alone and low half on q alone, and a prior
-    p[i*L + q] = pI[i] * pQ[q]: then the joint posterior of a label bit
-    sums out the other axis, whose mass cancels in the LLR. The complex
-    noise variance per axis reads nv in exp(-(y_axis - level)^2 / nv),
-    not nv/2, because |y - x|^2 splits into the two axis terms.
-    """
-    tpl = dist.template
-    L = math.isqrt(tpl.M)
-    half = tpl.bits_per_symbol // 2
-    pts = dist.tx_points().reshape(L, L)
-    lab = tpl.labels.reshape(L, L)
-    p = dist.p.reshape(L, L)
-    levels = np.stack([pts.real[:, 0], pts.imag[0]])
-    axis_lab = np.stack([lab[:, 0] >> half, lab[0] & (L - 1)])
-    p_i, p_q = p.sum(axis=1), p.sum(axis=0)
-    outer = p_i[:, None] * p_q
-    if (not np.array_equal(pts, levels[0][:, None] + 1j * levels[1])
-            or not np.array_equal(lab, axis_lab[0][:, None] << half | axis_lab[1])
-            or np.any(np.abs(p - outer) > 1e-12 * outer)):
-        return None
-    logp = np.log(np.maximum(np.stack([p_i, p_q]), _TINY))
-    shifts = np.arange(half - 1, -1, -1)[:, None]
-    bits = ((axis_lab[:, None, :] >> shifts) & 1).astype(float)
-    return levels[..., None], logp[..., None], bits
-
-
 def _axis_llrs(y: np.ndarray, axes, noise_var: float) -> np.ndarray:
     """LLRs of y, shape (n, m), from the two per-axis posteriors of a
-    prior that factors (see _axis_split): in-phase bits, then quadrature."""
+    prior that factors (see ShapedDistribution.axis_factors): in-phase
+    bits, then quadrature. The complex noise variance per axis reads nv in
+    exp(-(y_axis - level)^2 / nv), not nv/2, because |y - x|^2 splits into
+    the two axis terms."""
     levels, logp, bits = axes
-    d2 = (np.stack([y.real, y.imag])[:, None, :] - levels) ** 2
+    d2 = np.stack([y.real, y.imag])[:, None, :] - levels
+    d2 *= d2
     return _posterior_llrs(d2, logp, bits, noise_var).reshape(-1, y.size).T
 
 
+# Symbols scored per block. The largest scoring temporary, (2, 8, block)
+# float64 for 64QAM, is then 128 KiB: it fits in L2, and the allocator
+# reuses it from its free lists instead of mapping and faulting in fresh
+# pages for every batch. Blocks of 2048 brought the page faults back.
+BLOCK_SYMBOLS = 1024
+
+
 def _llr_chunks(rx: np.ndarray, dist: ShapedDistribution, noise_var: float,
-                chunk: int = 32768):
+                chunk: int = BLOCK_SYMBOLS):
     """Yield (sl, llr) per chunk of rx: the prior-aware LLRs of rx[sl],
     shape (len, m), label MSB in column 0.
 
@@ -129,7 +112,11 @@ def _llr_chunks(rx: np.ndarray, dist: ShapedDistribution, noise_var: float,
     Boltzmann distribution) is demapped per axis, 2*sqrt(M) points per
     symbol instead of M; any other prior over all M points.
     """
-    axes = _axis_split(dist)
+    axes = dist.axis_factors
+    if axes is not None:
+        levels, p_axis, bits = axes
+        axes = (levels[..., None], np.log(np.maximum(p_axis, _TINY))[..., None],
+                bits)
     for lo in range(0, rx.size, chunk):
         y = rx[lo:lo + chunk]
         llr = (_joint_llrs(y, dist, noise_var) if axes is None
@@ -172,12 +159,13 @@ def gmi_from_samples(tx_idx: np.ndarray, rx: np.ndarray, dist: ShapedDistributio
     if not noise_var > 0:
         raise ValueError("noise variance must be positive")
 
-    bits = dist.template.bit_masks()[:, tx_idx]  # (m, N), True where bit is 1
-    sgn = 1.0 - 2.0 * bits
+    flip = 2.0 * dist.template.bit_masks() - 1.0  # (m, M): +1 where bit is 1
     loss_bits = 0.0
     for sl, llr in _llr_chunks(rx, dist, noise_var):
+        x = flip[:, tx_idx[sl]]
+        x *= llr.T  # minus the LLR of each sent bit
         # log(1 + e^x) directly: LLRs saturate at _LLR_MAX, so e^x is finite
-        loss_bits += np.log1p(np.exp(-sgn[:, sl] * llr.T)).sum() / _LN2
+        loss_bits += np.log1p(np.exp(x, out=x), out=x).sum() / _LN2
     gmi = dist.entropy_bits - loss_bits / rx.size
     return max(gmi, 0.0)
 

@@ -113,6 +113,37 @@ class ShapedDistribution:
         distribution (the alphabet actually put on the channel)."""
         return self.template.points / math.sqrt(self.avg_power)
 
+    @functools.cached_property
+    def axis_factors(self):
+        """Per-axis view of this distribution, or None when it does not
+        factor; computed once per distribution.
+
+        Returns (levels, p_axis, bits) of shapes (2, L), (2, L) and
+        (2, m/2, L): index 0 is the in-phase axis, 1 the quadrature axis,
+        and bits[a, j, l] is bit j (MSB first) of level l's half-label as a
+        float. That needs points on an L x L grid indexed i*L + q, labels
+        whose high half depends on i alone and low half on q alone, and a
+        prior p[i*L + q] = pI[i] * pQ[q]: then the joint posterior of a
+        label bit sums out the other axis, whose mass cancels in the LLR.
+        """
+        tpl = self.template
+        L = math.isqrt(tpl.M)
+        half = tpl.bits_per_symbol // 2
+        pts = self.tx_points().reshape(L, L)
+        lab = tpl.labels.reshape(L, L)
+        p = self.p.reshape(L, L)
+        levels = np.stack([pts.real[:, 0], pts.imag[0]])
+        axis_lab = np.stack([lab[:, 0] >> half, lab[0] & (L - 1)])
+        p_axis = np.stack([p.sum(axis=1), p.sum(axis=0)])
+        outer = p_axis[0][:, None] * p_axis[1]
+        if (not np.array_equal(pts, levels[0][:, None] + 1j * levels[1])
+                or not np.array_equal(lab, axis_lab[0][:, None] << half | axis_lab[1])
+                or np.any(np.abs(p - outer) > 1e-12 * outer)):
+            return None
+        shifts = np.arange(half - 1, -1, -1)[:, None]
+        bits = ((axis_lab[:, None, :] >> shifts) & 1).astype(float)
+        return levels, p_axis, bits
+
 
 def _entropy_bits(p: np.ndarray) -> float:
     """Shannon entropy in bits; zero-probability points contribute nothing."""

@@ -133,6 +133,24 @@ def test_awgn_deterministic_per_seed():
                                   awgn_transmit(x, 10.0, seed=4))
 
 
+@pytest.mark.parametrize("shape", [(1,), (1000,), (2, 777)])
+@pytest.mark.parametrize("snr_db", [-10.0, 0.0, 17.3, 60.0])
+def test_awgn_in_place_matches_one_expression(shape, snr_db):
+    # the noise is added to a copy, real rail then imaginary rail; the same
+    # draws in the same order as symbols + sigma * (n_re + 1j * n_im)
+    rng = np.random.default_rng(11)
+    x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 2
+    x_before = x.copy()
+    twin = np.random.default_rng(5)
+    sigma = math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+    want = x + sigma * (twin.standard_normal(shape) + 1j * twin.standard_normal(shape))
+    gen = np.random.default_rng(5)
+    got = awgn_transmit(x, snr_db, gen)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(x, x_before)  # the input is not noised
+    assert gen.standard_normal() == twin.standard_normal()  # same draws used
+
+
 def test_awgn_snr_recovered_by_evm():
     dist = mb_distribution(0.0, ConstellationTemplate.square_qam(64))
     rng = np.random.default_rng(6)

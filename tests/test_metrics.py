@@ -6,6 +6,7 @@ per-axis 8-PAM decomposition — a fully independent evaluation path.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_llr_matches_direct_evaluation_on_toy_template():
 @settings(max_examples=60, deadline=None)
 def test_axis_demapper_matches_joint_demapper(nu, snr_db, M, seed):
     dist = mb_distribution(nu, ConstellationTemplate.square_qam(M))
-    assert metrics._axis_split(dist) is not None  # bitwise_llrs demaps per axis
+    assert dist.axis_factors is not None  # bitwise_llrs demaps per axis
     rng = np.random.default_rng(seed)
     idx = rng.choice(M, size=300, p=dist.p)
     rx = awgn_transmit(dist.tx_points()[idx], snr_db, rng)
@@ -133,7 +134,7 @@ def test_axis_demapper_matches_joint_demapper(nu, snr_db, M, seed):
         p=np.full(16, 1 / 16)), False),
 ])
 def test_llr_chunks_do_not_depend_on_chunk_boundaries(dist, per_axis):
-    assert (metrics._axis_split(dist) is not None) == per_axis
+    assert (dist.axis_factors is not None) == per_axis
     rng = np.random.default_rng(9)
     n = 64 * 5 + 17
     rx = awgn_transmit(dist.tx_points()[rng.integers(0, dist.template.M, n)],
@@ -193,6 +194,50 @@ def test_gmi_monotone_in_snr():
         idx, rx, noise_var = _uniform_awgn_batch(float(snr), 20_000, seed=7)
         vals.append(gmi_from_samples(idx, rx, UNIFORM, noise_var))
     assert all(b >= a - 0.05 for a, b in zip(vals[:-1], vals[1:]))
+
+
+_B = metrics.BLOCK_SYMBOLS
+
+
+@given(n=st.one_of(st.integers(1, 5000),
+                   st.sampled_from([_B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B,
+                                    2 * _B + 1, 4 * _B + 1])),
+       dist=st.sampled_from([UNIFORM, mb_distribution(0.4, TPL),
+                             mb_distribution(1.5, TPL), TOY]),
+       snr_db=st.floats(min_value=-5.0, max_value=35.0),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_blocked_gmi_matches_one_block_evaluation(n, dist, snr_db, seed):
+    # the GMI summed block by block against the loss of the same LLRs
+    # computed as one block of n, so across every block edge
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(dist.template.M, size=n, p=dist.p)
+    rx = awgn_transmit(dist.tx_points()[idx], snr_db, rng)
+    noise_var = 10.0 ** (-snr_db / 10.0)
+    ((_, llr),) = metrics._llr_chunks(rx, dist, noise_var, chunk=n)
+    sgn = 1.0 - 2.0 * dist.template.bit_masks().T[idx]
+    loss = np.logaddexp(0.0, -sgn * llr).sum() / math.log(2.0) / n
+    want = max(dist.entropy_bits - loss, 0.0)
+    assert gmi_from_samples(idx, rx, dist, noise_var) == pytest.approx(
+        want, rel=0.0, abs=1e-12)
+
+
+def test_gmi_peak_memory_does_not_grow_with_the_batch():
+    # scoring works block by block, so its temporaries are the same size
+    # for every batch; only the inputs, allocated before tracing, grow
+    dist = mb_distribution(0.4, TPL)
+    peaks = {}
+    for n in (4096, 65536):
+        rng = np.random.default_rng(n)
+        idx = rng.choice(64, size=n, p=dist.p)
+        rx = awgn_transmit(dist.tx_points()[idx], 15.0, rng)
+        tracemalloc.start()
+        try:
+            gmi_from_samples(idx, rx, dist, 10.0 ** -1.5)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[65536] <= 1.1 * peaks[4096], peaks
 
 
 def test_gmi_length_mismatch_rejected():
