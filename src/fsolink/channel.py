@@ -79,7 +79,12 @@ def _integer(v, name: str):
 @dataclass(frozen=True)
 class RainModelConfig:
     """Two-regime SNR process: piecewise mean with AR(1) fluctuations whose
-    variance inflates during rain."""
+    variance inflates during rain.
+
+    ar1_rho is the fluctuation's correlation over SAMPLING_PERIOD_S (25 s).
+    A trace at another period steps by ar1_rho ** (period / 25 s), so the
+    fluctuation decorrelates at the same rate in time at every period.
+    """
 
     clear_mean_db: float
     clear_std_db: float
@@ -150,7 +155,7 @@ def gen_trace(cfg: RainModelConfig, duration_s: float,
     mean = np.where(rain, cfg.clear_mean_db - cfg.rain_mean_drop_db, cfg.clear_mean_db)
     std = np.where(rain, cfg.rain_std_db, cfg.clear_std_db)
 
-    rho = cfg.ar1_rho
+    rho = cfg.ar1_rho ** (sampling_period_s / SAMPLING_PERIOD_S)
     d = np.empty(n)
     d[0] = std[0] * rng.standard_normal()
     w = rng.standard_normal(n - 1) if n > 1 else np.empty(0)

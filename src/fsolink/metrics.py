@@ -74,28 +74,6 @@ def _posterior_llrs(d2: np.ndarray, logp: np.ndarray, bits: np.ndarray,
     return np.clip(r, -_LLR_MAX, _LLR_MAX, out=r)
 
 
-def _joint_llrs(y: np.ndarray, dist: ShapedDistribution,
-                noise_var: float) -> np.ndarray:
-    """LLRs of y, shape (n, m), from the posterior over all M points: the
-    general demapper, valid for any prior."""
-    d2 = np.abs(dist.tx_points()[:, None] - y[None, :]) ** 2
-    logp = np.log(np.maximum(dist.p, _TINY))[:, None]
-    bits = dist.template.bit_masks().astype(float)  # (m, M)
-    return _posterior_llrs(d2, logp, bits, noise_var).T
-
-
-def _axis_llrs(y: np.ndarray, axes, noise_var: float) -> np.ndarray:
-    """LLRs of y, shape (n, m), from the two per-axis posteriors of a
-    prior that factors (see ShapedDistribution.axis_factors): in-phase
-    bits, then quadrature. The complex noise variance per axis reads nv in
-    exp(-(y_axis - level)^2 / nv), not nv/2, because |y - x|^2 splits into
-    the two axis terms."""
-    levels, logp, bits = axes
-    d2 = np.stack([y.real, y.imag])[:, None, :] - levels
-    d2 *= d2
-    return _posterior_llrs(d2, logp, bits, noise_var).reshape(-1, y.size).T
-
-
 # Symbols scored per block. The largest scoring temporary, (2, 8, block)
 # float64 for 64QAM, is then 128 KiB: it fits in L2, and the allocator
 # reuses it from its free lists instead of mapping and faulting in fresh
@@ -108,19 +86,21 @@ def _llr_chunks(rx: np.ndarray, dist: ShapedDistribution, noise_var: float,
     """Yield (sl, llr) per chunk of rx: the prior-aware LLRs of rx[sl],
     shape (len, m), label MSB in column 0.
 
-    A prior that factors over the template's I/Q grid (every Maxwell-
-    Boltzmann distribution) is demapped per axis, 2*sqrt(M) points per
-    symbol instead of M; any other prior over all M points.
+    The prior is a product over the I and Q axes (see
+    ShapedDistribution.axis_factors), so each symbol is demapped as two
+    per-axis posteriors over sqrt(M) levels each: in-phase bits, then
+    quadrature. The complex noise variance nv reads per axis as
+    exp(-(y_axis - level)^2 / nv), not nv/2, because |y - x|^2 splits into
+    the two axis terms.
     """
-    axes = dist.axis_factors
-    if axes is not None:
-        levels, p_axis, bits = axes
-        axes = (levels[..., None], np.log(np.maximum(p_axis, _TINY))[..., None],
-                bits)
+    levels, p_axis, bits = dist.axis_factors
+    levels = levels[:, None]
+    logp = np.log(np.maximum(p_axis, _TINY))[:, None]
     for lo in range(0, rx.size, chunk):
         y = rx[lo:lo + chunk]
-        llr = (_joint_llrs(y, dist, noise_var) if axes is None
-               else _axis_llrs(y, axes, noise_var))
+        d2 = np.stack([y.real, y.imag])[:, None, :] - levels
+        d2 *= d2
+        llr = _posterior_llrs(d2, logp, bits, noise_var).reshape(-1, y.size).T
         yield slice(lo, lo + y.size), llr
 
 

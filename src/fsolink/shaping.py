@@ -26,36 +26,51 @@ ENTROPY_FLOOR_BITS = 2.0  # below this the shaped 64QAM degenerates to QPSK
 ENTROPY_STEP_BITS = 0.01  # resolution of every transmitted entropy
 
 
-def _gray(i: int) -> int:
-    return i ^ (i >> 1)
-
-
 @dataclass(frozen=True)
 class ConstellationTemplate:
-    """Square M-QAM template, unit average power under uniform probability.
+    """Square Gray-mapped M-QAM, unit average power under uniform
+    probability.
 
-    Bit labels are Gray-mapped per axis: the first half of the bits indexes
-    the in-phase level, the second half the quadrature level, so neighboring
-    points along either axis differ in exactly one bit.
+    Point i*L + q sits at levels[i] + 1j*levels[q] (L = sqrt(M) levels per
+    axis). Its label is axis_labels[i] in the high half of the bits and
+    axis_labels[q] in the low half. The axis labels are a Gray code, so
+    neighboring points along either axis differ in exactly one bit. Every
+    array is derived once per template.
     """
 
-    points: np.ndarray  # complex, shape (M,)
-    labels: np.ndarray  # int, shape (M,), each in [0, M)
+    M: int
 
     def __post_init__(self):
-        M = len(self.points)
+        M = self.M
         if M < 4 or (M & (M - 1)) or int(math.log2(M)) % 2:
             raise ValueError(f"template size must be an even power of 2, got {M}")
-        if len(set(self.labels.tolist())) != M:
-            raise ValueError("bit labels must be unique")
-
-    @property
-    def M(self) -> int:
-        return len(self.points)
 
     @property
     def bits_per_symbol(self) -> int:
         return int(math.log2(self.M))
+
+    @functools.cached_property
+    def levels(self) -> np.ndarray:
+        """Per-axis amplitudes, shape (L,), ascending."""
+        L = math.isqrt(self.M)
+        return np.arange(-(L - 1), L, 2) / math.sqrt(2.0 * (self.M - 1) / 3.0)
+
+    @functools.cached_property
+    def axis_labels(self) -> np.ndarray:
+        """Gray label of each axis level, shape (L,)."""
+        i = np.arange(math.isqrt(self.M))
+        return i ^ (i >> 1)
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """Complex points, shape (M,)."""
+        return (self.levels[:, None] + 1j * self.levels).ravel()
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        """Bit label of each point, shape (M,), each in [0, M)."""
+        a = self.axis_labels
+        return (a[:, None] << self.bits_per_symbol // 2 | a).ravel()
 
     def bit_masks(self) -> np.ndarray:
         """Boolean array (bits_per_symbol, M): entry [j, i] is bit j (MSB
@@ -66,90 +81,62 @@ class ConstellationTemplate:
 
     @classmethod
     def square_qam(cls, M: int = 64) -> "ConstellationTemplate":
-        L = int(round(math.sqrt(M)))
-        if L * L != M:
-            raise ValueError(f"{M} is not a square QAM size")
-        half = int(math.log2(L))
-        levels = np.arange(-(L - 1), L, 2)
-        norm = math.sqrt(2.0 * (L * L - 1) / 3.0)
-        pts = np.empty(M, dtype=complex)
-        lab = np.empty(M, dtype=np.int64)
-        for ii in range(L):
-            for qq in range(L):
-                k = ii * L + qq
-                pts[k] = (levels[ii] + 1j * levels[qq]) / norm
-                lab[k] = (_gray(ii) << half) | _gray(qq)
-        return cls(points=pts, labels=lab)
+        return cls(M)
 
 
 @dataclass(frozen=True)
 class ShapedDistribution:
-    """Probability mass over a QAM template together with its entropy.
+    """Probability mass over a QAM template: one PMF over the L axis levels,
+    shared by the in-phase and quadrature axes, so that point i*L + q has
+    probability p_axis[i] * p_axis[q].
 
     The entropy in bits/symbol/polarization is the tuning knob of the
     rate-adaptive scheme.
     """
 
     template: ConstellationTemplate
-    p: np.ndarray
+    p_axis: np.ndarray
     entropy_bits: float = field(init=False)
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (self.template.M,):
-            raise ValueError("probability vector does not match template size")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "entropy_bits", _entropy_bits(p))
+        p_axis = np.asarray(self.p_axis, dtype=float)
+        if p_axis.shape != self.template.levels.shape:
+            raise ValueError("per-axis probabilities do not match the template's levels")
+        if abs(p_axis.sum() - 1.0) > 1e-12:
+            raise ValueError(f"probabilities sum to {p_axis.sum()!r}, not 1")
+        nz = p_axis[p_axis > 0]  # zero-probability levels contribute nothing
+        object.__setattr__(self, "p_axis", p_axis)
+        object.__setattr__(self, "entropy_bits", 2.0 * float(-np.sum(nz * np.log2(nz))))
+
+    @functools.cached_property
+    def p(self) -> np.ndarray:
+        """Probability of each template point, shape (M,)."""
+        return np.outer(self.p_axis, self.p_axis).ravel()
 
     @property
     def avg_power(self) -> float:
         """Mean constellation power under this distribution."""
-        return float(np.sum(self.p * np.abs(self.template.points) ** 2))
+        return 2.0 * float(self.p_axis @ self.template.levels ** 2)
 
     def tx_points(self) -> np.ndarray:
         """Template points rescaled to unit average power under this
         distribution (the alphabet actually put on the channel)."""
-        return self.template.points / math.sqrt(self.avg_power)
+        return self.template.points * (1.0 / math.sqrt(self.avg_power))
 
     @functools.cached_property
     def axis_factors(self):
-        """Per-axis view of this distribution, or None when it does not
-        factor; computed once per distribution.
+        """Per-axis view of this distribution, computed once.
 
-        Returns (levels, p_axis, bits) of shapes (2, L), (2, L) and
-        (2, m/2, L): index 0 is the in-phase axis, 1 the quadrature axis,
-        and bits[a, j, l] is bit j (MSB first) of level l's half-label as a
-        float. That needs points on an L x L grid indexed i*L + q, labels
-        whose high half depends on i alone and low half on q alone, and a
-        prior p[i*L + q] = pI[i] * pQ[q]: then the joint posterior of a
-        label bit sums out the other axis, whose mass cancels in the LLR.
+        Returns (levels, p_axis, bits) of shapes (L,), (L,) and (m/2, L):
+        the axis levels of `tx_points`, their shared PMF, and bits[j, l],
+        bit j (MSB first) of level l's axis label as a float. Because the
+        prior is a product, the joint posterior of a label bit sums out the
+        other axis, whose mass cancels in the LLR.
         """
         tpl = self.template
-        L = math.isqrt(tpl.M)
-        half = tpl.bits_per_symbol // 2
-        pts = self.tx_points().reshape(L, L)
-        lab = tpl.labels.reshape(L, L)
-        p = self.p.reshape(L, L)
-        levels = np.stack([pts.real[:, 0], pts.imag[0]])
-        axis_lab = np.stack([lab[:, 0] >> half, lab[0] & (L - 1)])
-        p_axis = np.stack([p.sum(axis=1), p.sum(axis=0)])
-        outer = p_axis[0][:, None] * p_axis[1]
-        if (not np.array_equal(pts, levels[0][:, None] + 1j * levels[1])
-                or not np.array_equal(lab, axis_lab[0][:, None] << half | axis_lab[1])
-                or np.any(np.abs(p - outer) > 1e-12 * outer)):
-            return None
-        shifts = np.arange(half - 1, -1, -1)[:, None]
-        bits = ((axis_lab[:, None, :] >> shifts) & 1).astype(float)
-        return levels, p_axis, bits
-
-
-def _entropy_bits(p: np.ndarray) -> float:
-    """Shannon entropy in bits; zero-probability points contribute nothing."""
-    p = np.asarray(p, dtype=float)
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log2(nz)))
+        shifts = np.arange(tpl.bits_per_symbol // 2 - 1, -1, -1)[:, None]
+        bits = ((tpl.axis_labels >> shifts) & 1).astype(float)
+        return tpl.levels * (1.0 / math.sqrt(self.avg_power)), self.p_axis, bits
 
 
 def mb_distribution(nu: float, template: ConstellationTemplate) -> ShapedDistribution:
@@ -160,10 +147,9 @@ def mb_distribution(nu: float, template: ConstellationTemplate) -> ShapedDistrib
     """
     if nu < 0:
         raise ValueError(f"shaping parameter must be >= 0, got {nu}")
-    e = np.abs(template.points) ** 2
+    e = template.levels ** 2  # exp(-nu |x|^2) is the product of the axes' factors
     w = np.exp(-nu * (e - e.min()))  # shift keeps the largest weight at 1
-    p = w / w.sum()
-    return ShapedDistribution(template=template, p=p)
+    return ShapedDistribution(template=template, p_axis=w / w.sum())
 
 
 def solve_nu_for_entropy(h_target: float, template: ConstellationTemplate) -> float:

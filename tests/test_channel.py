@@ -75,6 +75,32 @@ def test_ar1_lag1_autocorrelation():
     assert rho_hat == pytest.approx(0.7, abs=0.05)
 
 
+@pytest.mark.parametrize("period", [5.0, 25.0, 100.0])
+def test_ar1_correlation_is_set_in_seconds(period):
+    # 200k clear-sky samples at every period; the lag is 100 s. Bartlett's
+    # standard error of the estimate is 0.0074 at 5 s and below at the others.
+    cfg = _cfg(rain_intervals=(), clear_std_db=0.5, seed=17)
+    tr = gen_trace(cfg, period * 200_000, period)
+    d = tr.snr_db - tr.snr_db.mean()
+    k = round(100.0 / period)
+    rho_hat = float(np.sum(d[:-k] * d[k:]) / np.sum(d * d))
+    assert rho_hat == pytest.approx(0.7 ** (100.0 / 25.0), abs=0.03)
+
+
+def test_default_trace_keeps_the_per_sample_recursion():
+    # at the default period the step is 0.7 ** 1.0 == 0.7: the same bytes
+    cfg = default_rain_config()
+    tr = gen_trace(cfg, 10800.0)
+    rain = np.array([w == RAIN for w in tr.weather])
+    std = np.where(rain, cfg.rain_std_db, cfg.clear_std_db)
+    rng = np.random.default_rng(cfg.seed)
+    d = [std[0] * rng.standard_normal()]
+    for s, w in zip(std[1:], rng.standard_normal(len(tr) - 1)):
+        d.append(0.7 * d[-1] + math.sqrt(1.0 - 0.7 * 0.7) * s * w)
+    mean = np.where(rain, cfg.clear_mean_db - cfg.rain_mean_drop_db, cfg.clear_mean_db)
+    np.testing.assert_array_equal(tr.snr_db, mean + np.array(d))
+
+
 def test_rain_variance_not_below_clear():
     tr = gen_trace(_cfg(seed=5), 25.0 * 4000,)
     rain = np.array([w == RAIN for w in tr.weather])

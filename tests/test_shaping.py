@@ -14,6 +14,7 @@ from fsolink.shaping import (
     ENTROPY_STEP_BITS,
     PILOT_SPACING,
     ConstellationTemplate,
+    ShapedDistribution,
     grid_distribution,
     insert_pilots,
     mb_distribution,
@@ -22,12 +23,15 @@ from fsolink.shaping import (
 )
 
 TPL = ConstellationTemplate.square_qam(64)
+SIZES = (4, 16, 64, 256)
 
 
 # ---------------------------------------------------------------- template
 
 def test_template_is_unit_power_under_uniform():
-    assert np.mean(np.abs(TPL.points) ** 2) == pytest.approx(1.0, abs=1e-12)
+    for M in SIZES:
+        tpl = ConstellationTemplate.square_qam(M)
+        assert np.mean(np.abs(tpl.points) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_template_size_and_bits():
@@ -40,20 +44,31 @@ def test_bit_labels_unique():
 
 
 def test_gray_property_adjacent_points_differ_in_one_bit():
-    # Sort points onto the 8x8 lattice and check both lattice directions.
-    order = np.lexsort((TPL.points.imag, TPL.points.real))
-    grid = np.asarray(TPL.labels)[order].reshape(8, 8)
-    for row in grid:
-        for a, b in zip(row[:-1], row[1:]):
-            assert bin(int(a) ^ int(b)).count("1") == 1
-    for col in grid.T:
-        for a, b in zip(col[:-1], col[1:]):
-            assert bin(int(a) ^ int(b)).count("1") == 1
+    # Sort points onto the L x L lattice and check both lattice directions.
+    for M in SIZES:
+        tpl = ConstellationTemplate.square_qam(M)
+        L = math.isqrt(M)
+        order = np.lexsort((tpl.points.imag, tpl.points.real))
+        grid = np.asarray(tpl.labels)[order].reshape(L, L)
+        for lines in (grid, grid.T):
+            for a, b in zip(lines[:, :-1].ravel(), lines[:, 1:].ravel()):
+                assert bin(int(a) ^ int(b)).count("1") == 1
 
 
 def test_non_square_template_rejected():
-    with pytest.raises(ValueError):
-        ConstellationTemplate.square_qam(32)
+    for M in (32, 36):
+        with pytest.raises(ValueError, match="even power of 2"):
+            ConstellationTemplate(M)
+        with pytest.raises(ValueError, match="even power of 2"):
+            ConstellationTemplate.square_qam(M)
+
+
+def test_distribution_rejects_bad_axis_pmf():
+    tpl = ConstellationTemplate.square_qam(16)
+    with pytest.raises(ValueError, match="do not match"):
+        ShapedDistribution(tpl, p_axis=np.full(16, 1 / 16))  # one per point
+    with pytest.raises(ValueError, match="sum to"):
+        ShapedDistribution(tpl, p_axis=[0.3, 0.3, 0.3, 0.3])
 
 
 # ---------------------------------------------------- Maxwell-Boltzmann map
@@ -70,14 +85,20 @@ def test_mb_negative_nu_rejected():
 
 
 def test_mb_matches_direct_summation_oracle():
-    # Independent direct evaluation of p ~ exp(-nu |x|^2) and its entropy.
-    nu = 0.1
-    w = np.exp(-nu * np.abs(TPL.points) ** 2)
-    p_ref = w / w.sum()
-    h_ref = float(-np.sum(p_ref * np.log2(p_ref)))
-    dist = mb_distribution(nu, TPL)
-    np.testing.assert_allclose(dist.p, p_ref, atol=1e-14)
-    assert dist.entropy_bits == pytest.approx(h_ref, abs=1e-9)
+    # Independent direct evaluation of p ~ exp(-nu |x|^2) over all 64 points,
+    # and its entropy, against the per-axis product at nu = 0.1 and at every
+    # step of the entropy grid.
+    e = np.abs(TPL.points) ** 2
+    cases = [(0.1, mb_distribution(0.1, TPL))] + [
+        (solve_nu_for_entropy(k * ENTROPY_STEP_BITS, TPL), grid_distribution(k))
+        for k in range(200, 601)]
+    for nu, dist in cases:
+        w = np.exp(-nu * (e - e.min()))  # shifted: nu reaches 192 at 2 bits
+        p_ref = w / w.sum()
+        nz = p_ref[p_ref > 0]
+        h_ref = float(-np.sum(nz * np.log2(nz)))
+        np.testing.assert_allclose(dist.p, p_ref, rtol=1e-12, atol=0)
+        assert dist.entropy_bits == pytest.approx(h_ref, abs=1e-9)
 
 
 def test_mb_quadrant_symmetry():
