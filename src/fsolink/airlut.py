@@ -135,11 +135,9 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
     air = np.zeros(grid.size)
 
     for i, snr in enumerate(grid):
-        ss = np.random.SeedSequence([mc.seed, i])
-
         def ngmi_at(steps: int) -> float:
             return awgn_link_metrics(grid_distribution(steps), float(snr),
-                                     mc.mc_symbols, np.random.default_rng(ss)).ngmi
+                                     mc.mc_symbols, [mc.seed, i]).ngmi
 
         if ngmi_at(lo_steps) < ngmi_th:
             air[i] = 0.0

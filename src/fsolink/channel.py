@@ -45,8 +45,8 @@ class SnrTrace:
             raise ValueError("empty trace")
         if not (t.size == s.size == len(self.weather)):
             raise ValueError("trace columns differ in length")
-        dt = np.diff(t)
-        if t.size > 1 and not np.allclose(dt, self.sampling_period_s, rtol=0, atol=1e-9):
+        period = _sampling_period(self.sampling_period_s)
+        if not np.allclose(np.diff(t), period, rtol=0, atol=1e-9):
             raise ValueError("timestamps must increase by the sampling period")
         if not np.all(np.isfinite(s)):
             raise ValueError("SNR values must be finite")
@@ -67,6 +67,13 @@ def _real(v, name: str, finite: bool = True):
             or finite and math.isinf(v)):
         raise ValueError(f"{name} must be a {'finite ' * finite}number, got {v!r}")
     return v
+
+
+def _sampling_period(v) -> float:
+    """v as a float, if it is a real number of seconds above 0 and finite."""
+    if _real(v, "sampling_period_s") <= 0:
+        raise ValueError(f"sampling_period_s must be positive, got {v!r}")
+    return float(v)
 
 
 def _integer(v, name: str):

@@ -21,6 +21,7 @@ from .channel import (
     RainModelConfig,
     _read_json,
     _real,
+    _sampling_period,
     default_rain_config,
     gen_trace,
     load_trace,
@@ -62,10 +63,7 @@ def _rain_config_from_json(path: str | None, seed: int | None) -> tuple:
         cfg, period = default_rain_config(), SAMPLING_PERIOD_S
     else:
         def build(sampling_period_s=SAMPLING_PERIOD_S, **fields):
-            if _real(sampling_period_s, "sampling_period_s") <= 0:
-                raise ValueError("sampling_period_s must be positive, "
-                                 f"got {sampling_period_s!r}")
-            return RainModelConfig(**fields), float(sampling_period_s)
+            return RainModelConfig(**fields), _sampling_period(sampling_period_s)
 
         cfg, period = _read_json(path, build)
     if seed is not None:

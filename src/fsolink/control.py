@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .airlut import AirTable, MCConfig, air_for_rate, lookup_air, net_bit_rate
-from .channel import SnrTrace, _finite_float, _read_csv, _real, _write_csv, _write_json
+from .channel import (SnrTrace, _finite_float, _read_csv, _real, _sampling_period,
+                      _write_csv, _write_json)
 from .metrics import awgn_link_metrics
 from .shaping import (
     ENTROPY_FLOOR_BITS,
@@ -161,8 +162,7 @@ _BASE_ENTROPY["adaptive"] = _BASE_ENTROPY["fixed400"]
 
 def _measure_analytic(dist: ShapedDistribution, snr_db: float, key,
                       n_symbols: int):
-    rng = np.random.default_rng(np.random.SeedSequence(key))
-    rep = awgn_link_metrics(dist, snr_db, n_symbols, rng)
+    rep = awgn_link_metrics(dist, snr_db, n_symbols, key)
     return rep.snr_db, rep.ngmi
 
 
@@ -281,8 +281,9 @@ def accumulate_report(records, sampling_period_s: float) -> CampaignReport:
     """Reduce a campaign's records to service statistics.
 
     Effective rate zero-rates outage iterations (discarded data); delivered
-    capacity integrates in-service bits over the sampling period.
+    capacity integrates in-service bits over the (positive) sampling period.
     """
+    sampling_period_s = _sampling_period(sampling_period_s)
     groups = _by_scheme(records)
     schemes = tuple(groups)
     n_iter = len(groups[schemes[0]])
@@ -304,7 +305,7 @@ def accumulate_report(records, sampling_period_s: float) -> CampaignReport:
 
     return CampaignReport(
         schemes=schemes, n_iterations=n_iter,
-        sampling_period_s=float(sampling_period_s),
+        sampling_period_s=sampling_period_s,
         mean_effective_rate_bps=mean_rate, outage_fraction=outage,
         delivered_bytes=delivered, gain_vs_fixed_bytes=gains,
     )

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ImpairmentConfig, _dual_pol, apply_impairments, awgn_transmit
-from .metrics import MetricReport, evm_percent, gmi_from_samples
+from .metrics import MetricReport, score_batch
 from .shaping import PILOT_SPACING, RatePlan, ShapedDistribution, insert_pilots, pilot_mask
 
 __all__ = [
@@ -418,12 +418,10 @@ def build_tx_frame(dist: ShapedDistribution, n_symbols: int, seed) -> TxFrame:
     mask = pilot_mask(n_symbols)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     data_seed, pilot_x, pilot_y = ss.spawn(3)
-    rng = np.random.default_rng(data_seed)
-
-    idx = rng.choice(dist.template.M, size=(2, n_symbols - int(mask.sum())), p=dist.p)
-    alphabet = dist.tx_points()
-    symbols = np.stack([insert_pilots(alphabet[row], seed=int(pseed.generate_state(1)[0]))
-                        for row, pseed in zip(idx, (pilot_x, pilot_y))])
+    idx, payload = dist.sample(np.random.default_rng(data_seed),
+                               (2, n_symbols - int(mask.sum())))
+    symbols = np.stack([insert_pilots(row, seed=int(pseed.generate_state(1)[0]))
+                        for row, pseed in zip(payload, (pilot_x, pilot_y))])
     point_idx = np.full((2, n_symbols), -1, dtype=np.int64)
     point_idx[:, ~mask] = idx
     return TxFrame(symbols=symbols, point_idx=point_idx, dist=dist)
@@ -492,14 +490,7 @@ def rx_chain(waveform: np.ndarray, frame: TxFrame, cfg: EqualizerConfig) -> Chai
     err = z[:, settled] - frame.symbols[:, settled]
     noise_var_est = max(float(np.mean(np.abs(err) ** 2)), 1e-12)
 
-    rx_pay = z[:, payload]
-    tx_pay = frame.symbols[:, payload]
-    ev = evm_percent(rx_pay.ravel(), tx_pay.ravel())
-    gmi = sum(
-        gmi_from_samples(frame.point_idx[pol, payload], rx_pay[pol],
-                         frame.dist, noise_var_est)
-        for pol in range(2)
-    ) / 2.0
-    report = MetricReport.from_gmi(int(2 * payload.sum()), frame.dist, gmi, ev)
+    report = score_batch(frame.point_idx[:, payload], z[:, payload],
+                         frame.symbols[:, payload], frame.dist, noise_var_est)
     return ChainResult(symbols=z, report=report, freq_offset_hz=freq_offset_hz,
                        freq_ambiguous=ambiguous, noise_var_est=noise_var_est)

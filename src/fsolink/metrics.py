@@ -18,6 +18,7 @@ __all__ = [
     "ngmi",
     "evm_percent",
     "snr_from_evm",
+    "score_batch",
     "awgn_link_metrics",
 ]
 
@@ -30,22 +31,9 @@ _LLR_MAX = 600.0  # LLR saturation, below -log(_TINY) ~ 690.8
 class MetricReport:
     """One batch worth of link metrics; snr_db is the EVM-derived estimate."""
 
-    n_symbols: int
-    entropy_bits: float
     gmi_bits: float
     ngmi: float
-    evm_percent: float
     snr_db: float
-
-    @classmethod
-    def from_gmi(cls, n_symbols: int, dist: ShapedDistribution, gmi_bits: float,
-                 evm_pct: float) -> "MetricReport":
-        """Report for n_symbols scored against dist: NGMI from the GMI and
-        the SNR from the EVM."""
-        h = dist.entropy_bits
-        return cls(n_symbols=n_symbols, entropy_bits=h, gmi_bits=gmi_bits,
-                   ngmi=ngmi(gmi_bits, h, dist.template.bits_per_symbol),
-                   evm_percent=evm_pct, snr_db=snr_from_evm(evm_pct))
 
 
 def _posterior_llrs(d2: np.ndarray, logp: np.ndarray, bits: np.ndarray,
@@ -128,11 +116,11 @@ def gmi_from_samples(tx_idx: np.ndarray, rx: np.ndarray, dist: ShapedDistributio
     shaped priors, clamped to be non-negative.
 
     tx_idx holds constellation point indices (positions in the template,
-    not bit labels).
+    not bit labels); it and rx may have any shapes of one size.
     """
-    tx_idx = np.asarray(tx_idx)
+    tx_idx = np.asarray(tx_idx).ravel()
     rx = np.ascontiguousarray(rx, dtype=complex).ravel()
-    if tx_idx.shape != rx.shape:
+    if tx_idx.size != rx.size:
         raise ValueError("tx indices and rx samples differ in length")
     if rx.size == 0:
         raise ValueError("no received samples")
@@ -180,21 +168,30 @@ def snr_from_evm(evm_pct: float) -> float:
     return -20.0 * math.log10(evm_pct / 100.0)
 
 
+def score_batch(point_idx: np.ndarray, rx: np.ndarray, tx: np.ndarray,
+                dist: ShapedDistribution, noise_var: float) -> MetricReport:
+    """Score a batch of received samples rx, of any shape, against the sent
+    symbols tx and their point indices under dist's prior: the GMI per
+    symbol at noise_var, its NGMI, and the SNR from the EVM."""
+    g = gmi_from_samples(point_idx, rx, dist, noise_var)
+    return MetricReport(
+        gmi_bits=g,
+        ngmi=ngmi(g, dist.entropy_bits, dist.template.bits_per_symbol),
+        snr_db=snr_from_evm(evm_percent(rx, tx)))
+
+
 def awgn_link_metrics(dist: ShapedDistribution, snr_db: float, n_symbols: int,
                       seed) -> MetricReport:
     """Draw shaped symbols, add white Gaussian noise at the given SNR, and
     score the batch with the true noise variance.
 
     This is the analytic (symbol-level, DSP-free) path used for rate
-    adaptation studies; `seed` may be an int, a SeedSequence, or a Generator.
+    adaptation studies; `seed` may be an int, a key sequence of ints, a
+    SeedSequence, or a Generator.
     """
     if n_symbols <= 0:
         raise ValueError("need at least one symbol")
     rng = np.random.default_rng(seed)
-    idx = rng.choice(dist.template.M, size=n_symbols, p=dist.p)
-    tx = dist.tx_points()[idx]
+    idx, tx = dist.sample(rng, n_symbols)
     rx = awgn_transmit(tx, snr_db, rng)
-    noise_var = 10.0 ** (-snr_db / 10.0)
-
-    g = gmi_from_samples(idx, rx, dist, noise_var)
-    return MetricReport.from_gmi(n_symbols, dist, g, evm_percent(rx, tx))
+    return score_batch(idx, rx, tx, dist, 10.0 ** (-snr_db / 10.0))

@@ -123,6 +123,11 @@ class ShapedDistribution:
         distribution (the alphabet actually put on the channel)."""
         return self.template.points * (1.0 / math.sqrt(self.avg_power))
 
+    def sample(self, rng: np.random.Generator, size):
+        """Draw `size` points (an int or a shape): template indices, symbols."""
+        idx = rng.choice(self.template.M, size=size, p=self.p)
+        return idx, self.tx_points()[idx]
+
     @functools.cached_property
     def axis_factors(self):
         """Per-axis view of this distribution, computed once.

@@ -378,6 +378,13 @@ def test_snr_trace_validation():
     with pytest.raises(ValueError, match="sampling period"):
         SnrTrace(t_s=np.array([0.0, 10.0]), snr_db=np.zeros(2),
                  weather=(CLEAR, CLEAR), sampling_period_s=25.0)
+    # a period that is not positive and finite; a negative one would let
+    # the timestamps fall with it
+    for period in (0.0, -25.0, math.nan, math.inf):
+        t = [0.0, period] if math.isfinite(period) else [0.0, 25.0]
+        with pytest.raises(ValueError, match="sampling_period_s must be"):
+            SnrTrace(t_s=np.array(t), snr_db=np.zeros(2), weather=(CLEAR, CLEAR),
+                     sampling_period_s=period)
 
 
 def test_all_names_every_public_function_and_class():

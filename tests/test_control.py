@@ -384,6 +384,14 @@ def test_accumulate_rejects_empty():
         accumulate_report([], 25.0)
 
 
+@pytest.mark.parametrize("period", [0.0, -25.0, math.nan, math.inf])
+def test_accumulate_rejects_a_period_not_positive_and_finite(period):
+    # a negative period would report negative delivered bytes
+    records = [_record(n=i, t_s=25.0 * i) for i in range(3)]
+    with pytest.raises(ValueError, match="sampling_period_s must be"):
+        accumulate_report(records, period)
+
+
 def test_emit_report_rejects_empty_records_before_any_output(tmp_path):
     records = [_record()]
     rep = accumulate_report(records, 25.0)

@@ -21,6 +21,7 @@ from fsolink.metrics import (
     evm_percent,
     gmi_from_samples,
     ngmi,
+    score_batch,
     snr_from_evm,
 )
 from fsolink.shaping import ConstellationTemplate, ShapedDistribution, mb_distribution
@@ -248,6 +249,35 @@ def test_gmi_peak_memory_does_not_grow_with_the_batch():
 def test_gmi_length_mismatch_rejected():
     with pytest.raises(ValueError):
         gmi_from_samples(np.array([0, 1]), np.array([0j]), UNIFORM, 0.1)
+    with pytest.raises(ValueError, match="differ in length"):
+        gmi_from_samples(np.zeros((2, 5), dtype=int), np.zeros(11, complex),
+                         UNIFORM, 0.1)
+
+
+def test_score_batch_pools_both_polarizations():
+    # one report over a (2, P) batch, which gmi_from_samples takes as it
+    # is: the GMI is the mean of the two rows' (they hold equally many
+    # symbols) and the SNR is the batch's EVM SNR
+    dist = mb_distribution(0.4, TPL)
+    rng = np.random.default_rng(8)
+    idx, tx = dist.sample(rng, (2, 3000))
+    rx = awgn_transmit(tx, 14.0, rng)
+    nv = 10.0 ** -1.4
+    rep = score_batch(idx, rx, tx, dist, nv)
+    assert rep.gmi_bits == gmi_from_samples(idx.ravel(), rx.ravel(), dist, nv)
+    rows = [gmi_from_samples(idx[k], rx[k], dist, nv) for k in range(2)]
+    assert rep.gmi_bits == pytest.approx(sum(rows) / 2.0, abs=1e-12)
+    assert rep.ngmi == ngmi(rep.gmi_bits, dist.entropy_bits, 6)
+    assert rep.snr_db == snr_from_evm(evm_percent(rx, tx))
+
+
+def test_awgn_link_metrics_takes_a_key_sequence():
+    # a key list seeds the same stream as its SeedSequence, so callers
+    # need not wrap their keys
+    dist = mb_distribution(0.2, TPL)
+    rng = np.random.default_rng(np.random.SeedSequence([5, 2, 1]))
+    assert (awgn_link_metrics(dist, 11.0, 2048, [5, 2, 1])
+            == awgn_link_metrics(dist, 11.0, 2048, rng))
 
 
 def test_gmi_never_exceeds_entropy():

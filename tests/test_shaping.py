@@ -138,6 +138,16 @@ def test_tx_points_unit_power():
     assert float(np.sum(dist.p * np.abs(pts) ** 2)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sample_draws_the_choice_stream():
+    # records depend on this stream: one choice over the M points with p
+    dist = mb_distribution(0.3, TPL)
+    for size in (1, 500, (2, 97)):
+        idx, symbols = dist.sample(np.random.default_rng(17), size)
+        want = np.random.default_rng(17).choice(TPL.M, size, p=dist.p)
+        np.testing.assert_array_equal(idx, want)
+        np.testing.assert_array_equal(symbols, dist.tx_points()[want])
+
+
 # ------------------------------------------------------------ entropy solve
 
 def test_solve_nu_uniform_target_returns_zero_exactly():
