@@ -20,7 +20,7 @@ import numpy as np
 
 from fsolink.airlut import MCConfig, build_air_table, save_air_table
 from fsolink.channel import RAIN, default_rain_config, gen_trace, save_trace
-from fsolink.control import SCHEMES, accumulate_report, emit_report, run_campaign
+from fsolink.control import SCHEMES, emit_report, run_campaign
 
 
 def main() -> None:
@@ -49,12 +49,11 @@ def main() -> None:
     print(f"running {len(SCHEMES)} schemes x {len(trace)} iterations...")
     records = run_campaign(trace, SCHEMES, table, seed=args.seed,
                            mc_symbols=campaign_mc)
-    report = accumulate_report(records, trace.sampling_period_s)
 
     args.out.mkdir(parents=True, exist_ok=True)
     save_air_table(table, args.out / "lut.json")
     save_trace(trace, args.out / "trace.csv")
-    emit_report(report, records, args.out)
+    report = emit_report(records, args.out)
 
     print(f"\n{'scheme':10s} {'rate Gbps':>10s} {'outage':>8s} {'TB':>8s}")
     for s in SCHEMES:

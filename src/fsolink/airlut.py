@@ -49,7 +49,8 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mc_symbols <= 0:
+        _integer(self.seed, "seed")
+        if _integer(self.mc_symbols, "mc_symbols") <= 0:
             raise ValueError("Monte-Carlo symbol count must be positive")
 
 

@@ -8,7 +8,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class SnrTrace:
     t_s: np.ndarray
     snr_db: np.ndarray
     weather: tuple[str, ...]
-    sampling_period_s: float = SAMPLING_PERIOD_S
+    sampling_period_s: float = field(init=False)
 
     def __post_init__(self):
         t = np.asarray(self.t_s, dtype=float)
@@ -45,7 +45,7 @@ class SnrTrace:
             raise ValueError("empty trace")
         if not (t.size == s.size == len(self.weather)):
             raise ValueError("trace columns differ in length")
-        period = _sampling_period(self.sampling_period_s)
+        period = _period_of(t)
         if not np.allclose(np.diff(t), period, rtol=0, atol=1e-9):
             raise ValueError("timestamps must increase by the sampling period")
         if not np.all(np.isfinite(s)):
@@ -55,6 +55,7 @@ class SnrTrace:
         object.__setattr__(self, "t_s", t)
         object.__setattr__(self, "snr_db", s)
         object.__setattr__(self, "weather", tuple(self.weather))
+        object.__setattr__(self, "sampling_period_s", period)
 
     def __len__(self) -> int:
         return self.t_s.size
@@ -74,6 +75,13 @@ def _sampling_period(v) -> float:
     if _real(v, "sampling_period_s") <= 0:
         raise ValueError(f"sampling_period_s must be positive, got {v!r}")
     return float(v)
+
+
+def _period_of(t_s) -> float:
+    """The sampling period of timestamps t_s: their first step, positive and
+    finite, or SAMPLING_PERIOD_S for a single timestamp."""
+    return (_sampling_period(float(t_s[1] - t_s[0])) if len(t_s) > 1
+            else SAMPLING_PERIOD_S)
 
 
 def _integer(v, name: str):
@@ -146,15 +154,14 @@ def default_rain_config(seed: int = 1234) -> RainModelConfig:
 def gen_trace(cfg: RainModelConfig, duration_s: float,
               sampling_period_s: float = SAMPLING_PERIOD_S) -> SnrTrace:
     """Generate SNR(t) = regime_mean(t) + AR(1) fluctuation, deterministically
-    from cfg.seed."""
+    from cfg.seed. The trace holds at least two samples, so that its
+    timestamps carry its period."""
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration_s}")
-    if not 0 < sampling_period_s < math.inf:
-        raise ValueError("sampling period must be positive and finite, "
-                         f"got {sampling_period_s}")
+    sampling_period_s = _sampling_period(sampling_period_s)
     n = int(duration_s // sampling_period_s)
-    if n == 0:
-        raise ValueError("duration shorter than one sampling period")
+    if n < 2:
+        raise ValueError("duration shorter than two sampling periods")
     t = np.arange(n) * sampling_period_s
     rng = np.random.default_rng(cfg.seed)
 
@@ -165,14 +172,13 @@ def gen_trace(cfg: RainModelConfig, duration_s: float,
     rho = cfg.ar1_rho ** (sampling_period_s / SAMPLING_PERIOD_S)
     d = np.empty(n)
     d[0] = std[0] * rng.standard_normal()
-    w = rng.standard_normal(n - 1) if n > 1 else np.empty(0)
+    w = rng.standard_normal(n - 1)
     scale = math.sqrt(1.0 - rho * rho)
     for k in range(n - 1):
         d[k + 1] = rho * d[k] + scale * std[k + 1] * w[k]
 
     weather = tuple(RAIN if r else CLEAR for r in rain)
-    return SnrTrace(t_s=t, snr_db=mean + d, weather=weather,
-                    sampling_period_s=sampling_period_s)
+    return SnrTrace(t_s=t, snr_db=mean + d, weather=weather)
 
 
 def awgn_transmit(symbols: np.ndarray, snr_db: float, seed) -> np.ndarray:
@@ -399,6 +405,4 @@ def load_trace(path) -> SnrTrace:
         if t <= t_prev:
             raise ValueError(f"{path}:{line}: timestamps not increasing")
     t_s, snr, weather = zip(*(values for _, values in rows))
-    period = t_s[1] - t_s[0] if len(t_s) > 1 else SAMPLING_PERIOD_S
-    return SnrTrace(t_s=np.array(t_s), snr_db=np.array(snr), weather=weather,
-                    sampling_period_s=period)
+    return SnrTrace(t_s=np.array(t_s), snr_db=np.array(snr), weather=weather)

@@ -30,7 +30,6 @@ from .channel import (
 from .control import (
     SCHEMES,
     PredictorState,
-    accumulate_report,
     emit_report,
     load_records,
     run_campaign,
@@ -86,8 +85,8 @@ def _cmd_gen_trace(args) -> int:
     trace = gen_trace(cfg, args.duration, period)
     save_trace(trace, args.out)
     rain = sum(1 for w in trace.weather if w == "rain")
-    print(f"wrote {args.out}: {len(trace)} samples at {period:g} s, "
-          f"{rain} rain samples")
+    print(f"wrote {args.out}: {len(trace)} samples at "
+          f"{trace.sampling_period_s:g} s, {rain} rain samples")
     return 0
 
 
@@ -108,21 +107,14 @@ def _cmd_run(args) -> int:
         trace, schemes, table, mode=args.mode, seed=args.seed,
         n_window=args.window, snr_margin_db=args.margin,
         mc_symbols=args.mc_symbols)
-    report = accumulate_report(records, trace.sampling_period_s)
-    emit_report(report, records, args.out)
-    _print_summary(report)
+    _print_summary(emit_report(records, args.out))
     print(f"wrote {args.out}/records.csv and report files")
     return 0
 
 
 def _cmd_report(args) -> int:
     in_dir = Path(args.in_dir)
-    records = load_records(in_dir / "records.csv")
-    times = sorted({r.t_s for r in records})
-    period = times[1] - times[0] if len(times) > 1 else SAMPLING_PERIOD_S
-    report = accumulate_report(records, period)
-    emit_report(report, records, in_dir)
-    _print_summary(report)
+    _print_summary(emit_report(load_records(in_dir / "records.csv"), in_dir))
     return 0
 
 

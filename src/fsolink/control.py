@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .airlut import AirTable, MCConfig, air_for_rate, lookup_air, net_bit_rate
-from .channel import (SnrTrace, _finite_float, _read_csv, _real, _sampling_period,
-                      _write_csv, _write_json)
+from .channel import (SnrTrace, _finite_float, _integer, _period_of, _read_csv, _real,
+                      _sampling_period, _write_csv, _write_json)
 from .metrics import awgn_link_metrics
 from .shaping import (
     ENTROPY_FLOOR_BITS,
@@ -60,7 +60,7 @@ class PredictorState:
     window: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
-        if self.n_window < 1:
+        if _integer(self.n_window, "n_window") < 1:
             raise ValueError("window length must be >= 1")
         _real(self.snr_margin_db, "margin")
 
@@ -311,11 +311,16 @@ def accumulate_report(records, sampling_period_s: float) -> CampaignReport:
     )
 
 
-def emit_report(report: CampaignReport, records, out_dir) -> None:
-    """Write records.csv, summary.json, and the per-panel CSV files into
-    out_dir (created if missing); empty or uneven records are rejected
-    first."""
+def emit_report(records, out_dir) -> CampaignReport:
+    """Report a campaign from its records alone: accumulate_report at the
+    period of the records' timestamps (see channel._period_of). Write
+    records.csv, summary.json, and the per-panel CSV files into out_dir
+    (created if missing) and return the report; empty or uneven records
+    are rejected first."""
     groups = _by_scheme(records)
+    base = next(iter(groups.values()))
+    t_s = [r.t_s for r in base]
+    report = accumulate_report(records, _period_of(t_s))
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -327,11 +332,8 @@ def emit_report(report: CampaignReport, records, out_dir) -> None:
 
     _write_json(out / "summary.json", asdict(report))
 
-    base = next(iter(groups.values()))
-
     def panel(name: str, columns: dict) -> None:
-        _write_csv(out / name, ["t_s", *columns],
-                   zip([r.t_s for r in base], *columns.values()))
+        _write_csv(out / name, ["t_s", *columns], zip(t_s, *columns.values()))
 
     snr_cols = {"snr_true_db": [r.snr_true_db for r in base]}
     for s, rows in groups.items():
@@ -344,6 +346,7 @@ def emit_report(report: CampaignReport, records, out_dir) -> None:
         panel("gain_vs_t.csv",
               {f"gain_bytes_vs_{s}": v
                for s, v in report.gain_vs_fixed_bytes.items()})
+    return report
 
 
 def load_records(path) -> list:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import ImpairmentConfig, _dual_pol, apply_impairments, awgn_transmit
+from .channel import (ImpairmentConfig, _dual_pol, _integer, _real, apply_impairments,
+                      awgn_transmit)
 from .metrics import MetricReport, score_batch
 from .shaping import PILOT_SPACING, RatePlan, ShapedDistribution, insert_pilots, pilot_mask
 
@@ -110,9 +111,9 @@ class EqualizerConfig:
 
     def __post_init__(self):
         for name in ("cma_step", "lms_step", "lms_track_step"):
-            if getattr(self, name) <= 0:
+            if _real(getattr(self, name), name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.training_symbols < 0:
+        if _integer(self.training_symbols, "training_symbols") < 0:
             raise ValueError("training_symbols must be >= 0")
 
 

@@ -79,8 +79,12 @@ def _llr_chunks(rx: np.ndarray, dist: ShapedDistribution, noise_var: float,
     per-axis posteriors over sqrt(M) levels each: in-phase bits, then
     quadrature. The complex noise variance nv reads per axis as
     exp(-(y_axis - level)^2 / nv), not nv/2, because |y - x|^2 splits into
-    the two axis terms.
+    the two axis terms. rx must hold samples and noise_var be positive.
     """
+    if rx.size == 0:
+        raise ValueError("no received samples")
+    if not noise_var > 0:
+        raise ValueError("noise variance must be positive")
     levels, p_axis, bits = dist.axis_factors
     levels = levels[:, None]
     logp = np.log(np.maximum(p_axis, _TINY))[:, None]
@@ -100,10 +104,6 @@ def bitwise_llrs(rx: np.ndarray, dist: ShapedDistribution, noise_var: float) -> 
     Magnitudes saturate at 600.
     """
     rx = np.ascontiguousarray(rx, dtype=complex).ravel()
-    if rx.size == 0:
-        raise ValueError("no received samples")
-    if not noise_var > 0:
-        raise ValueError("noise variance must be positive")
     out = np.empty((rx.size, dist.template.bits_per_symbol))
     for sl, llr in _llr_chunks(rx, dist, noise_var):
         out[sl] = llr
@@ -122,10 +122,6 @@ def gmi_from_samples(tx_idx: np.ndarray, rx: np.ndarray, dist: ShapedDistributio
     rx = np.ascontiguousarray(rx, dtype=complex).ravel()
     if tx_idx.size != rx.size:
         raise ValueError("tx indices and rx samples differ in length")
-    if rx.size == 0:
-        raise ValueError("no received samples")
-    if not noise_var > 0:
-        raise ValueError("noise variance must be positive")
 
     flip = 2.0 * dist.template.bit_masks() - 1.0  # (m, M): +1 where bit is 1
     loss_bits = 0.0

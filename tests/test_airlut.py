@@ -115,6 +115,10 @@ def test_min_snr_for_air():
 def test_mc_config_validation():
     with pytest.raises(ValueError):
         MCConfig(mc_symbols=0)
+    # True had scored one symbol
+    for kw in ({"mc_symbols": True}, {"mc_symbols": 2.5}, {"seed": 1.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            MCConfig(**kw)
 
 
 # ------------------------------------------------------------ table build

@@ -121,13 +121,16 @@ def test_rain_config_validation():
 def test_gen_trace_duration_validation():
     with pytest.raises(ValueError):
         gen_trace(_cfg(), -5.0)
-    with pytest.raises(ValueError):
-        gen_trace(_cfg(), 10.0)  # shorter than one period
+    # one sample cannot carry its period: a trace needs two
+    for duration in (10.0, 25.0, 49.9):
+        with pytest.raises(ValueError, match="shorter than two sampling periods"):
+            gen_trace(_cfg(), duration)
+    assert len(gen_trace(_cfg(), 50.0)) == 2
     for duration in (math.inf, math.nan):
         with pytest.raises(ValueError, match="duration must be positive and finite"):
             gen_trace(_cfg(), duration)
-    for period in (0.0, -25.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="sampling period must be positive"):
+    for period in (0.0, -25.0, math.inf, math.nan, True):
+        with pytest.raises(ValueError, match="sampling_period_s must be"):
             gen_trace(_cfg(), 1000.0, period)
 
 
@@ -273,6 +276,16 @@ def test_trace_round_trip(tmp_path):
     assert back.sampling_period_s == tr.sampling_period_s
 
 
+def test_trace_keeps_a_five_second_period_through_its_file(tmp_path):
+    tr = gen_trace(_cfg(seed=13), 9.0 * 5.0, 5.0)
+    assert tr.sampling_period_s == 5.0
+    path = tmp_path / "trace.csv"
+    save_trace(tr, path)
+    back = load_trace(path)
+    assert len(back) == 9 and back.sampling_period_s == 5.0
+    np.testing.assert_array_equal(back.t_s, 5.0 * np.arange(9))
+
+
 def test_trace_file_is_utf8_lf_with_header(tmp_path):
     tr = gen_trace(_cfg(seed=13), 100.0)
     path = tmp_path / "trace.csv"
@@ -375,16 +388,23 @@ def test_csv_writer_names_the_file_it_cannot_write(tmp_path):
 def test_snr_trace_validation():
     with pytest.raises(ValueError, match="empty"):
         SnrTrace(t_s=np.array([]), snr_db=np.array([]), weather=())
-    with pytest.raises(ValueError, match="sampling period"):
+    # the timestamps fix the period: their first step, or 25 s for one sample
+    with pytest.raises(TypeError):
         SnrTrace(t_s=np.array([0.0, 10.0]), snr_db=np.zeros(2),
                  weather=(CLEAR, CLEAR), sampling_period_s=25.0)
-    # a period that is not positive and finite; a negative one would let
+    assert SnrTrace(t_s=np.array([0.0, 10.0]), snr_db=np.zeros(2),
+                    weather=(CLEAR, CLEAR)).sampling_period_s == 10.0
+    assert SnrTrace(t_s=np.array([7.0]), snr_db=np.zeros(1),
+                    weather=(CLEAR,)).sampling_period_s == 25.0
+    with pytest.raises(ValueError, match="sampling period"):
+        SnrTrace(t_s=np.array([0.0, 10.0, 30.0]), snr_db=np.zeros(3),
+                 weather=(CLEAR,) * 3)
+    # a first step that is not positive and finite; a negative one would let
     # the timestamps fall with it
-    for period in (0.0, -25.0, math.nan, math.inf):
-        t = [0.0, period] if math.isfinite(period) else [0.0, 25.0]
+    for step in (0.0, -25.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="sampling_period_s must be"):
-            SnrTrace(t_s=np.array(t), snr_db=np.zeros(2), weather=(CLEAR, CLEAR),
-                     sampling_period_s=period)
+            SnrTrace(t_s=np.array([0.0, step]), snr_db=np.zeros(2),
+                     weather=(CLEAR, CLEAR))
 
 
 def test_all_names_every_public_function_and_class():

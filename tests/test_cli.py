@@ -156,6 +156,26 @@ def test_gen_trace_rejects_bad_sampling_period(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_gen_trace_refuses_a_trace_too_short_to_carry_its_period(tmp_path, capsys):
+    # 9 s at 5 s is one sample, which would have read back at 25 s
+    cfg = {"clear_mean_db": 30.0, "clear_std_db": 0.01,
+           "rain_mean_drop_db": 1.0, "rain_std_db": 0.02, "ar1_rho": 0.1,
+           "sampling_period_s": 5}
+    cfg_path = tmp_path / "model.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "t.csv"
+    rc = main(["gen-trace", "--config", str(cfg_path), "--duration", "9",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: duration shorter than two sampling periods\n"
+    assert not out.exists()
+    assert main(["gen-trace", "--config", str(cfg_path), "--duration", "10",
+                 "--out", str(out)]) == 0
+    assert "2 samples at 5 s" in capsys.readouterr().out
+    assert load_trace(out).sampling_period_s == 5.0
+
+
 @pytest.mark.parametrize("field, value", [
     ("seed", "x"), ("seed", 1.5), ("seed", True),
     ("clear_mean_db", "x"), ("ar1_rho", None), ("rain_std_db", float("nan")),
@@ -382,6 +402,24 @@ def test_report_recomputes_from_records(small_campaign, capsys):
     after = json.loads((results / "summary.json").read_text())
     assert after["mean_effective_rate_bps"] == before["mean_effective_rate_bps"]
     assert after["delivered_bytes"] == before["delivered_bytes"]
+
+
+def test_report_rewrites_a_five_second_run_byte_for_byte(small_campaign, tmp_path):
+    _, lut, results = small_campaign
+    cfg = json.loads((tmp_path / "model.json").read_text())
+    (tmp_path / "model5.json").write_text(json.dumps({**cfg, "sampling_period_s": 5}))
+    trace = tmp_path / "trace5.csv"
+    assert main(["gen-trace", "--config", str(tmp_path / "model5.json"),
+                 "--duration", "40", "--out", str(trace)]) == 0
+    assert main(["run", "--trace", str(trace), "--lut", str(lut), "--seed", "1",
+                 "--mc-symbols", "2000", "--out", str(results)]) == 0
+    after_run = {f.name: f.read_bytes() for f in results.iterdir()}
+    assert json.loads(after_run["summary.json"])["sampling_period_s"] == 5.0
+    for f in results.iterdir():
+        f.unlink()
+    (results / "records.csv").write_bytes(after_run["records.csv"])
+    assert main(["report", "--in", str(results)]) == 0
+    assert {f.name: f.read_bytes() for f in results.iterdir()} == after_run
 
 
 def test_report_rejects_uneven_records_without_rewriting(small_campaign, capsys):

@@ -109,6 +109,9 @@ def test_predictor_validation():
         PredictorState(n_window=0)
     with pytest.raises(ValueError):
         PredictorState(snr_margin_db=math.inf)
+    for n_window in (True, 2.5, math.nan):  # True had run a 1-window predictor
+        with pytest.raises(ValueError, match="n_window must be an integer"):
+            PredictorState(n_window=n_window)
 
 
 # ------------------------------------------------------------- rate select
@@ -393,10 +396,8 @@ def test_accumulate_rejects_a_period_not_positive_and_finite(period):
 
 
 def test_emit_report_rejects_empty_records_before_any_output(tmp_path):
-    records = [_record()]
-    rep = accumulate_report(records, 25.0)
     with pytest.raises(ValueError, match="no records"):
-        emit_report(rep, [], tmp_path)
+        emit_report([], tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -406,12 +407,11 @@ def test_uneven_records_rejected_before_any_output(tmp_path):
         records.append(_record(n=i, t_s=25.0 * i, scheme="fixed400",
                                rate_bps=400e9))
         records.append(_record(n=i, t_s=25.0 * i, scheme="adaptive"))
-    rep = accumulate_report(records, 25.0)
     uneven = records[:-1]  # adaptive loses its last row
     with pytest.raises(ValueError, match="'adaptive'.*'fixed400'"):
         accumulate_report(uneven, 25.0)
     with pytest.raises(ValueError, match="'adaptive'.*'fixed400'"):
-        emit_report(rep, uneven, tmp_path)
+        emit_report(uneven, tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -422,12 +422,11 @@ def test_uneven_records_rejected_before_any_output(tmp_path):
 ])
 def test_bad_schemes_and_iterations_rejected_before_any_output(
         tmp_path, scheme, iterations, message):
-    rep = accumulate_report([_record()], 25.0)
     records = [_record(n=i, t_s=25.0 * i, scheme=scheme) for i in iterations]
     with pytest.raises(ValueError, match=message):
         accumulate_report(records, 25.0)
     with pytest.raises(ValueError, match=message):
-        emit_report(rep, records, tmp_path)
+        emit_report(records, tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -447,9 +446,9 @@ def test_emit_report_round_trip(tmp_path, coarse_table):
     trace = _const_trace(14.0, 4)
     records = run_campaign(trace, SCHEMES, coarse_table, seed=17,
                            mc_symbols=10_000)
-    rep = accumulate_report(records, 25.0)
     out = tmp_path / "results"
-    emit_report(rep, records, out)
+    rep = emit_report(records, out)
+    assert rep.sampling_period_s == 25.0
 
     for name in ("records.csv", "summary.json", "snr_vs_t.csv",
                  "ngmi_vs_t.csv", "rate_vs_t.csv", "gain_vs_t.csv"):
@@ -468,7 +467,7 @@ def test_emit_report_round_trip(tmp_path, coarse_table):
 def test_panel_cells_are_plain_floats(tmp_path, coarse_table):
     records = run_campaign(_const_trace(14.0, 4), SCHEMES, coarse_table,
                            seed=17, mc_symbols=10_000)
-    emit_report(accumulate_report(records, 25.0), records, tmp_path)
+    emit_report(records, tmp_path)
     for name in ("snr_vs_t.csv", "ngmi_vs_t.csv", "rate_vs_t.csv",
                  "gain_vs_t.csv"):
         lines = (tmp_path / name).read_text().splitlines()
@@ -482,8 +481,7 @@ def test_summary_json_holds_every_report_field(tmp_path):
     records = [_record(n=i, t_s=25.0 * i, scheme=s,
                        rate_bps=FIXED_RATES_BPS.get(s, 500e9))
                for i in range(3) for s in SCHEMES]
-    rep = accumulate_report(records, 25.0)
-    emit_report(rep, records, tmp_path)
+    rep = emit_report(records, tmp_path)
     doc = json.loads((tmp_path / "summary.json").read_text())
     assert list(doc) == [f.name for f in dataclasses.fields(CampaignReport)]
     assert doc["schemes"] == list(SCHEMES)
@@ -492,9 +490,26 @@ def test_summary_json_holds_every_report_field(tmp_path):
         rep.gain_vs_fixed_bytes["fixed400"].tolist()
 
 
+@pytest.mark.parametrize("period", [5.0, 25.0, 120.0])
+def test_emit_report_reads_the_period_off_the_records(tmp_path, period):
+    records = [_record(n=i, t_s=period * i, scheme=s,
+                       rate_bps=FIXED_RATES_BPS.get(s, 500e9))
+               for i in range(3) for s in SCHEMES]
+    rep = emit_report(records, tmp_path)
+    want = accumulate_report(records, period)
+    assert rep.sampling_period_s == period
+    assert rep.delivered_bytes == want.delivered_bytes
+    assert json.loads((tmp_path / "summary.json").read_text())[
+        "sampling_period_s"] == period
+
+
+def test_emit_report_gives_one_iteration_the_default_period(tmp_path):
+    assert emit_report([_record(t_s=7.0)], tmp_path).sampling_period_s == 25.0
+
+
 def test_records_csv_header(tmp_path):
     records = [_record()]
-    emit_report(accumulate_report(records, 25.0), records, tmp_path)
+    emit_report(records, tmp_path)
     header = (tmp_path / "records.csv").read_text().splitlines()[0]
     assert header == ("n,t_s,scheme,weather,snr_true_db,snr_meas_db,"
                       "snr_est_db,entropy_bits,air,rate_bps,ngmi,in_service")
@@ -511,7 +526,7 @@ def test_load_records_validates(tmp_path):
                                          ("in_service", "maybe")])
 def test_load_records_names_line_and_column(tmp_path, column, bad):
     records = [_record()]
-    emit_report(accumulate_report(records, 25.0), records, tmp_path)
+    emit_report(records, tmp_path)
     path = tmp_path / "records.csv"
     header, row = path.read_text().splitlines()[:2]
     cells = row.split(",")
@@ -524,7 +539,7 @@ def test_load_records_names_line_and_column(tmp_path, column, bad):
 
 def test_load_records_rejects_non_finite_values(tmp_path):
     records = [_record(snr_est_db=math.nan)]
-    emit_report(accumulate_report(records, 25.0), records, tmp_path)
+    emit_report(records, tmp_path)
     path = tmp_path / "records.csv"
     assert math.isnan(load_records(path)[0].snr_est_db)  # NaN by convention
     path.write_text(path.read_text().replace(",500000000000.0,", ",nan,"))
@@ -535,7 +550,7 @@ def test_load_records_rejects_non_finite_values(tmp_path):
 
 def test_load_records_rejects_non_utf8_naming_file_and_line(tmp_path):
     records = [_record(), _record(n=1, t_s=25.0)]
-    emit_report(accumulate_report(records, 25.0), records, tmp_path)
+    emit_report(records, tmp_path)
     path = tmp_path / "records.csv"
     path.write_bytes(path.read_bytes().replace(b"clear", b"cl\xe9ar", 1))
     with pytest.raises(ValueError,

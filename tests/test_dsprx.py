@@ -88,6 +88,11 @@ def test_equalizer_config_validation():
         EqualizerConfig(cma_step=0.0)
     with pytest.raises(ValueError):
         EqualizerConfig(lms_step=-1e-4)
+    # a NaN step had made every block diverge, so every iteration an outage
+    for kw in ({"cma_step": math.nan}, {"lms_track_step": True},
+               {"training_symbols": 2.5}):
+        with pytest.raises(ValueError, match="must be an? "):
+            EqualizerConfig(**kw)
 
 
 # -------------------------------------------------------------- Gram-Schmidt

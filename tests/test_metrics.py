@@ -138,11 +138,16 @@ def test_axis_demapper_matches_joint_demapper(dist, snr_db, seed):
         gmi_joint, rel=0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("dist", [mb_distribution(0.3, TPL), TOY],
-                         ids=["mb", "toy"])
-def test_llr_chunks_do_not_depend_on_chunk_boundaries(dist):
+# Five full 64-symbol chunks, then a tail. A last chunk of 1 or 3 symbols
+# sends BLAS to another matmul kernel, whose sums may differ in the last bit
+# from the whole batch's, so those tails are held to 1e-13; the others exact.
+@pytest.mark.parametrize("dist, tail, atol", [
+    pytest.param(dist, tail, atol, id=name if tail == 17 else f"{name}-tail{tail}")
+    for name, dist in (("mb", mb_distribution(0.3, TPL)), ("toy", TOY))
+    for tail, atol in ((17, 0.0), (1, 1e-13), (2, 0.0), (3, 1e-13))])
+def test_llr_chunks_do_not_depend_on_chunk_boundaries(dist, tail, atol):
     rng = np.random.default_rng(9)
-    n = 64 * 5 + 17
+    n = 64 * 5 + tail
     rx = awgn_transmit(dist.tx_points()[rng.integers(0, dist.template.M, n)],
                        12.0, rng)
     whole = [llr for _, llr in metrics._llr_chunks(rx, dist, 0.06, chunk=n)]
@@ -150,7 +155,10 @@ def test_llr_chunks_do_not_depend_on_chunk_boundaries(dist):
     pieces = np.empty_like(whole[0])
     for sl, llr in metrics._llr_chunks(rx, dist, 0.06, chunk=64):
         pieces[sl] = llr
-    np.testing.assert_array_equal(pieces, whole[0])
+    if atol:
+        np.testing.assert_allclose(pieces, whole[0], rtol=0, atol=atol)
+    else:
+        np.testing.assert_array_equal(pieces, whole[0])
 
 
 def test_llr_input_validation():
