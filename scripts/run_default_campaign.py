@@ -50,10 +50,9 @@ def main() -> None:
     records = run_campaign(trace, SCHEMES, table, seed=args.seed,
                            mc_symbols=campaign_mc)
 
-    args.out.mkdir(parents=True, exist_ok=True)
+    report = emit_report(records, args.out)  # creates args.out
     save_air_table(table, args.out / "lut.json")
     save_trace(trace, args.out / "trace.csv")
-    report = emit_report(records, args.out)
 
     print(f"\n{'scheme':10s} {'rate Gbps':>10s} {'outage':>8s} {'TB':>8s}")
     for s in SCHEMES:

@@ -45,7 +45,9 @@ class SnrTrace:
             raise ValueError("empty trace")
         if not (t.size == s.size == len(self.weather)):
             raise ValueError("trace columns differ in length")
-        period = _period_of(t)
+        # the period is the first step, or the default for one timestamp
+        period = (_sampling_period(float(t[1] - t[0])) if t.size > 1
+                  else SAMPLING_PERIOD_S)
         if not np.allclose(np.diff(t), period, rtol=0, atol=1e-9):
             raise ValueError("timestamps must increase by the sampling period")
         if not np.all(np.isfinite(s)):
@@ -77,13 +79,6 @@ def _sampling_period(v) -> float:
     return float(v)
 
 
-def _period_of(t_s) -> float:
-    """The sampling period of timestamps t_s: their first step, positive and
-    finite, or SAMPLING_PERIOD_S for a single timestamp."""
-    return (_sampling_period(float(t_s[1] - t_s[0])) if len(t_s) > 1
-            else SAMPLING_PERIOD_S)
-
-
 def _integer(v, name: str):
     """v, if it is an integer and not a bool."""
     if isinstance(v, bool) or not isinstance(v, numbers.Integral):
@@ -97,8 +92,9 @@ class RainModelConfig:
     variance inflates during rain.
 
     ar1_rho is the fluctuation's correlation over SAMPLING_PERIOD_S (25 s).
-    A trace at another period steps by ar1_rho ** (period / 25 s), so the
-    fluctuation decorrelates at the same rate in time at every period.
+    A trace sampled every sampling_period_s steps by
+    ar1_rho ** (sampling_period_s / 25 s), so the fluctuation decorrelates
+    at the same rate in time at every period.
     """
 
     clear_mean_db: float
@@ -108,6 +104,7 @@ class RainModelConfig:
     ar1_rho: float
     rain_intervals: tuple[tuple[float, float], ...] = ()
     seed: int = 0
+    sampling_period_s: float = SAMPLING_PERIOD_S
 
     def __post_init__(self):
         for name in ("clear_mean_db", "clear_std_db", "rain_mean_drop_db",
@@ -128,6 +125,8 @@ class RainModelConfig:
                 raise ValueError("rain intervals overlap or are unsorted")
             last_end = b
         object.__setattr__(self, "rain_intervals", iv)
+        object.__setattr__(self, "sampling_period_s",
+                           _sampling_period(self.sampling_period_s))
 
     def is_rain(self, t: float) -> bool:
         return any(a <= t < b for a, b in self.rain_intervals)
@@ -151,25 +150,24 @@ def default_rain_config(seed: int = 1234) -> RainModelConfig:
     )
 
 
-def gen_trace(cfg: RainModelConfig, duration_s: float,
-              sampling_period_s: float = SAMPLING_PERIOD_S) -> SnrTrace:
-    """Generate SNR(t) = regime_mean(t) + AR(1) fluctuation, deterministically
-    from cfg.seed. The trace holds at least two samples, so that its
-    timestamps carry its period."""
+def gen_trace(cfg: RainModelConfig, duration_s: float) -> SnrTrace:
+    """Generate SNR(t) = regime_mean(t) + AR(1) fluctuation every
+    cfg.sampling_period_s, deterministically from cfg.seed. The trace holds
+    at least two samples, so that its timestamps carry its period."""
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration_s}")
-    sampling_period_s = _sampling_period(sampling_period_s)
-    n = int(duration_s // sampling_period_s)
+    dt = cfg.sampling_period_s
+    n = int(duration_s // dt)
     if n < 2:
         raise ValueError("duration shorter than two sampling periods")
-    t = np.arange(n) * sampling_period_s
+    t = np.arange(n) * dt
     rng = np.random.default_rng(cfg.seed)
 
     rain = np.array([cfg.is_rain(tk) for tk in t])
     mean = np.where(rain, cfg.clear_mean_db - cfg.rain_mean_drop_db, cfg.clear_mean_db)
     std = np.where(rain, cfg.rain_std_db, cfg.clear_std_db)
 
-    rho = cfg.ar1_rho ** (sampling_period_s / SAMPLING_PERIOD_S)
+    rho = cfg.ar1_rho ** (dt / SAMPLING_PERIOD_S)
     d = np.empty(n)
     d[0] = std[0] * rng.standard_normal()
     w = rng.standard_normal(n - 1)

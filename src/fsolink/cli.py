@@ -17,11 +17,9 @@ import numpy as np
 
 from .airlut import MCConfig, build_air_table, load_air_table, save_air_table
 from .channel import (
-    SAMPLING_PERIOD_S,
     RainModelConfig,
     _read_json,
     _real,
-    _sampling_period,
     default_rain_config,
     gen_trace,
     load_trace,
@@ -55,21 +53,6 @@ def _parse_grid(spec: str) -> np.ndarray:
     return grid[grid <= stop + 1e-9]
 
 
-def _rain_config_from_json(path: str | None, seed: int | None) -> tuple:
-    """Load a RainModelConfig (plus sampling period) from a JSON file, or
-    fall back to the calibrated default."""
-    if path is None:
-        cfg, period = default_rain_config(), SAMPLING_PERIOD_S
-    else:
-        def build(sampling_period_s=SAMPLING_PERIOD_S, **fields):
-            return RainModelConfig(**fields), _sampling_period(sampling_period_s)
-
-        cfg, period = _read_json(path, build)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    return cfg, period
-
-
 def _cmd_build_lut(args) -> int:
     grid = _parse_grid(args.grid)
     table = build_air_table(grid, mc=MCConfig(mc_symbols=args.mc, seed=args.seed),
@@ -81,8 +64,11 @@ def _cmd_build_lut(args) -> int:
 
 
 def _cmd_gen_trace(args) -> int:
-    cfg, period = _rain_config_from_json(args.config, args.seed)
-    trace = gen_trace(cfg, args.duration, period)
+    cfg = (default_rain_config() if args.config is None
+           else _read_json(args.config, RainModelConfig))
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    trace = gen_trace(cfg, args.duration)
     save_trace(trace, args.out)
     rain = sum(1 for w in trace.weather if w == "rain")
     print(f"wrote {args.out}: {len(trace)} samples at "

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .airlut import AirTable, MCConfig, air_for_rate, lookup_air, net_bit_rate
-from .channel import (SnrTrace, _finite_float, _integer, _period_of, _read_csv, _real,
+from .channel import (SnrTrace, _finite_float, _integer, _read_csv, _real,
                       _sampling_period, _write_csv, _write_json)
 from .metrics import awgn_link_metrics
 from .shaping import (
@@ -253,10 +253,12 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
     return records
 
 
-def _by_scheme(records) -> dict:
-    """Group records by scheme, in order of first appearance. There must be
-    records of known schemes, each scheme's iterations must increase, and
-    every scheme must cover the same iterations."""
+def _by_scheme(records) -> tuple:
+    """Group records by scheme, in order of first appearance, and return the
+    groups with the SnrTrace the campaign replayed. There must be records of
+    known schemes, each scheme's iterations must increase, every scheme must
+    cover the same iterations and carry the same t_s, snr_true_db and
+    weather, and those columns must form a trace."""
     if not records:
         raise ValueError("no records")
     out: dict = {}
@@ -268,25 +270,37 @@ def _by_scheme(records) -> dict:
             raise ValueError(f"scheme {r.scheme!r}: iteration {r.n} follows "
                              f"{rows[-1].n}; iterations must increase")
         rows.append(r)
-    iterations = {s: [r.n for r in rows] for s, rows in out.items()}
-    first, first_n = next(iter(iterations.items()))
-    for scheme, n in iterations.items():
-        if n != first_n:
-            raise ValueError(f"scheme {scheme!r} has {len(n)} rows whose "
-                             f"iterations differ from {first!r}'s {len(first_n)}")
-    return out
+    (first, base), *others = out.items()
+    for scheme, rows in others:
+        if [r.n for r in rows] != [r.n for r in base]:
+            raise ValueError(f"scheme {scheme!r} has {len(rows)} rows whose "
+                             f"iterations differ from {first!r}'s {len(base)}")
+
+    def replayed(rows):
+        return [(r.t_s, r.snr_true_db, r.weather) for r in rows]
+
+    columns = replayed(base)
+    trace = SnrTrace(*zip(*columns))
+    for scheme, rows in others:
+        if replayed(rows) != columns:
+            raise ValueError(f"scheme {scheme!r} replays another trace than "
+                             f"{first!r}: t_s, snr_true_db or weather differ")
+    return out, trace
 
 
 def accumulate_report(records, sampling_period_s: float) -> CampaignReport:
     """Reduce a campaign's records to service statistics.
 
     Effective rate zero-rates outage iterations (discarded data); delivered
-    capacity integrates in-service bits over the (positive) sampling period.
+    capacity integrates in-service bits over the sampling period, which must
+    be the period of the records' own timestamps.
     """
     sampling_period_s = _sampling_period(sampling_period_s)
-    groups = _by_scheme(records)
+    groups, trace = _by_scheme(records)
+    if sampling_period_s != trace.sampling_period_s:
+        raise ValueError(f"sampling_period_s {sampling_period_s!r} differs from "
+                         f"the records' {trace.sampling_period_s!r}")
     schemes = tuple(groups)
-    n_iter = len(groups[schemes[0]])
 
     mean_rate, outage, delivered, cumulative = {}, {}, {}, {}
     for scheme, rows in groups.items():
@@ -304,7 +318,7 @@ def accumulate_report(records, sampling_period_s: float) -> CampaignReport:
                 gains[scheme] = cumulative["adaptive"] - cumulative[scheme]
 
     return CampaignReport(
-        schemes=schemes, n_iterations=n_iter,
+        schemes=schemes, n_iterations=len(trace),
         sampling_period_s=sampling_period_s,
         mean_effective_rate_bps=mean_rate, outage_fraction=outage,
         delivered_bytes=delivered, gain_vs_fixed_bytes=gains,
@@ -313,14 +327,12 @@ def accumulate_report(records, sampling_period_s: float) -> CampaignReport:
 
 def emit_report(records, out_dir) -> CampaignReport:
     """Report a campaign from its records alone: accumulate_report at the
-    period of the records' timestamps (see channel._period_of). Write
-    records.csv, summary.json, and the per-panel CSV files into out_dir
-    (created if missing) and return the report; empty or uneven records
-    are rejected first."""
-    groups = _by_scheme(records)
-    base = next(iter(groups.values()))
-    t_s = [r.t_s for r in base]
-    report = accumulate_report(records, _period_of(t_s))
+    period of the trace the records replayed. Write records.csv,
+    summary.json, and the per-panel CSV files into out_dir (created if
+    missing) and return the report; records that _by_scheme refuses are
+    rejected first."""
+    groups, trace = _by_scheme(records)
+    report = accumulate_report(records, trace.sampling_period_s)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -333,9 +345,10 @@ def emit_report(records, out_dir) -> CampaignReport:
     _write_json(out / "summary.json", asdict(report))
 
     def panel(name: str, columns: dict) -> None:
-        _write_csv(out / name, ["t_s", *columns], zip(t_s, *columns.values()))
+        _write_csv(out / name, ["t_s", *columns],
+                   zip(trace.t_s, *columns.values()))
 
-    snr_cols = {"snr_true_db": [r.snr_true_db for r in base]}
+    snr_cols = {"snr_true_db": trace.snr_db}
     for s, rows in groups.items():
         snr_cols[f"snr_meas_db_{s}"] = [r.snr_meas_db for r in rows]
     panel("snr_vs_t.csv", snr_cols)
@@ -350,8 +363,8 @@ def emit_report(records, out_dir) -> CampaignReport:
 
 
 def load_records(path) -> list:
-    """Parse a records.csv written by emit_report back into records; every
-    scheme must be known and cover the same, increasing iterations."""
+    """Parse a records.csv written by emit_report back into records, which
+    must pass the same checks as emit_report's (see _by_scheme)."""
     records = [IterationRecord(*values) for _, values
                in _read_csv(path, RECORD_COLUMNS, _COLUMN_PARSERS)]
     try:

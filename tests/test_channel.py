@@ -79,8 +79,9 @@ def test_ar1_lag1_autocorrelation():
 def test_ar1_correlation_is_set_in_seconds(period):
     # 200k clear-sky samples at every period; the lag is 100 s. Bartlett's
     # standard error of the estimate is 0.0074 at 5 s and below at the others.
-    cfg = _cfg(rain_intervals=(), clear_std_db=0.5, seed=17)
-    tr = gen_trace(cfg, period * 200_000, period)
+    cfg = _cfg(rain_intervals=(), clear_std_db=0.5, seed=17,
+               sampling_period_s=period)
+    tr = gen_trace(cfg, period * 200_000)
     d = tr.snr_db - tr.snr_db.mean()
     k = round(100.0 / period)
     rho_hat = float(np.sum(d[:-k] * d[k:]) / np.sum(d * d))
@@ -131,7 +132,7 @@ def test_gen_trace_duration_validation():
             gen_trace(_cfg(), duration)
     for period in (0.0, -25.0, math.inf, math.nan, True):
         with pytest.raises(ValueError, match="sampling_period_s must be"):
-            gen_trace(_cfg(), 1000.0, period)
+            _cfg(sampling_period_s=period)
 
 
 def test_default_config_is_calibrated_for_three_hours():
@@ -277,7 +278,7 @@ def test_trace_round_trip(tmp_path):
 
 
 def test_trace_keeps_a_five_second_period_through_its_file(tmp_path):
-    tr = gen_trace(_cfg(seed=13), 9.0 * 5.0, 5.0)
+    tr = gen_trace(_cfg(seed=13, sampling_period_s=5.0), 9.0 * 5.0)
     assert tr.sampling_period_s == 5.0
     path = tmp_path / "trace.csv"
     save_trace(tr, path)

@@ -441,6 +441,9 @@ def test_report_rejects_uneven_records_without_rewriting(small_campaign, capsys)
 @pytest.mark.parametrize("old, new, message", [
     (",fixed400,", ",bogus,", "unknown scheme 'bogus'"),
     (",400000000000.0,", ",nan,", r"records\.csv:2: rate_bps: bad value 'nan'"),
+    ("\n2,50.0,", "\n2,1050.0,",
+     r"records\.csv: timestamps must increase by the sampling period"),
+    (",clear,", ",sunny,", r"records\.csv: weather labels must be 'clear' or 'rain'"),
 ])
 def test_report_rejects_bad_records_without_rewriting(small_campaign, capsys,
                                                       old, new, message):
@@ -456,6 +459,31 @@ def test_report_rejects_bad_records_without_rewriting(small_campaign, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert re.search(message, err)
+    assert {f.name: f.read_bytes() for f in results.iterdir()} == before
+
+
+@pytest.mark.parametrize("column, value", [
+    (1, "26.0"), (3, "rain"), (4, "29.5"),  # t_s, weather, snr_true_db
+])
+def test_report_rejects_schemes_of_two_traces_without_rewriting(
+        small_campaign, capsys, column, value):
+    trace, lut, results = small_campaign
+    assert main(["run", "--trace", str(trace), "--lut", str(lut),
+                 "--schemes", "fixed400,adaptive", "--seed", "1",
+                 "--mc-symbols", "2000", "--out", str(results)]) == 0
+    records = results / "records.csv"
+    lines = records.read_text().splitlines(keepends=True)
+    cells = lines[4].split(",")  # the adaptive row of iteration 1
+    assert cells[:3] == ["1", "25.0", "adaptive"] and cells[column] != value
+    cells[column] = value
+    lines[4] = ",".join(cells)
+    records.write_text("".join(lines))
+    before = {f.name: f.read_bytes() for f in results.iterdir()}
+    capsys.readouterr()
+    assert main(["report", "--in", str(results)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {records}: scheme 'adaptive' replays another "
+                   "trace than 'fixed400': t_s, snr_true_db or weather differ\n")
     assert {f.name: f.read_bytes() for f in results.iterdir()} == before
 
 

@@ -363,8 +363,8 @@ def test_accumulate_constant_rate_delivery():
 
 
 def test_accumulate_always_out_of_service():
-    records = [_record(n=i, scheme="fixed500", rate_bps=500e9, ngmi=0.2,
-                       in_service=False) for i in range(3)]
+    records = [_record(n=i, t_s=25.0 * i, scheme="fixed500", rate_bps=500e9,
+                       ngmi=0.2, in_service=False) for i in range(3)]
     rep = accumulate_report(records, 25.0)
     assert rep.mean_effective_rate_bps["fixed500"] == 0.0
     assert rep.outage_fraction["fixed500"] == 1.0
@@ -374,8 +374,10 @@ def test_accumulate_always_out_of_service():
 def test_accumulate_gain_curve_monotone_when_adaptive_faster():
     records = []
     for i in range(5):
-        records.append(_record(n=i, scheme="adaptive", rate_bps=500e9))
-        records.append(_record(n=i, scheme="fixed400", rate_bps=400e9))
+        records.append(_record(n=i, t_s=25.0 * i, scheme="adaptive",
+                               rate_bps=500e9))
+        records.append(_record(n=i, t_s=25.0 * i, scheme="fixed400",
+                               rate_bps=400e9))
     rep = accumulate_report(records, 25.0)
     gain = rep.gain_vs_fixed_bytes["fixed400"]
     assert np.all(np.diff(gain) > 0)
@@ -423,6 +425,47 @@ def test_uneven_records_rejected_before_any_output(tmp_path):
 def test_bad_schemes_and_iterations_rejected_before_any_output(
         tmp_path, scheme, iterations, message):
     records = [_record(n=i, t_s=25.0 * i, scheme=scheme) for i in iterations]
+    with pytest.raises(ValueError, match=message):
+        accumulate_report(records, 25.0)
+    with pytest.raises(ValueError, match=message):
+        emit_report(records, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_accumulate_rejects_a_period_other_than_the_records():
+    # at the records' 25 s, a 5 s period had reported a fifth of the bytes
+    records = [_record(n=i, t_s=25.0 * i) for i in range(3)]
+    for period in (5.0, 50.0):
+        with pytest.raises(ValueError, match=f"sampling_period_s {period} "
+                           "differs from the records' 25.0"):
+            accumulate_report(records, period)
+
+
+def _on_adaptive(changes):
+    return lambda r: changes if r.scheme == "adaptive" else {}
+
+
+@pytest.mark.parametrize("changes, message", [
+    pytest.param(lambda r: {"t_s": r.t_s + 1000.0} if r.n >= 2 else {},
+                 "timestamps must increase by the sampling period",
+                 id="spacing-breaks-at-2"),
+    pytest.param(lambda r: {"t_s": 2.0 * r.t_s} if r.scheme == "adaptive" else {},
+                 "'adaptive' replays another trace than 'fixed400'", id="t_s"),
+    pytest.param(_on_adaptive({"weather": RAIN}),
+                 "'adaptive' replays another trace than 'fixed400'", id="weather"),
+    pytest.param(_on_adaptive({"snr_true_db": 14.0}),
+                 "'adaptive' replays another trace than 'fixed400'",
+                 id="snr_true_db"),
+    pytest.param(lambda r: {"weather": "sunny"},
+                 "weather labels must be 'clear' or 'rain'", id="sunny"),
+])
+def test_records_of_no_one_trace_rejected_before_any_output(tmp_path, changes,
+                                                            message):
+    # changes(record) gives the fields to change in that record
+    records = [_record(n=i, t_s=25.0 * i, scheme=s,
+                       rate_bps=FIXED_RATES_BPS.get(s, 500e9))
+               for i in range(4) for s in ("fixed400", "adaptive")]
+    records = [dataclasses.replace(r, **changes(r)) for r in records]
     with pytest.raises(ValueError, match=message):
         accumulate_report(records, 25.0)
     with pytest.raises(ValueError, match=message):
