@@ -15,7 +15,7 @@ import numpy as np
 
 from fsolink.airlut import MCConfig, build_air_table
 from fsolink.channel import default_rain_config, gen_trace
-from fsolink.control import sweep_predictor
+from fsolink.control import accumulate_report, run_campaign
 
 
 def main() -> None:
@@ -35,15 +35,21 @@ def main() -> None:
     print(f"sweeping {len(args.windows)}x{len(args.margins)} settings over "
           f"{len(trace)} iterations...\n")
 
-    result = sweep_predictor(trace, table, args.windows, args.margins,
-                             seed=args.seed, mc_symbols=args.mc_symbols)
+    result = {}
+    for n in args.windows:
+        for m in args.margins:
+            records = run_campaign(trace, ("adaptive",), table, seed=args.seed,
+                                   n_window=n, snr_margin_db=m,
+                                   mc_symbols=args.mc_symbols)
+            report = accumulate_report(records, trace.sampling_period_s)
+            result[(n, m)] = report.mean_effective_rate_bps["adaptive"]
 
     head = "N \\ margin" + "".join(f"{m:>10.1f}" for m in args.margins)
     print(head)
     for n in args.windows:
         row = f"{n:<10d}"
         for m in args.margins:
-            row += f"{result[(n, float(m))] / 1e9:10.1f}"
+            row += f"{result[(n, m)] / 1e9:10.1f}"
         print(row)
     best = max(result, key=result.get)
     print(f"\nbest: N={best[0]}, margin={best[1]:g} dB "

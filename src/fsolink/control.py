@@ -1,11 +1,13 @@
 """Rate-adaptive link control: the moving-average SNR predictor, the
-AIR-table rate selection, the three-scheme campaign runner with outage
-accounting, and the report files the CLI emits.
+AIR-table rate selection, the registry of transmission schemes, the campaign
+runner with outage accounting, and the report files the CLI emits.
 
-A campaign replays a stored SNR trace. Per iteration and scheme it realizes
-the channel (Monte-Carlo symbols in analytic mode, the full waveform chain
-in waveform mode), measures SNR and NGMI, and applies the service rule:
-an iteration delivers data only while NGMI stays at or above the table's
+A scheme is a rule in _RULES: from the scheme's own predictor state and the
+AIR table it picks the entropy to transmit. A campaign replays a stored SNR
+trace. Per iteration and scheme it applies the scheme's rule, realizes the
+channel (Monte-Carlo symbols in analytic mode, the full waveform chain in
+waveform mode), measures SNR and NGMI, and applies the service rule: an
+iteration delivers data only while NGMI stays at or above the table's
 threshold; everything else is discarded as outage.
 """
 
@@ -42,11 +44,7 @@ __all__ = [
     "accumulate_report",
     "emit_report",
     "load_records",
-    "sweep_predictor",
 ]
-
-SCHEMES = ("fixed400", "fixed500", "adaptive")
-FIXED_RATES_BPS = {"fixed400": 400e9, "fixed500": 500e9}
 
 
 @dataclass
@@ -142,7 +140,7 @@ _COLUMN_PARSERS = tuple(float if f.name == "snr_est_db" else _PARSE[f.type]
 @dataclass(frozen=True)
 class CampaignReport:
     """Per-scheme service statistics plus accumulated-capacity gain curves
-    of the adaptive scheme over each fixed one."""
+    of the adaptive scheme over each other scheme."""
 
     schemes: tuple
     n_iterations: int
@@ -150,14 +148,34 @@ class CampaignReport:
     mean_effective_rate_bps: dict
     outage_fraction: dict
     delivered_bytes: dict
-    gain_vs_fixed_bytes: dict  # fixed scheme -> cumulative gain time series
+    gain_vs_fixed_bytes: dict  # other scheme -> cumulative gain time series
 
 
 _PROBE_DIST = mb_distribution(0.0, ConstellationTemplate.square_qam(4))
 
-# each scheme's entropy unless it adapts; the adaptive one warms up at 400G
-_BASE_ENTROPY = {s: air_for_rate(r) / 2.0 for s, r in FIXED_RATES_BPS.items()}
-_BASE_ENTROPY["adaptive"] = _BASE_ENTROPY["fixed400"]
+
+def _fixed(rate_bps: float):
+    """The rule of a fixed scheme: the exact entropy its target rate implies,
+    with no estimate."""
+    entropy = air_for_rate(rate_bps) / 2.0
+    return lambda state, table: (entropy, math.nan)
+
+
+def _adaptive(state: PredictorState, table: AirTable):
+    """The rule of the adaptive scheme: select_rate's entropy for its
+    prediction, and fixed400's entropy while its window fills."""
+    if not state.full:
+        return _RULES["fixed400"](state, table)
+    snr_est = predict_snr(state)
+    return select_rate(table, snr_est)[0], snr_est
+
+
+# Each scheme's rule maps its own PredictorState and the AIR table to
+# (entropy bits/pol, snr_est_db). A scheme's place here is its seed index,
+# so a new scheme goes at the end.
+_RULES = {"fixed400": _fixed(400e9), "fixed500": _fixed(500e9),
+          "adaptive": _adaptive}
+SCHEMES = tuple(_RULES)
 
 
 def _measure_analytic(dist: ShapedDistribution, snr_db: float, key,
@@ -193,13 +211,13 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
     """Replay the trace for each scheme and return one IterationRecord per
     (iteration, scheme), iteration-major.
 
-    Fixed schemes transmit at the exact entropy their target rate implies.
-    The adaptive scheme predicts from its own measurement stream and uses
-    select_rate; during the first n_window iterations it transmits at the
-    fixed-400G entropy while the window fills. Out-of-service iterations
-    still measure SNR (uniform-QPSK probe) so the predictor keeps running.
+    Each scheme has its own PredictorState(n_window, snr_margin_db), fed
+    with its own measured SNRs, and its rule in _RULES picks the entropy
+    from that state and the table. Out-of-service iterations still measure
+    SNR (uniform-QPSK probe) so the predictor keeps running.
     Waveform mode runs one unimpaired 2e5-sample block per iteration
-    through simulate_block and rx_chain, whatever mc_symbols says.
+    through simulate_block and rx_chain, whatever mc_symbols says; its
+    probes still draw mc_symbols symbols, so both modes check it first.
     One key (seed, iteration, the scheme's index in SCHEMES) seeds whichever
     measurement runs: the record list is bit-identical across runs, schemes
     never share noise, and a scheme's records do not depend on its companions.
@@ -219,18 +237,16 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
     if table.M != GRID_TEMPLATE.M:
         raise ValueError(f"AIR table was built for M={table.M}, "
                          f"campaign runs M={GRID_TEMPLATE.M}")
-    predictor = PredictorState(n_window=n_window, snr_margin_db=snr_margin_db)
+    MCConfig(mc_symbols=mc_symbols)  # refuses a bad batch before iteration 0
+    predictors = {s: PredictorState(n_window, snr_margin_db) for s in schemes}
 
     records = []
     for n in range(len(trace)):
         snr_true = float(trace.snr_db[n])
         for scheme in schemes:
             key = [seed, n, SCHEMES.index(scheme)]
-            entropy, snr_est = _BASE_ENTROPY[scheme], math.nan
-            adapts = scheme == "adaptive"
-            if adapts and predictor.full:
-                snr_est = predict_snr(predictor)
-                entropy, _, _ = select_rate(table, snr_est)
+            predictor = predictors[scheme]
+            entropy, snr_est = _RULES[scheme](predictor, table)
 
             if entropy:
                 # entropy lies on the grid, so this is exactly its step
@@ -238,8 +254,7 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
                 snr_meas, ngmi_val = measure(dist, snr_true, key, mc_symbols)
             else:
                 snr_meas, ngmi_val = _probe(snr_true, key, mc_symbols)
-            if adapts:
-                predictor.push(snr_meas)
+            predictor.push(snr_meas)
 
             air = 2.0 * entropy
             records.append(IterationRecord(
@@ -311,11 +326,8 @@ def accumulate_report(records, sampling_period_s: float) -> CampaignReport:
         cumulative[scheme] = np.cumsum(per_iter_bytes)
         delivered[scheme] = float(cumulative[scheme][-1])
 
-    gains = {}
-    if "adaptive" in groups:
-        for scheme in schemes:
-            if scheme in FIXED_RATES_BPS:
-                gains[scheme] = cumulative["adaptive"] - cumulative[scheme]
+    gains = {s: cumulative["adaptive"] - cumulative[s] for s in schemes
+             if "adaptive" in groups and s != "adaptive"}
 
     return CampaignReport(
         schemes=schemes, n_iterations=len(trace),
@@ -372,21 +384,3 @@ def load_records(path) -> list:
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     return records
-
-
-def sweep_predictor(trace: SnrTrace, table: AirTable, n_values, margins_db,
-                    seed: int = 0,
-                    mc_symbols: int = MCConfig.mc_symbols) -> dict:
-    """Grid-sweep the predictor's window length and margin; returns
-    {(N, margin): mean effective adaptive rate in bps}. Analytic mode only
-    (the sweep exists to study the controller, not the waveform DSP)."""
-    out = {}
-    for n_window in n_values:
-        for margin in margins_db:
-            recs = run_campaign(trace, ("adaptive",), table,
-                                mode="analytic", seed=seed, n_window=n_window,
-                                snr_margin_db=margin, mc_symbols=mc_symbols)
-            rep = accumulate_report(recs, trace.sampling_period_s)
-            out[(int(n_window), float(margin))] = \
-                rep.mean_effective_rate_bps["adaptive"]
-    return out

@@ -12,7 +12,6 @@ from fsolink import control
 from fsolink.airlut import AirTable, lookup_air, net_bit_rate
 from fsolink.channel import CLEAR, RAIN, RainModelConfig, SnrTrace, gen_trace
 from fsolink.control import (
-    FIXED_RATES_BPS,
     SCHEMES,
     CampaignReport,
     IterationRecord,
@@ -23,7 +22,6 @@ from fsolink.control import (
     predict_snr,
     run_campaign,
     select_rate,
-    sweep_predictor,
 )
 from fsolink.shaping import ENTROPY_STEP_BITS
 
@@ -335,6 +333,38 @@ def test_campaign_scheme_records_do_not_depend_on_companions():
     assert adaptive_rows(("adaptive", "fixed500")) == adaptive_rows(("adaptive",))
 
 
+def test_an_appended_scheme_keeps_its_own_state(monkeypatch):
+    # a second adaptive rule that shared the first's predictor would push
+    # its own measurements into it and move the first's records
+    trace = SnrTrace(t_s=25.0 * np.arange(10), snr_db=np.linspace(9.0, 17.0, 10),
+                     weather=(CLEAR,) * 10)
+
+    def rows():
+        return [repr(dataclasses.astuple(r)) for r in
+                run_campaign(trace, control.SCHEMES, _toy_table(), seed=6,
+                             mc_symbols=2000)]
+
+    alone = rows()
+    monkeypatch.setitem(control._RULES, "adaptive2", control._adaptive)
+    monkeypatch.setattr(control, "SCHEMES", (*SCHEMES, "adaptive2"))
+    together = rows()
+    assert [r for r in together if "'adaptive2'" not in r] == alone
+    assert sum("'adaptive2'" in r for r in together) == len(trace)
+
+
+def test_campaign_margin_monotone_on_a_constant_trace(coarse_table):
+    # A smaller margin can only help on a constant trace.
+    trace = _const_trace(16.0, 6)
+
+    def mean_rate(margin):
+        records = run_campaign(trace, ("adaptive",), coarse_table, seed=19,
+                               snr_margin_db=margin, mc_symbols=5_000)
+        report = accumulate_report(records, trace.sampling_period_s)
+        return report.mean_effective_rate_bps["adaptive"]
+
+    assert mean_rate(1.0) >= mean_rate(2.0)
+
+
 def test_campaign_validation(coarse_table):
     trace = _const_trace(15.0, 3)
     with pytest.raises(ValueError, match="mode"):
@@ -349,6 +379,20 @@ def test_campaign_validation(coarse_table):
                     ngmi_th=0.9, M=4, mc_symbols=100, seed=0)
     with pytest.raises(ValueError, match="M="):
         run_campaign(trace, SCHEMES, tiny)
+
+
+@pytest.mark.parametrize("mc_symbols", [0, True])
+def test_waveform_campaign_refuses_a_bad_batch_before_any_block(monkeypatch,
+                                                              mc_symbols):
+    from fsolink import dsprx
+
+    def spy(*args, **kw):
+        raise AssertionError("simulate_block ran")
+
+    monkeypatch.setattr(dsprx, "simulate_block", spy)
+    with pytest.raises(ValueError, match="mc_symbols|symbol count"):
+        run_campaign(_const_trace(2.0, 3), SCHEMES, _toy_table(),
+                     mode="waveform", mc_symbols=mc_symbols)
 
 
 # -------------------------------------------------------------- accounting
@@ -463,7 +507,7 @@ def test_records_of_no_one_trace_rejected_before_any_output(tmp_path, changes,
                                                             message):
     # changes(record) gives the fields to change in that record
     records = [_record(n=i, t_s=25.0 * i, scheme=s,
-                       rate_bps=FIXED_RATES_BPS.get(s, 500e9))
+                       rate_bps={"fixed400": 400e9}.get(s, 500e9))
                for i in range(4) for s in ("fixed400", "adaptive")]
     records = [dataclasses.replace(r, **changes(r)) for r in records]
     with pytest.raises(ValueError, match=message):
@@ -522,7 +566,7 @@ def test_panel_cells_are_plain_floats(tmp_path, coarse_table):
 
 def test_summary_json_holds_every_report_field(tmp_path):
     records = [_record(n=i, t_s=25.0 * i, scheme=s,
-                       rate_bps=FIXED_RATES_BPS.get(s, 500e9))
+                       rate_bps={"fixed400": 400e9}.get(s, 500e9))
                for i in range(3) for s in SCHEMES]
     rep = emit_report(records, tmp_path)
     doc = json.loads((tmp_path / "summary.json").read_text())
@@ -536,7 +580,7 @@ def test_summary_json_holds_every_report_field(tmp_path):
 @pytest.mark.parametrize("period", [5.0, 25.0, 120.0])
 def test_emit_report_reads_the_period_off_the_records(tmp_path, period):
     records = [_record(n=i, t_s=period * i, scheme=s,
-                       rate_bps=FIXED_RATES_BPS.get(s, 500e9))
+                       rate_bps={"fixed400": 400e9}.get(s, 500e9))
                for i in range(3) for s in SCHEMES]
     rep = emit_report(records, tmp_path)
     want = accumulate_report(records, period)
@@ -600,14 +644,3 @@ def test_load_records_rejects_non_utf8_naming_file_and_line(tmp_path):
                        match=r"records\.csv:2: not UTF-8: byte 0xe9$"):
         load_records(path)
 
-
-# ------------------------------------------------------------------- sweep
-
-def test_sweep_predictor_grid(coarse_table):
-    trace = _const_trace(16.0, 6)
-    result = sweep_predictor(trace, coarse_table, n_values=(1, 3),
-                             margins_db=(1.0, 2.0), seed=19, mc_symbols=5_000)
-    assert set(result) == {(1, 1.0), (1, 2.0), (3, 1.0), (3, 2.0)}
-    assert all(v >= 0.0 for v in result.values())
-    # A smaller margin can only help on a constant trace.
-    assert result[(3, 1.0)] >= result[(3, 2.0)]
