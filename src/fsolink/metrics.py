@@ -25,6 +25,10 @@ __all__ = [
 _LN2 = math.log(2.0)
 _TINY = 1e-300  # floor for posterior mass sums; keeps LLRs finite
 _LLR_MAX = 600.0  # LLR saturation, below -log(_TINY) ~ 690.8
+# Floor of the max-shifted log-masses: exp of anything lower only adds
+# masses that change no LLR (see _posterior_llrs), and exp below about -708
+# returns subnormals at 100-200 times the cost of a normal result.
+_LOG_MASS_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -50,10 +54,20 @@ def _posterior_llrs(d2: np.ndarray, logp: np.ndarray, bits: np.ndarray,
     whatever the rescaling. Candidates run along axis -2 so that the
     reductions over them are elementwise over contiguous samples. d2 is
     overwritten, so that a block's (..., K, n) work is one array.
+
+    The shifted log-masses are floored at _LOG_MASS_FLOOR before exp, and
+    no LLR changes. The floor raises masses below e^-700 to e^-700, so it
+    moves a sum of K masses by less than K e^-700. The most likely
+    candidate has mass 1, so the larger side sums to at least 1 and cannot
+    move. The other side's sum is either below e^-600 of the larger one,
+    where the LLR saturates at +-_LLR_MAX with the floor or without, or
+    larger than the change by a factor of e^100 / K, so that the change is
+    lost when the sum is rounded.
     """
     a = np.divide(d2, -noise_var, out=d2)
     a += logp
     a -= a.max(axis=-2, keepdims=True)
+    np.maximum(a, _LOG_MASS_FLOOR, out=a)
     e = np.exp(a, out=a)
     s = np.concatenate([1.0 - bits, bits], axis=-2) @ e
     np.maximum(s, _TINY, out=s)

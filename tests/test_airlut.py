@@ -9,7 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fsolink import airlut
 from fsolink.airlut import (
     AirTable,
     MCConfig,
@@ -21,7 +24,14 @@ from fsolink.airlut import (
     net_bit_rate,
     save_air_table,
 )
-from fsolink.shaping import RatePlan
+from fsolink.metrics import awgn_link_metrics
+from fsolink.shaping import (
+    ENTROPY_FLOOR_BITS,
+    ENTROPY_STEP_BITS,
+    GRID_TEMPLATE,
+    RatePlan,
+    grid_distribution,
+)
 
 
 def _table(snr, air, th=0.9):
@@ -145,7 +155,7 @@ def test_build_monotone_and_bounded():
     table = build_air_table(np.arange(4.0, 22.0, 3.0), mc)
     assert np.all(np.diff(table.air) >= 0)
     assert np.all((table.air >= 0) & (table.air <= 12.0))
-    # Entropy bisection quantizes to 0.01-bit steps, doubled for two pols.
+    # The entropy search quantizes to 0.01-bit steps, doubled for two pols.
     steps = np.round(table.air / 0.02)
     np.testing.assert_allclose(table.air, steps * 0.02, atol=1e-12)
 
@@ -176,6 +186,124 @@ def test_build_deterministic_bit_identical():
     b = build_air_table(grid, mc)
     assert np.array_equal(a.air, b.air)
     assert np.array_equal(a.snr_db, b.snr_db)
+
+
+# ------------------------------------------------------- entropy search
+
+def bisection(passes, lo, hi):
+    """The entropy search build_air_table ran before the secant search:
+    given passes(lo) and not passes(hi), the last passing step found by
+    halving the bracket on the sign of each probe alone."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def bisection_table(grid, mc, ngmi_th=0.9):
+    """build_air_table's AIR column as the bisection built it."""
+    h_hi_bits = math.log2(GRID_TEMPLATE.M)
+    lo_steps = round(ENTROPY_FLOOR_BITS / ENTROPY_STEP_BITS)
+    hi_steps = round(h_hi_bits / ENTROPY_STEP_BITS)
+    air = np.zeros(len(grid))
+    for i, snr in enumerate(grid):
+        def passes(steps):
+            return awgn_link_metrics(grid_distribution(steps), float(snr),
+                                     mc.mc_symbols, [mc.seed, i]).ngmi >= ngmi_th
+
+        if not passes(lo_steps):
+            air[i] = 0.0
+        elif passes(hi_steps):
+            air[i] = 2.0 * h_hi_bits
+        else:
+            air[i] = 2.0 * bisection(passes, lo_steps, hi_steps) * ENTROPY_STEP_BITS
+    return np.maximum.accumulate(air)
+
+
+def _search(values, lo, first):
+    """Run _last_passing on f(lo + k) = values[k], replaying the bracket to
+    check that each probe lies strictly inside it and that no step repeats;
+    return the answer and the probes in order."""
+    hi = lo + len(values) - 1
+    probes = []
+    bracket = [lo, hi]
+
+    def f(step):
+        assert bracket[0] < step < bracket[1], (step, bracket)
+        assert step not in probes
+        probes.append(step)
+        v = values[step - lo]
+        bracket[v < 0] = step  # a failing probe becomes hi, else lo
+        return v
+
+    got = airlut._last_passing(f, lo, values[0], hi, values[-1], first)
+    assert len(probes) <= hi - lo - 1
+    return got, probes
+
+
+_FIRST = st.one_of(st.just(math.nan), st.floats(-100.0, 700.0),
+                   st.sampled_from([math.inf, -math.inf]))
+
+
+@st.composite
+def _non_increasing(draw):
+    # Steps lo..hi with f(lo) >= 0 > f(hi); flat runs where the secant
+    # through two probes is undefined.
+    drops = draw(st.lists(st.integers(0, 30), min_size=2, max_size=600))
+    cross = draw(st.integers(0, len(drops) - 2))
+    drops[cross + 1] = max(drops[cross + 1], 1)
+    levels = -np.cumsum(drops)
+    offset = draw(st.integers(0, drops[cross + 1] - 1))
+    return [int(v - levels[cross] + offset) for v in levels]
+
+
+@st.composite
+def _arbitrary(draw):
+    values = draw(st.lists(st.integers(-50, 50), min_size=2, max_size=600))
+    values[0] = abs(values[0])
+    values[-1] = -abs(values[-1]) - 1
+    return values
+
+
+@given(values=_non_increasing(), lo=st.integers(0, 300), first=_FIRST)
+@settings(max_examples=300, deadline=None)
+def test_search_equals_bisection_where_f_does_not_increase(values, lo, first):
+    got, _ = _search(values, lo, first)
+    assert got == bisection(lambda s: values[s - lo] >= 0, lo, lo + len(values) - 1)
+
+
+@given(values=_arbitrary(), lo=st.integers(0, 300), first=_FIRST)
+@settings(max_examples=300, deadline=None)
+def test_search_returns_a_crossing_of_any_bracket(values, lo, first):
+    got, probes = _search(values, lo, first)
+    k = got - lo
+    assert 0 <= k < len(values) - 1
+    assert values[k] >= 0 > values[k + 1]
+    # both sides of the crossing were evaluated, as probes or bracket ends
+    assert got in [lo, *probes] and got + 1 in [*probes, lo + len(values) - 1]
+
+
+@pytest.mark.parametrize("grid, seed", [
+    (np.array([0.0, 2.5, 3.0, 4.5, 7.0, 7.25, 11.0, 13.5, 14.0, 18.0, 23.5, 30.0]), 2024),
+    (np.arange(0.0, 31.0, 1.0), 11),
+    (np.arange(8.0, 16.0, 0.25), 11),
+], ids=["non-uniform", "1dB-seed11", "quarter-dB"])
+def test_table_equals_the_bisection_table(grid, seed, monkeypatch):
+    mc = MCConfig(mc_symbols=2048, seed=seed)
+    want = bisection_table(grid, mc)
+    scored = []
+
+    def spy(dist, snr_db, n_symbols, key):
+        scored.append((key[1], dist.entropy_bits))
+        return awgn_link_metrics(dist, snr_db, n_symbols, key)
+
+    monkeypatch.setattr(airlut, "awgn_link_metrics", spy)
+    assert build_air_table(grid, mc).air.tolist() == want.tolist()
+    assert np.count_nonzero((0.0 < want) & (want < 12.0)) >= 4  # the search ran
+    assert len(set(scored)) == len(scored)  # no step is scored twice
 
 
 # ------------------------------------------------------------ persistence

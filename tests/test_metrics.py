@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsolink import metrics
@@ -174,6 +174,47 @@ def test_llr_finite_over_wide_snr_range(snr_db, seed):
     idx, rx, noise_var = _uniform_awgn_batch(snr_db, 64, seed)
     llrs = bitwise_llrs(rx, UNIFORM, noise_var)
     assert np.all(np.isfinite(llrs))
+
+
+def unfloored_posterior_llrs(d2, logp, bits, noise_var):
+    """_posterior_llrs as it was before the shifted log-masses were floored
+    before exp: the reference the floor is held to, bit for bit."""
+    a = np.divide(d2, -noise_var, out=d2)
+    a += logp
+    a -= a.max(axis=-2, keepdims=True)
+    e = np.exp(a, out=a)
+    s = np.concatenate([1.0 - bits, bits], axis=-2) @ e
+    np.maximum(s, metrics._TINY, out=s)
+    b = bits.shape[-2]
+    r = np.log(np.divide(s[..., :b, :], s[..., b:, :]))
+    return np.clip(r, -metrics._LLR_MAX, metrics._LLR_MAX, out=r)
+
+
+@given(M=st.sampled_from([4, 16, 64, 256]),
+       nu=st.floats(min_value=0.0, max_value=3.0),
+       snr_db=st.floats(min_value=-10.0, max_value=45.0),
+       n_outliers=st.integers(0, 20),
+       seed=st.integers(0, 2**32 - 1))
+@example(M=256, nu=0.0, snr_db=45.0, n_outliers=5, seed=1)
+@example(M=64, nu=1.0, snr_db=28.0, n_outliers=0, seed=2)
+@settings(max_examples=60, deadline=None)
+def test_exp_floor_leaves_llrs_and_gmi_bit_identical(M, nu, snr_db, n_outliers, seed):
+    # At high SNR most shifted log-masses fall below the floor, many of
+    # them into exp's subnormal range; outliers far off the grid push
+    # both sides of a bit towards the floor at once.
+    dist = mb_distribution(nu, ConstellationTemplate.square_qam(M))
+    rng = np.random.default_rng(seed)
+    idx, tx = dist.sample(rng, 1500)
+    rx = awgn_transmit(tx, snr_db, rng)
+    at = rng.choice(rx.size, size=n_outliers, replace=False)
+    rx[at] = rng.uniform(-30.0, 30.0, n_outliers) + 1j * rng.uniform(-30.0, 30.0, n_outliers)
+    noise_var = 10.0 ** (-snr_db / 10.0)
+    llrs = bitwise_llrs(rx, dist, noise_var)
+    gmi = gmi_from_samples(idx, rx, dist, noise_var)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_posterior_llrs", unfloored_posterior_llrs)
+        np.testing.assert_array_equal(llrs, bitwise_llrs(rx, dist, noise_var))
+        assert gmi == gmi_from_samples(idx, rx, dist, noise_var)
 
 
 # --------------------------------------------------------------------- GMI
