@@ -41,7 +41,7 @@ def main() -> None:
             records = run_campaign(trace, ("adaptive",), table, seed=args.seed,
                                    n_window=n, snr_margin_db=m,
                                    mc_symbols=args.mc_symbols)
-            report = accumulate_report(records, trace.sampling_period_s)
+            report = accumulate_report(records)
             result[(n, m)] = report.mean_effective_rate_bps["adaptive"]
 
     head = "N \\ margin" + "".join(f"{m:>10.1f}" for m in args.margins)

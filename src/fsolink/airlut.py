@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import _integer, _read_json, _real, _write_json
+from .channel import _integer, _read_json, _real, _seed, _write_json
 from .metrics import awgn_link_metrics
 from .shaping import (
     ENTROPY_FLOOR_BITS,
@@ -52,7 +52,7 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _integer(self.seed, "seed")
+        _seed(self.seed)
         if _integer(self.mc_symbols, "mc_symbols") <= 0:
             raise ValueError("Monte-Carlo symbol count must be positive")
 
@@ -82,8 +82,9 @@ class AirTable:
     seed: int
 
     def __post_init__(self):
-        for name in ("M", "mc_symbols", "seed"):
+        for name in ("M", "mc_symbols"):
             _integer(getattr(self, name), f"AIR table {name}")
+        _seed(self.seed, "AIR table seed")
         s = np.array([_real(v, "AIR table SNR") for v in self.snr_db], dtype=float)
         a = np.array([_real(v, "AIR table AIR") for v in self.air], dtype=float)
         _check_grid(s, self.ngmi_th)

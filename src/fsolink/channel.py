@@ -86,6 +86,13 @@ def _integer(v, name: str):
     return v
 
 
+def _seed(v, name: str = "seed"):
+    """v, if it is an integer >= 0; numpy refuses a negative seed only when it draws."""
+    if _integer(v, name) < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class RainModelConfig:
     """Two-regime SNR process: piecewise mean with AR(1) fluctuations whose
@@ -110,7 +117,7 @@ class RainModelConfig:
         for name in ("clear_mean_db", "clear_std_db", "rain_mean_drop_db",
                      "rain_std_db", "ar1_rho"):
             _real(getattr(self, name), name)
-        _integer(self.seed, "seed")
+        _seed(self.seed)
         if self.rain_std_db < self.clear_std_db:
             raise ValueError("rain must not have lower SNR variance than clear sky")
         if not 0.0 <= self.ar1_rho < 1.0:

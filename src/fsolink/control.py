@@ -21,7 +21,7 @@ import numpy as np
 
 from .airlut import AirTable, MCConfig, air_for_rate, lookup_air, net_bit_rate
 from .channel import (SnrTrace, _finite_float, _integer, _read_csv, _real,
-                      _sampling_period, _write_csv, _write_json)
+                      _seed, _write_csv, _write_json)
 from .metrics import awgn_link_metrics
 from .shaping import (
     ENTROPY_FLOOR_BITS,
@@ -79,25 +79,21 @@ def predict_snr(state: PredictorState) -> float:
     return float(np.mean(state.window)) - state.snr_margin_db
 
 
-def select_rate(table: AirTable, snr_est_db: float):
-    """Map a predicted SNR to (entropy bits/pol, AIR, net bit-rate).
+def select_rate(table: AirTable, snr_est_db: float) -> float:
+    """Map a predicted SNR to the entropy (bits/pol) to transmit.
 
     The table's AIR/2 is floored to the entropy grid, the distribution the
-    campaign transmits, so the returned rate is the one that distribution
-    carries and never exceeds what the table allows. AIR below twice the
-    shaping entropy floor cannot be realized by any valid distribution
-    (interpolation across the table's service cliff can produce such
-    values), so it collapses to 0: out of service, transmit nothing this
-    iteration.
+    campaign transmits, so the rate that distribution carries never exceeds
+    what the table allows. AIR below twice the shaping entropy floor cannot
+    be realized by any valid distribution (interpolation across the table's
+    service cliff can produce such values), so it collapses to 0: out of
+    service, transmit nothing this iteration.
     """
     air = float(lookup_air(table, snr_est_db))
     if air < 2.0 * ENTROPY_FLOOR_BITS:
-        return 0.0, 0.0, 0.0
+        return 0.0
     # the tolerance keeps table values such as 9.3 on their own step
-    steps = math.floor(air / 2.0 / ENTROPY_STEP_BITS + 1e-9)
-    entropy = steps * ENTROPY_STEP_BITS
-    air = 2.0 * entropy
-    return entropy, air, net_bit_rate(air)
+    return math.floor(air / 2.0 / ENTROPY_STEP_BITS + 1e-9) * ENTROPY_STEP_BITS
 
 
 @dataclass(frozen=True)
@@ -167,7 +163,7 @@ def _adaptive(state: PredictorState, table: AirTable):
     if not state.full:
         return _RULES["fixed400"](state, table)
     snr_est = predict_snr(state)
-    return select_rate(table, snr_est)[0], snr_est
+    return select_rate(table, snr_est), snr_est
 
 
 # Each scheme's rule maps its own PredictorState and the AIR table to
@@ -238,6 +234,7 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
         raise ValueError(f"AIR table was built for M={table.M}, "
                          f"campaign runs M={GRID_TEMPLATE.M}")
     MCConfig(mc_symbols=mc_symbols)  # refuses a bad batch before iteration 0
+    _seed(seed)
     predictors = {s: PredictorState(n_window, snr_margin_db) for s in schemes}
 
     records = []
@@ -303,18 +300,14 @@ def _by_scheme(records) -> tuple:
     return out, trace
 
 
-def accumulate_report(records, sampling_period_s: float) -> CampaignReport:
+def accumulate_report(records) -> CampaignReport:
     """Reduce a campaign's records to service statistics.
 
     Effective rate zero-rates outage iterations (discarded data); delivered
-    capacity integrates in-service bits over the sampling period, which must
-    be the period of the records' own timestamps.
+    capacity integrates in-service bits over the sampling period of the
+    trace the records replayed (see _by_scheme).
     """
-    sampling_period_s = _sampling_period(sampling_period_s)
     groups, trace = _by_scheme(records)
-    if sampling_period_s != trace.sampling_period_s:
-        raise ValueError(f"sampling_period_s {sampling_period_s!r} differs from "
-                         f"the records' {trace.sampling_period_s!r}")
     schemes = tuple(groups)
 
     mean_rate, outage, delivered, cumulative = {}, {}, {}, {}
@@ -322,7 +315,7 @@ def accumulate_report(records, sampling_period_s: float) -> CampaignReport:
         eff = np.array([r.rate_bps if r.in_service else 0.0 for r in rows])
         mean_rate[scheme] = float(eff.mean())
         outage[scheme] = float(np.mean([not r.in_service for r in rows]))
-        per_iter_bytes = eff * sampling_period_s / 8.0
+        per_iter_bytes = eff * trace.sampling_period_s / 8.0
         cumulative[scheme] = np.cumsum(per_iter_bytes)
         delivered[scheme] = float(cumulative[scheme][-1])
 
@@ -331,20 +324,19 @@ def accumulate_report(records, sampling_period_s: float) -> CampaignReport:
 
     return CampaignReport(
         schemes=schemes, n_iterations=len(trace),
-        sampling_period_s=sampling_period_s,
+        sampling_period_s=trace.sampling_period_s,
         mean_effective_rate_bps=mean_rate, outage_fraction=outage,
         delivered_bytes=delivered, gain_vs_fixed_bytes=gains,
     )
 
 
 def emit_report(records, out_dir) -> CampaignReport:
-    """Report a campaign from its records alone: accumulate_report at the
-    period of the trace the records replayed. Write records.csv,
-    summary.json, and the per-panel CSV files into out_dir (created if
-    missing) and return the report; records that _by_scheme refuses are
-    rejected first."""
+    """Report a campaign from its records alone: accumulate_report, then
+    write records.csv, summary.json, and the per-panel CSV files into
+    out_dir (created if missing) and return the report; records that
+    _by_scheme refuses are rejected first."""
     groups, trace = _by_scheme(records)
-    report = accumulate_report(records, trace.sampling_period_s)
+    report = accumulate_report(records)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -111,7 +111,8 @@ def _llr_chunks(rx: np.ndarray, dist: ShapedDistribution, noise_var: float,
 
 
 def bitwise_llrs(rx: np.ndarray, dist: ShapedDistribution, noise_var: float) -> np.ndarray:
-    """Prior-aware LLRs, shape (N, m) with the label MSB in column 0.
+    """Prior-aware LLRs, shape (N, m): the in-phase level's Gray bits MSB
+    first, then the quadrature level's (ConstellationTemplate.axis_labels).
 
     Sign convention: positive means bit 0 is more likely, i.e.
     llr = log P(b=0 | y) - log P(b=1 | y) including the shaped prior.
@@ -137,7 +138,10 @@ def gmi_from_samples(tx_idx: np.ndarray, rx: np.ndarray, dist: ShapedDistributio
     if tx_idx.size != rx.size:
         raise ValueError("tx indices and rx samples differ in length")
 
-    flip = 2.0 * dist.template.bit_masks() - 1.0  # (m, M): +1 where bit is 1
+    # (m, M), +1 where point i*L + q's bit is 1: level i's bits, then q's
+    _, _, bits = dist.axis_factors
+    L = bits.shape[1]
+    flip = 2.0 * np.concatenate([np.repeat(bits, L, axis=1), np.tile(bits, L)]) - 1.0
     loss_bits = 0.0
     for sl, llr in _llr_chunks(rx, dist, noise_var):
         x = flip[:, tx_idx[sl]]

@@ -32,10 +32,10 @@ class ConstellationTemplate:
     probability.
 
     Point i*L + q sits at levels[i] + 1j*levels[q] (L = sqrt(M) levels per
-    axis). Its label is axis_labels[i] in the high half of the bits and
-    axis_labels[q] in the low half. The axis labels are a Gray code, so
-    neighboring points along either axis differ in exactly one bit. Every
-    array is derived once per template.
+    axis). axis_labels is the one bit labelling: the point's m bits are the
+    Gray label of level i, MSB first, then that of level q, so neighboring
+    points along either axis differ in exactly one bit. Every array is
+    derived once per template.
     """
 
     M: int
@@ -65,19 +65,6 @@ class ConstellationTemplate:
     def points(self) -> np.ndarray:
         """Complex points, shape (M,)."""
         return (self.levels[:, None] + 1j * self.levels).ravel()
-
-    @functools.cached_property
-    def labels(self) -> np.ndarray:
-        """Bit label of each point, shape (M,), each in [0, M)."""
-        a = self.axis_labels
-        return (a[:, None] << self.bits_per_symbol // 2 | a).ravel()
-
-    def bit_masks(self) -> np.ndarray:
-        """Boolean array (bits_per_symbol, M): entry [j, i] is bit j (MSB
-        first) of point i's label."""
-        m = self.bits_per_symbol
-        shifts = np.arange(m - 1, -1, -1)
-        return ((self.labels[None, :] >> shifts[:, None]) & 1).astype(bool)
 
     @classmethod
     def square_qam(cls, M: int = 64) -> "ConstellationTemplate":

@@ -329,7 +329,7 @@ def test_criterion_6_campaign_qualitative(capsys, coarse_table):
 
     records = run_campaign(trace, SCHEMES, coarse_table, seed=0,
                            mc_symbols=100_000)
-    report = accumulate_report(records, trace.sampling_period_s)
+    report = accumulate_report(records)
     mean = report.mean_effective_rate_bps
 
     if not mean["adaptive"] > mean["fixed500"] > mean["fixed400"]:

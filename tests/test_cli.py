@@ -265,6 +265,7 @@ _BAD_JSON_EITHER = [
     ("float-seed", _edited(seed=2.5), "seed must be an integer, got 2.5"),
     ("string-seed", _edited(seed="7"), "seed must be an integer, got '7'"),
     ("bool-seed", _edited(seed=True), "seed must be an integer, got True"),
+    ("negative-seed", _edited(seed=-3), "seed must be a non-negative integer, got -3"),
 ]
 _BAD_JSON = [pytest.param(command, make, text, id=f"{command}-{case}")
              for command in ("run", "gen-trace")
@@ -306,6 +307,23 @@ def test_json_inputs_must_be_objects(small_campaign, capsys, command, make, text
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     assert re.search(text, err)
+
+
+@pytest.mark.parametrize("command", ["build-lut", "gen-trace", "run"])
+def test_negative_seed_option_refused_before_any_work(small_campaign, capsys,
+                                                      command):
+    # left to numpy, a negative seed fails at the first draw, in a message
+    # that names no seed
+    trace, lut, out = small_campaign
+    args = {"build-lut": ["build-lut", "--grid", "26:30:2", "--out", str(out)],
+            "gen-trace": ["gen-trace", "--out", str(out)],
+            "run": ["run", "--trace", str(trace), "--lut", str(lut),
+                    "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main([*args, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
 
 
 def test_run_campaign_end_to_end(small_campaign, capsys):

@@ -116,49 +116,47 @@ def test_predictor_validation():
 
 def test_select_rate_saturated_table_point():
     table = _toy_table()
-    assert select_rate(table, 20.0) == (6.0, 12.0, 600e9)
+    h = select_rate(table, 20.0)
+    assert type(h) is float and h == 6.0
 
 
 def test_select_rate_out_of_service_floor():
     table = _toy_table()
-    assert select_rate(table, 0.0) == (0.0, 0.0, 0.0)
+    assert select_rate(table, 0.0) == 0.0
     # Interpolated AIR below the 2-bit/pol shaping floor collapses to 0 too.
-    assert select_rate(table, 2.0) == (0.0, 0.0, 0.0)
+    assert select_rate(table, 2.0) == 0.0
 
 
 def test_select_rate_direct_product():
-    # AIR 9.3 sits between grid points: entropy 4.65 bits/pol, 465 Gbps.
+    # AIR 9.3 sits between grid points: entropy 4.65 bits/pol, on its own
+    # grid step.
     table = _toy_table()
     snr = 10.0 + 5.0 * (9.3 - 8.0) / 2.0  # interpolate inside [10, 15]
-    h, air, rate = select_rate(table, snr)
-    assert air == pytest.approx(9.3, abs=1e-12)
+    h = select_rate(table, snr)
+    assert h == 465 * ENTROPY_STEP_BITS
     assert h == pytest.approx(4.65, abs=1e-12)
-    assert rate == pytest.approx(465e9, abs=1e-3)
 
 
 def test_select_rate_floors_to_the_entropy_grid():
-    # Off-grid AIR 9.47 transmits the 4.73-bit distribution, so the record
-    # carries that entropy and its rate, never more than the table allows.
+    # Off-grid AIR 9.47 transmits the 4.73-bit distribution, never more
+    # than the table allows; the campaign records carry its AIR and rate.
     table = _toy_table()
     snr = 10.0 + 5.0 * (9.47 - 8.0) / 2.0
-    h, air, rate = select_rate(table, snr)
+    h = select_rate(table, snr)
     assert h == 473 * ENTROPY_STEP_BITS
-    assert air == 2.0 * h
     assert h == pytest.approx(4.73, abs=1e-12)
-    assert air == pytest.approx(9.46, abs=1e-12)
-    assert rate == net_bit_rate(air) == pytest.approx(473e9, abs=1e-3)
 
 
 def test_select_rate_margin_monotonicity():
     table = _toy_table()
     hist = [14.0, 15.0, 16.0]
-    rates = []
+    entropies = []
     for margin in (0.0, 1.0, 2.0, 4.0):
         state = PredictorState(n_window=3, snr_margin_db=margin)
         for v in hist:
             state.push(v)
-        rates.append(select_rate(table, predict_snr(state))[2])
-    assert all(a >= b for a, b in zip(rates[:-1], rates[1:]))
+        entropies.append(select_rate(table, predict_snr(state)))
+    assert all(a >= b for a, b in zip(entropies[:-1], entropies[1:]))
 
 
 # ---------------------------------------------------------------- campaign
@@ -290,6 +288,8 @@ def test_campaign_records_the_transmitted_entropy(monkeypatch, mode):
         assert r.air == 2.0 * r.entropy_bits
         assert r.rate_bps == net_bit_rate(r.air)
         assert dist.entropy_bits == pytest.approx(r.entropy_bits, abs=1e-8)
+        if r.scheme == "adaptive" and not math.isnan(r.snr_est_db):
+            assert r.entropy_bits == select_rate(table, r.snr_est_db)
     # the ramp did put predictions between grid steps
     assert any(lookup_air(table, r.snr_est_db) != r.air for r in records
                if r.scheme == "adaptive" and not math.isnan(r.snr_est_db))
@@ -359,7 +359,7 @@ def test_campaign_margin_monotone_on_a_constant_trace(coarse_table):
     def mean_rate(margin):
         records = run_campaign(trace, ("adaptive",), coarse_table, seed=19,
                                snr_margin_db=margin, mc_symbols=5_000)
-        report = accumulate_report(records, trace.sampling_period_s)
+        report = accumulate_report(records)
         return report.mean_effective_rate_bps["adaptive"]
 
     assert mean_rate(1.0) >= mean_rate(2.0)
@@ -399,7 +399,7 @@ def test_waveform_campaign_refuses_a_bad_batch_before_any_block(monkeypatch,
 
 def test_accumulate_constant_rate_delivery():
     records = [_record(n=i, t_s=25.0 * i) for i in range(4)]
-    rep = accumulate_report(records, 25.0)
+    rep = accumulate_report(records)
     assert rep.mean_effective_rate_bps["adaptive"] == 500e9
     assert rep.outage_fraction["adaptive"] == 0.0
     assert rep.delivered_bytes["adaptive"] == 4 * 500e9 * 25.0 / 8.0
@@ -409,7 +409,7 @@ def test_accumulate_constant_rate_delivery():
 def test_accumulate_always_out_of_service():
     records = [_record(n=i, t_s=25.0 * i, scheme="fixed500", rate_bps=500e9,
                        ngmi=0.2, in_service=False) for i in range(3)]
-    rep = accumulate_report(records, 25.0)
+    rep = accumulate_report(records)
     assert rep.mean_effective_rate_bps["fixed500"] == 0.0
     assert rep.outage_fraction["fixed500"] == 1.0
     assert rep.delivered_bytes["fixed500"] == 0.0
@@ -422,7 +422,7 @@ def test_accumulate_gain_curve_monotone_when_adaptive_faster():
                                rate_bps=500e9))
         records.append(_record(n=i, t_s=25.0 * i, scheme="fixed400",
                                rate_bps=400e9))
-    rep = accumulate_report(records, 25.0)
+    rep = accumulate_report(records)
     gain = rep.gain_vs_fixed_bytes["fixed400"]
     assert np.all(np.diff(gain) > 0)
     assert gain[-1] == 5 * (500e9 - 400e9) * 25.0 / 8.0
@@ -430,15 +430,7 @@ def test_accumulate_gain_curve_monotone_when_adaptive_faster():
 
 def test_accumulate_rejects_empty():
     with pytest.raises(ValueError):
-        accumulate_report([], 25.0)
-
-
-@pytest.mark.parametrize("period", [0.0, -25.0, math.nan, math.inf])
-def test_accumulate_rejects_a_period_not_positive_and_finite(period):
-    # a negative period would report negative delivered bytes
-    records = [_record(n=i, t_s=25.0 * i) for i in range(3)]
-    with pytest.raises(ValueError, match="sampling_period_s must be"):
-        accumulate_report(records, period)
+        accumulate_report([])
 
 
 def test_emit_report_rejects_empty_records_before_any_output(tmp_path):
@@ -455,7 +447,7 @@ def test_uneven_records_rejected_before_any_output(tmp_path):
         records.append(_record(n=i, t_s=25.0 * i, scheme="adaptive"))
     uneven = records[:-1]  # adaptive loses its last row
     with pytest.raises(ValueError, match="'adaptive'.*'fixed400'"):
-        accumulate_report(uneven, 25.0)
+        accumulate_report(uneven)
     with pytest.raises(ValueError, match="'adaptive'.*'fixed400'"):
         emit_report(uneven, tmp_path)
     assert list(tmp_path.iterdir()) == []
@@ -470,19 +462,10 @@ def test_bad_schemes_and_iterations_rejected_before_any_output(
         tmp_path, scheme, iterations, message):
     records = [_record(n=i, t_s=25.0 * i, scheme=scheme) for i in iterations]
     with pytest.raises(ValueError, match=message):
-        accumulate_report(records, 25.0)
+        accumulate_report(records)
     with pytest.raises(ValueError, match=message):
         emit_report(records, tmp_path)
     assert list(tmp_path.iterdir()) == []
-
-
-def test_accumulate_rejects_a_period_other_than_the_records():
-    # at the records' 25 s, a 5 s period had reported a fifth of the bytes
-    records = [_record(n=i, t_s=25.0 * i) for i in range(3)]
-    for period in (5.0, 50.0):
-        with pytest.raises(ValueError, match=f"sampling_period_s {period} "
-                           "differs from the records' 25.0"):
-            accumulate_report(records, period)
 
 
 def _on_adaptive(changes):
@@ -511,7 +494,7 @@ def test_records_of_no_one_trace_rejected_before_any_output(tmp_path, changes,
                for i in range(4) for s in ("fixed400", "adaptive")]
     records = [dataclasses.replace(r, **changes(r)) for r in records]
     with pytest.raises(ValueError, match=message):
-        accumulate_report(records, 25.0)
+        accumulate_report(records)
     with pytest.raises(ValueError, match=message):
         emit_report(records, tmp_path)
     assert list(tmp_path.iterdir()) == []
@@ -583,7 +566,7 @@ def test_emit_report_reads_the_period_off_the_records(tmp_path, period):
                        rate_bps={"fixed400": 400e9}.get(s, 500e9))
                for i in range(3) for s in SCHEMES]
     rep = emit_report(records, tmp_path)
-    want = accumulate_report(records, period)
+    want = accumulate_report(records)
     assert rep.sampling_period_s == period
     assert rep.delivered_bytes == want.delivered_bytes
     assert json.loads((tmp_path / "summary.json").read_text())[

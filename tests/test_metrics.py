@@ -38,6 +38,16 @@ def _gray(i):
     return i ^ (i >> 1)
 
 
+def joint_bits(tpl):
+    """The reference bit labelling, shape (m, M): entry [j, k] is bit j (MSB
+    first) of point k = i*L + q's joint label, level i's Gray label in the
+    high half and level q's in the low half."""
+    m = tpl.bits_per_symbol
+    a = np.array([_gray(i) for i in range(math.isqrt(tpl.M))])
+    labels = (a[:, None] << m // 2 | a).ravel()
+    return (labels >> np.arange(m - 1, -1, -1)[:, None]) & 1
+
+
 def gmi_uniform_qam64_oracle(snr_db: float, n_nodes: int = 96) -> float:
     """Bit-metric decoding rate of uniform Gray 64QAM on AWGN by numerical
     integration: the 2D constellation factors into two Gray 8-PAM axes, and
@@ -69,7 +79,7 @@ def joint_llrs(y, dist, noise_var):
     reference the per-axis demapper is held to."""
     d2 = np.abs(dist.tx_points()[:, None] - y[None, :]) ** 2
     logp = np.log(np.maximum(dist.p, metrics._TINY))[:, None]
-    bits = dist.template.bit_masks().astype(float)  # (m, M)
+    bits = joint_bits(dist.template).astype(float)  # (m, M)
     return metrics._posterior_llrs(d2, logp, bits, noise_var).T
 
 
@@ -86,7 +96,7 @@ def _uniform_awgn_batch(snr_db, n, seed):
 def test_llr_signs_match_labels_in_noiseless_limit():
     rx = UNIFORM.tx_points()
     llrs = bitwise_llrs(rx, UNIFORM, noise_var=1e-4)
-    masks = TPL.bit_masks()  # (m, M), True where the bit is 1
+    masks = joint_bits(TPL).astype(bool)  # (m, M), True where the bit is 1
     for j in range(6):
         want_negative = masks[j]
         assert np.all((llrs[:, j] < 0) == want_negative)
@@ -108,7 +118,7 @@ def test_llr_matches_direct_evaluation_on_toy_template():
     for n, y in enumerate(rx):
         lik = dist.p * np.exp(-np.abs(y - pts) ** 2 / noise_var)
         for j in range(2):
-            bit = (dist.template.labels >> (1 - j)) & 1
+            bit = joint_bits(dist.template)[j]
             ref = math.log(lik[bit == 0].sum()) - math.log(lik[bit == 1].sum())
             assert got[n, j] == pytest.approx(ref, abs=1e-9)
 
@@ -131,7 +141,7 @@ def test_axis_demapper_matches_joint_demapper(dist, snr_db, seed):
     joint = joint_llrs(rx, dist, noise_var)
     np.testing.assert_allclose(bitwise_llrs(rx, dist, noise_var), joint,
                                rtol=1e-9, atol=1e-9)
-    sgn = 1.0 - 2.0 * dist.template.bit_masks().T[idx]
+    sgn = 1.0 - 2.0 * joint_bits(dist.template).T[idx]
     loss = np.logaddexp(0.0, -sgn * joint).sum() / math.log(2.0) / idx.size
     gmi_joint = max(dist.entropy_bits - loss, 0.0)
     assert gmi_from_samples(idx, rx, dist, noise_var) == pytest.approx(
@@ -270,11 +280,40 @@ def test_blocked_gmi_matches_one_block_evaluation(n, dist, snr_db, seed):
     rx = awgn_transmit(dist.tx_points()[idx], snr_db, rng)
     noise_var = 10.0 ** (-snr_db / 10.0)
     ((_, llr),) = metrics._llr_chunks(rx, dist, noise_var, chunk=n)
-    sgn = 1.0 - 2.0 * dist.template.bit_masks().T[idx]
+    sgn = 1.0 - 2.0 * joint_bits(dist.template).T[idx]
     loss = np.logaddexp(0.0, -sgn * llr).sum() / math.log(2.0) / n
     want = max(dist.entropy_bits - loss, 0.0)
     assert gmi_from_samples(idx, rx, dist, noise_var) == pytest.approx(
         want, rel=0.0, abs=1e-12)
+
+
+def _gmi_from_joint_labels(tx_idx, rx, dist, noise_var):
+    """The reference for gmi_from_samples: the same blocked sum, with the
+    (m, M) sent-bit table built from the joint labelling."""
+    flip = 2.0 * joint_bits(dist.template).astype(bool) - 1.0
+    loss_bits = 0.0
+    for sl, llr in metrics._llr_chunks(rx, dist, noise_var):
+        x = flip[:, tx_idx[sl]]
+        x *= llr.T
+        loss_bits += np.log1p(np.exp(x, out=x), out=x).sum() / metrics._LN2
+    return max(dist.entropy_bits - loss_bits / rx.size, 0.0)
+
+
+@pytest.mark.parametrize("dist", [TOY, UNIFORM, mb_distribution(0.4, TPL)],
+                         ids=["M4", "M64-uniform", "M64-shaped"])
+@pytest.mark.parametrize("tail", [1, 2, 3, 17])
+@pytest.mark.parametrize("blocks", [0, 2])
+def test_gmi_matches_the_joint_label_path_bit_for_bit(dist, tail, blocks):
+    # the sum runs in the same memory order, so even the last bit agrees,
+    # in the short tail blocks where a reordered sum shows first
+    n = blocks * metrics.BLOCK_SYMBOLS + tail
+    for snr_db in (-3.0, 8.0, 25.0):
+        rng = np.random.default_rng([n, int(snr_db) + 10])
+        idx = rng.choice(dist.template.M, size=n, p=dist.p)
+        rx = awgn_transmit(dist.tx_points()[idx], snr_db, rng)
+        noise_var = 10.0 ** (-snr_db / 10.0)
+        assert gmi_from_samples(idx, rx, dist, noise_var) == \
+            _gmi_from_joint_labels(idx, rx, dist, noise_var)
 
 
 def test_gmi_peak_memory_does_not_grow_with_the_batch():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsolink.ccdm import quantize_composition
+from fsolink.metrics import bitwise_llrs
 from fsolink.shaping import (
     ENTROPY_FLOOR_BITS,
     ENTROPY_STEP_BITS,
@@ -39,20 +40,28 @@ def test_template_size_and_bits():
     assert TPL.bits_per_symbol == 6
 
 
+def _noiseless_bits(M):
+    # The labels as the demapper sees them: in the noiseless limit the sign
+    # of each LLR is the sent bit. Returns the points and their (M, m) bits.
+    dist = mb_distribution(0.0, ConstellationTemplate.square_qam(M))
+    pts = dist.tx_points()
+    return pts, bitwise_llrs(pts, dist, noise_var=1e-4) < 0
+
+
 def test_bit_labels_unique():
-    assert len(set(TPL.labels.tolist())) == 64
+    for M in SIZES:
+        _, signs = _noiseless_bits(M)
+        assert len({tuple(row) for row in signs}) == M
 
 
 def test_gray_property_adjacent_points_differ_in_one_bit():
-    # Sort points onto the L x L lattice and check both lattice directions.
+    # Neighbours on the L x L lattice differ in exactly one bit.
     for M in SIZES:
-        tpl = ConstellationTemplate.square_qam(M)
         L = math.isqrt(M)
-        order = np.lexsort((tpl.points.imag, tpl.points.real))
-        grid = np.asarray(tpl.labels)[order].reshape(L, L)
-        for lines in (grid, grid.T):
-            for a, b in zip(lines[:, :-1].ravel(), lines[:, 1:].ravel()):
-                assert bin(int(a) ^ int(b)).count("1") == 1
+        pts, signs = _noiseless_bits(M)
+        grid = signs[np.lexsort((pts.imag, pts.real))].reshape(L, L, -1)
+        for a, b in ((grid[1:], grid[:-1]), (grid[:, 1:], grid[:, :-1])):
+            assert np.all(np.sum(a != b, axis=-1) == 1)
 
 
 def test_non_square_template_rejected():
