@@ -3,10 +3,13 @@
 For each SNR grid point, a search over the 0.01-bit entropy grid finds the
 largest shaped distribution that still clears the NGMI threshold; the table
 then maps measured SNR to an achievable information rate (bits per dual-pol
-symbol) and, through the frame overheads, to a net bit rate. The search is a
-bracketing secant started where the previous grid points crossed the
-threshold: NGMI is smooth in entropy, so it needs a few NGMI evaluations per
-point where bisection over the 400 steps needed about nine.
+symbol) and, through the frame overheads, to a net bit rate. The search
+starts where the previous grid points' crossings predict this one, gallops
+to a bracket and finishes it with a secant: NGMI is smooth in entropy, so a
+point takes two or three NGMI evaluations where bisection over the 400 steps
+took about nine, and the floor and top steps are scored only when the search
+reaches them. Once the table reaches 2 log2 M, the points above take it
+unscored.
 """
 
 from __future__ import annotations
@@ -121,85 +124,100 @@ def air_for_rate(rate_bps: float) -> float:
     return float(Fraction(rate_bps) / RatePlan.net_symbol_rate)
 
 
-def _last_passing(f, lo: int, f_lo: float, hi: int, f_hi: float,
-                  first: float) -> int:
-    """The last passing step of a bracket. Given integer steps lo < hi with
-    f(lo) = f_lo >= 0 > f_hi = f(hi), return a step s in [lo, hi) with
-    f(s) >= 0 > f(s + 1), calling f only on steps strictly inside the bracket.
+def _last_passing(f, lo: int, hi: int, guess: float) -> int | None:
+    """The last passing step of lo..hi, searched outward from a guess: a
+    step s in [lo, hi) with f(s) >= 0 > f(s + 1); hi when the search reaches
+    hi and it passes; None when it reaches lo and it fails.
 
-    Each probe is a real step x, taken when lo < x < hi: rounded to the
-    nearest step, and moved one step inside when it rounds onto an end.
-    Otherwise regula falsi on the bracket gives x. The first x is `first`
-    (NaN for none); each later one is the secant through the two newest
-    evaluated steps, lo and hi counting as evaluated in that order. Every
-    probe narrows the bracket, so no step is evaluated twice and the search
-    ends within hi - lo - 1 probes. Where f is non-increasing its passing
-    steps form a prefix, so the answer is the one bisection finds.
+    The first probe is the guess, rounded and clamped into [lo, hi], and the
+    search gallops from it toward the sign change in strides 1, 2, 4, ...
+    until two probes bracket it, f(a) >= 0 > f(b). With no guess (NaN) it
+    probes lo and then hi, as end checks would. Inside the bracket each
+    probe is the secant through the two newest evaluated steps if that falls
+    strictly inside, else regula falsi, rounded to a step and moved one step
+    inside when it rounds onto an end. No step is evaluated twice. Where f
+    is non-increasing its passing steps form a prefix, so a bracket means
+    that lo passes and hi fails, and the answer is bisection's.
     """
-    x0, v0, x1, v1 = lo, f_lo, hi, f_hi
-    x = first
-    while hi - lo > 1:
-        if not lo < x < hi:  # also when x is NaN
-            x = lo + f_lo * (hi - lo) / (f_lo - f_hi)
-        s = min(max(round(x), lo + 1), hi - 1)
+    if math.isnan(guess):
+        s, stride = lo, hi - lo
+    else:
+        s, stride = round(min(max(guess, lo), hi)), 1
+    a = b = None
+    while True:
         v = f(s)
         if v >= 0:
-            lo, f_lo = s, v
+            a, f_a = s, v
+            if b is not None or s == hi:
+                break
+            s = min(s + stride, hi)
         else:
-            hi, f_hi = s, v
+            b, f_b = s, v
+            if a is not None or s == lo:
+                break
+            s = max(s - stride, lo)
+        stride *= 2
+    if a is None or b is None:
+        return a
+
+    x, x1, v1 = math.nan, s, v  # the newest evaluated step
+    while b - a > 1:
+        if not a < x < b:  # also when x is NaN
+            x = a + f_a * (b - a) / (f_a - f_b)
+        s = min(max(round(x), a + 1), b - 1)
+        v = f(s)
+        if v >= 0:
+            a, f_a = s, v
+        else:
+            b, f_b = s, v
         x0, v0, x1, v1 = x1, v1, s, v
         x = x1 - v1 * (x1 - x0) / (v1 - v0) if v1 != v0 else math.nan
-    return lo
+    return a
 
 
 def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
                     ngmi_th: float = 0.9) -> AirTable:
     """Build the SNR -> AIR table by a per-point search over entropy steps.
 
-    At each grid point, AIR is 0 when the entropy floor fails the NGMI
-    threshold and 2 log2 M when the top step passes. Otherwise
-    _last_passing finds a passing step whose next step fails, starting from
-    the SNR-linear extrapolation of the two previous grid points' crossings
-    (or at the one previous crossing). Where NGMI falls with entropy, that
-    is the largest passing step, as bisection finds it. Every NGMI
-    evaluation at a given grid point reuses the same derived seed, so the
-    noise realizations are shared across candidate entropies (common random
-    numbers); a final running-maximum pass makes the table monotone.
-    Bit-identical for a fixed (grid, mc, ngmi_th) triple. Logs one line per
-    grid point at INFO.
+    Each point takes the running maximum of the AIRs so far, so the table is
+    monotone, and once it reaches 2 log2 M (the top step) later points take
+    that with no NGMI evaluation. Otherwise _last_passing searches from the
+    SNR-linear extrapolation of the two previous points' crossings (from the
+    one previous crossing, or with no guess before any). A failing floor
+    gives AIR 0 and a passing top step 2 log2 M; where NGMI falls with
+    entropy, a crossing is the largest passing step, as bisection finds it.
+    Every NGMI evaluation at a grid point reuses the same derived seed
+    (common random numbers across candidate entropies). Bit-identical for a
+    fixed (grid, mc, ngmi_th) triple. Logs each point's table value at INFO.
     """
     grid = np.asarray(snr_grid_db, dtype=float)
     _check_grid(grid, ngmi_th)
 
-    h_hi_bits = math.log2(GRID_TEMPLATE.M)
     lo_steps = round(ENTROPY_FLOOR_BITS / ENTROPY_STEP_BITS)
-    hi_steps = round(h_hi_bits / ENTROPY_STEP_BITS)
+    hi_steps = round(math.log2(GRID_TEMPLATE.M) / ENTROPY_STEP_BITS)
     air = np.zeros(grid.size)
-    crossings = []  # (snr, step) of each earlier point found by the search
+    best = 0  # the running maximum in entropy steps; 0 is AIR 0
+    crossings = []  # (snr, last passing step) of each earlier point with one
 
     for i, snr in enumerate(grid.tolist()):
-        def margin(steps: int) -> float:
-            return awgn_link_metrics(grid_distribution(steps), snr,
-                                     mc.mc_symbols, [mc.seed, i]).ngmi - ngmi_th
+        if best < hi_steps:
+            def margin(steps: int) -> float:
+                return awgn_link_metrics(grid_distribution(steps), snr,
+                                         mc.mc_symbols, [mc.seed, i]).ngmi - ngmi_th
 
-        f_lo = margin(lo_steps)
-        if f_lo < 0:
-            air[i] = 0.0
-        elif (f_hi := margin(hi_steps)) >= 0:
-            air[i] = 2.0 * h_hi_bits
-        else:
-            first = math.nan
+            guess = math.nan
             if len(crossings) > 1:
                 (x0, s0), (x1, s1) = crossings[-2:]
-                first = s1 + (snr - x1) * (s1 - s0) / (x1 - x0)
+                guess = s1 + (snr - x1) * (s1 - s0) / (x1 - x0)
             elif crossings:
-                first = crossings[-1][1]
-            steps = _last_passing(margin, lo_steps, f_lo, hi_steps, f_hi, first)
-            crossings.append((snr, steps))
-            air[i] = 2.0 * steps * ENTROPY_STEP_BITS
+                guess = crossings[-1][1]
+            steps = _last_passing(margin, lo_steps, hi_steps, guess)
+            if steps is not None:
+                crossings.append((snr, steps))
+                best = max(best, steps)
+        air[i] = 2.0 * best * ENTROPY_STEP_BITS
         _log.info("  %7.2f dB -> AIR %5.2f bits", snr, air[i])
 
-    air = np.maximum.accumulate(air)
     return AirTable(snr_db=grid, air=air, ngmi_th=ngmi_th, M=GRID_TEMPLATE.M,
                     mc_symbols=mc.mc_symbols, seed=mc.seed)
 

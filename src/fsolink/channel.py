@@ -220,6 +220,7 @@ class ImpairmentConfig:
     def __post_init__(self):
         for f in fields(self)[:-1]:  # every field but the seed
             _real(getattr(self, f.name), f.name)
+        _seed(self.seed)
         if self.combined_linewidth_hz < 0:
             raise ValueError("linewidth must be >= 0")
 

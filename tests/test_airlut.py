@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsolink import airlut
@@ -172,9 +172,11 @@ def test_small_table_decisions_pinned():
 
 def test_build_logs_one_line_per_grid_point(caplog):
     caplog.set_level(logging.INFO, logger="fsolink.airlut")
-    table = build_air_table([-10.0, 14.0, 30.0], MCConfig(mc_symbols=1000, seed=1))
+    table = build_air_table([-10.0, 14.0, 30.0, 31.0],
+                            MCConfig(mc_symbols=1000, seed=1))
     lines = [r.getMessage() for r in caplog.records if r.name == "fsolink.airlut"]
-    assert len(lines) == 3
+    assert len(lines) == 4
+    assert lines[-1] == "    31.00 dB -> AIR 12.00 bits"  # a point not searched
     for snr, air, line in zip(table.snr_db, table.air, lines):
         assert line == f"  {snr:7.2f} dB -> AIR {air:5.2f} bits"
 
@@ -223,67 +225,80 @@ def bisection_table(grid, mc, ngmi_th=0.9):
     return np.maximum.accumulate(air)
 
 
-def _search(values, lo, first):
-    """Run _last_passing on f(lo + k) = values[k], replaying the bracket to
-    check that each probe lies strictly inside it and that no step repeats;
-    return the answer and the probes in order."""
-    hi = lo + len(values) - 1
+def _search(values, lo, guess):
+    """Run _last_passing on f(lo + k) = values[k], checking that each probe
+    is a step of lo..hi and that no step repeats; return the answer, the
+    probes in order, and how many probes it took to see both a passing and
+    a failing step (all of them, if it never did)."""
     probes = []
-    bracket = [lo, hi]
 
     def f(step):
-        assert bracket[0] < step < bracket[1], (step, bracket)
+        assert 0 <= step - lo < len(values), step
         assert step not in probes
         probes.append(step)
-        v = values[step - lo]
-        bracket[v < 0] = step  # a failing probe becomes hi, else lo
-        return v
+        return values[step - lo]
 
-    got = airlut._last_passing(f, lo, values[0], hi, values[-1], first)
-    assert len(probes) <= hi - lo - 1
-    return got, probes
+    got = airlut._last_passing(f, lo, lo + len(values) - 1, guess)
+    signs = [values[s - lo] >= 0 for s in probes]
+    flips = [j for j in range(1, len(signs)) if signs[j] != signs[0]]
+    gallop = flips[0] + 1 if flips else len(signs)
+    return got, probes, gallop
 
 
-_FIRST = st.one_of(st.just(math.nan), st.floats(-100.0, 700.0),
+_GUESS = st.one_of(st.just(math.nan), st.floats(-100.0, 700.0),
                    st.sampled_from([math.inf, -math.inf]))
 
 
 @st.composite
 def _non_increasing(draw):
-    # Steps lo..hi with f(lo) >= 0 > f(hi); flat runs where the secant
-    # through two probes is undefined.
-    drops = draw(st.lists(st.integers(0, 30), min_size=2, max_size=600))
-    cross = draw(st.integers(0, len(drops) - 2))
-    drops[cross + 1] = max(drops[cross + 1], 1)
-    levels = -np.cumsum(drops)
-    offset = draw(st.integers(0, drops[cross + 1] - 1))
-    return [int(v - levels[cross] + offset) for v in levels]
+    # Steps lo..hi whose passing steps form a prefix: none when the
+    # threshold is above the first level, all when it is at the last; flat
+    # runs where the secant through two probes is undefined.
+    levels = -np.cumsum(draw(st.lists(st.integers(0, 30), min_size=2, max_size=600)))
+    th = draw(st.integers(int(levels[-1]), int(levels[0]) + 1))
+    return [int(v - th) for v in levels]
 
 
 @st.composite
 def _arbitrary(draw):
-    values = draw(st.lists(st.integers(-50, 50), min_size=2, max_size=600))
-    values[0] = abs(values[0])
-    values[-1] = -abs(values[-1]) - 1
-    return values
+    return draw(st.lists(st.integers(-50, 50), min_size=2, max_size=600))
 
 
-@given(values=_non_increasing(), lo=st.integers(0, 300), first=_FIRST)
+@given(values=_non_increasing(), lo=st.integers(0, 300), guess=_GUESS)
+@example(values=[-1, -2, -2], lo=0, guess=2.0)  # all fail: AIR 0
+@example(values=[2, 0, 0], lo=0, guess=0.0)  # all pass: the top step
 @settings(max_examples=300, deadline=None)
-def test_search_equals_bisection_where_f_does_not_increase(values, lo, first):
-    got, _ = _search(values, lo, first)
-    assert got == bisection(lambda s: values[s - lo] >= 0, lo, lo + len(values) - 1)
+def test_search_equals_bisection_where_f_does_not_increase(values, lo, guess):
+    got, _, _ = _search(values, lo, guess)
+    hi = lo + len(values) - 1
+    if values[0] < 0:
+        assert got is None  # AIR 0
+    elif values[-1] >= 0:
+        assert got == hi  # the top step
+    else:
+        assert got == bisection(lambda s: values[s - lo] >= 0, lo, hi)
 
 
-@given(values=_arbitrary(), lo=st.integers(0, 300), first=_FIRST)
+@given(values=_arbitrary(), lo=st.integers(0, 300), guess=_GUESS)
 @settings(max_examples=300, deadline=None)
-def test_search_returns_a_crossing_of_any_bracket(values, lo, first):
-    got, probes = _search(values, lo, first)
-    k = got - lo
-    assert 0 <= k < len(values) - 1
-    assert values[k] >= 0 > values[k + 1]
-    # both sides of the crossing were evaluated, as probes or bracket ends
-    assert got in [lo, *probes] and got + 1 in [*probes, lo + len(values) - 1]
+def test_search_returns_a_crossing_of_any_bracket(values, lo, guess):
+    got, probes, gallop = _search(values, lo, guess)
+    hi = lo + len(values) - 1
+    # the steps that decide the answer were all evaluated
+    if got is None:
+        assert lo in probes and values[0] < 0
+    elif got == hi:
+        assert hi in probes and values[-1] >= 0
+    else:
+        k = got - lo
+        assert 0 <= k < len(values) - 1
+        assert values[k] >= 0 > values[k + 1]
+        assert got in probes and got + 1 in probes
+    if math.isnan(guess):  # no guess: the floor decides first, then the top
+        assert probes[:2] == ([lo] if values[0] < 0 else [lo, hi])
+    # strides 1, 2, 4, ... reach a bracket or an end within log2 probes
+    assert gallop <= 1 + (hi - lo).bit_length()
+    assert len(probes) <= len(values)
 
 
 @pytest.mark.parametrize("grid, seed", [
@@ -304,6 +319,24 @@ def test_table_equals_the_bisection_table(grid, seed, monkeypatch):
     assert build_air_table(grid, mc).air.tolist() == want.tolist()
     assert np.count_nonzero((0.0 < want) & (want < 12.0)) >= 4  # the search ran
     assert len(set(scored)) == len(scored)  # no step is scored twice
+
+
+def test_saturated_tail_takes_the_top_without_scoring(monkeypatch):
+    grid = np.array([14.0, 30.0, 31.0, 32.0])
+    mc = MCConfig(mc_symbols=2048, seed=4)
+    want = bisection_table(grid, mc)
+    scored = []
+
+    def spy(dist, snr_db, n_symbols, key):
+        scored.append(key[1])
+        return awgn_link_metrics(dist, snr_db, n_symbols, key)
+
+    monkeypatch.setattr(airlut, "awgn_link_metrics", spy)
+    air = build_air_table(grid, mc).air
+    assert air.tolist() == want.tolist()
+    first_top = air.tolist().index(12.0)
+    assert first_top < grid.size - 1 and air[0] < 12.0
+    assert max(scored) == first_top
 
 
 # ------------------------------------------------------------ persistence

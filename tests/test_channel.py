@@ -254,6 +254,18 @@ def test_impairment_config_validation():
         ImpairmentConfig(freq_offset_hz=math.nan)
 
 
+@pytest.mark.parametrize("seed, why", [
+    (True, "must be an integer, got True"),
+    (2.5, "must be an integer, got 2.5"),
+    (-1, "must be a non-negative integer, got -1"),
+])
+def test_impairment_config_refuses_a_bad_seed(seed, why):
+    with pytest.raises(ValueError, match=f"^seed {why}$"):
+        ImpairmentConfig(seed=seed)
+    with pytest.raises(ValueError, match=f"^seed {why}$"):
+        full_impairments(seed=seed)
+
+
 def test_full_impairments_enable_every_stage():
     cfg = full_impairments(seed=1)
     assert cfg.combined_linewidth_hz > 0
