@@ -401,7 +401,7 @@ def save_trace(trace: SnrTrace, path) -> None:
 def load_trace(path) -> SnrTrace:
     """Parse a trace CSV, validating schema, monotonicity and finiteness.
 
-    Errors name the offending line number.
+    Errors name the file, and the offending line where there is one.
     """
     rows = _read_csv(path, TRACE_HEADER, (_finite_float, _finite_float,
                                           {CLEAR: CLEAR, RAIN: RAIN}.__getitem__))
@@ -411,4 +411,7 @@ def load_trace(path) -> SnrTrace:
         if t <= t_prev:
             raise ValueError(f"{path}:{line}: timestamps not increasing")
     t_s, snr, weather = zip(*(values for _, values in rows))
-    return SnrTrace(t_s=np.array(t_s), snr_db=np.array(snr), weather=weather)
+    try:
+        return SnrTrace(t_s=np.array(t_s), snr_db=np.array(snr), weather=weather)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

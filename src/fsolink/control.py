@@ -199,6 +199,12 @@ def _measure_waveform(dist: ShapedDistribution, snr_db: float, key,
     return res.report.snr_db, res.report.ngmi
 
 
+def _air_and_rate(entropy_bits: float) -> tuple:
+    """The AIR (bits per dual-pol symbol) and net bit rate of an entropy."""
+    air = 2.0 * entropy_bits
+    return air, net_bit_rate(air)
+
+
 def run_campaign(trace: SnrTrace, schemes, table: AirTable,
                  mode: str = "analytic", seed: int = 0,
                  n_window: int = PredictorState.n_window,
@@ -253,13 +259,13 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
                 snr_meas, ngmi_val = _probe(snr_true, key, mc_symbols)
             predictor.push(snr_meas)
 
-            air = 2.0 * entropy
+            air, rate_bps = _air_and_rate(entropy)
             records.append(IterationRecord(
                 n=n, t_s=float(trace.t_s[n]), scheme=scheme,
                 weather=trace.weather[n], snr_true_db=snr_true,
                 snr_meas_db=float(snr_meas), snr_est_db=float(snr_est),
                 entropy_bits=float(entropy), air=air,
-                rate_bps=net_bit_rate(air), ngmi=float(ngmi_val),
+                rate_bps=rate_bps, ngmi=float(ngmi_val),
                 in_service=bool(ngmi_val >= table.ngmi_th),
             ))
     return records
@@ -269,8 +275,8 @@ def _by_scheme(records) -> tuple:
     """Group records by scheme, in order of first appearance, and return the
     groups with the SnrTrace the campaign replayed. There must be records of
     known schemes, each scheme's iterations must increase, every scheme must
-    cover the same iterations and carry the same t_s, snr_true_db and
-    weather, and those columns must form a trace."""
+    carry the same n, t_s, snr_true_db and weather, and those columns must
+    form a trace."""
     if not records:
         raise ValueError("no records")
     out: dict = {}
@@ -283,20 +289,17 @@ def _by_scheme(records) -> tuple:
                              f"{rows[-1].n}; iterations must increase")
         rows.append(r)
     (first, base), *others = out.items()
-    for scheme, rows in others:
-        if [r.n for r in rows] != [r.n for r in base]:
-            raise ValueError(f"scheme {scheme!r} has {len(rows)} rows whose "
-                             f"iterations differ from {first!r}'s {len(base)}")
 
     def replayed(rows):
-        return [(r.t_s, r.snr_true_db, r.weather) for r in rows]
+        return [(r.n, r.t_s, r.snr_true_db, r.weather) for r in rows]
 
     columns = replayed(base)
-    trace = SnrTrace(*zip(*columns))
+    _, t_s, snr_db, weather = zip(*columns)
+    trace = SnrTrace(t_s, snr_db, weather)
     for scheme, rows in others:
         if replayed(rows) != columns:
             raise ValueError(f"scheme {scheme!r} replays another trace than "
-                             f"{first!r}: t_s, snr_true_db or weather differ")
+                             f"{first!r}: n, t_s, snr_true_db or weather differ")
     return out, trace
 
 
@@ -367,10 +370,22 @@ def emit_report(records, out_dir) -> CampaignReport:
 
 
 def load_records(path) -> list:
-    """Parse a records.csv written by emit_report back into records, which
-    must pass the same checks as emit_report's (see _by_scheme)."""
-    records = [IterationRecord(*values) for _, values
-               in _read_csv(path, RECORD_COLUMNS, _COLUMN_PARSERS)]
+    """Parse a records.csv written by emit_report back into records. Each
+    row's air and rate_bps must be those _air_and_rate derives from its
+    entropy_bits, and the records must pass emit_report's checks (see
+    _by_scheme)."""
+    records = []
+    for line, values in _read_csv(path, RECORD_COLUMNS, _COLUMN_PARSERS):
+        r = IterationRecord(*values)
+        try:  # net_bit_rate refuses an entropy outside the rate plan
+            air, rate_bps = _air_and_rate(r.entropy_bits)
+            if (r.air, r.rate_bps) != (air, rate_bps):
+                raise ValueError(f"air and rate_bps must be {air!r} and "
+                                 f"{rate_bps!r}, those of entropy_bits "
+                                 f"{r.entropy_bits!r}")
+        except ValueError as e:
+            raise ValueError(f"{path}:{line}: {e}") from None
+        records.append(r)
     try:
         _by_scheme(records)
     except ValueError as e:

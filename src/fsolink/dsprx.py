@@ -55,7 +55,8 @@ CPE_AVG_WINDOW = 8  # pilots per CPE phase average
 
 def _rrc_taps() -> np.ndarray:
     """Root-raised-cosine impulse response for RRC_BETA, SPS and
-    RRC_SPAN_SYMBOLS: unit energy, odd length, read-only."""
+    RRC_SPAN_SYMBOLS: unit energy, odd length, read-only. No tap time (a
+    multiple of 1/SPS) is +-1/(4 RRC_BETA), so only t = 0 needs a limit."""
     beta = RRC_BETA
     n = RRC_SPAN_SYMBOLS * SPS
     t = (np.arange(n + 1) - n / 2) / SPS  # in symbol periods
@@ -63,11 +64,6 @@ def _rrc_taps() -> np.ndarray:
     for i, ti in enumerate(t):
         if abs(ti) < 1e-12:
             taps[i] = 1.0 - beta + 4.0 * beta / math.pi
-        elif abs(abs(ti) - 1.0 / (4.0 * beta)) < 1e-12:
-            taps[i] = (beta / math.sqrt(2.0)) * (
-                (1 + 2 / math.pi) * math.sin(math.pi / (4 * beta))
-                + (1 - 2 / math.pi) * math.cos(math.pi / (4 * beta))
-            )
         else:
             num = (math.sin(math.pi * ti * (1 - beta))
                    + 4 * beta * ti * math.cos(math.pi * ti * (1 + beta)))
@@ -292,8 +288,6 @@ def cma_butterfly(samples: np.ndarray, cfg: EqualizerConfig,
         e = np.zeros(2, dtype=complex)
         for pol in range(2):
             d = ref[pol, k]
-            if d == 0:
-                continue
             theta[pol] += PLL_GAIN * _wrap_phase(
                 float(np.angle(z[pol] * np.conj(d))) - theta[pol])
             e[pol] = d * complex(math.cos(theta[pol]), math.sin(theta[pol])) - z[pol]

@@ -23,8 +23,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_TINY = 1e-300  # floor for posterior mass sums; keeps LLRs finite
-_LLR_MAX = 600.0  # LLR saturation, below -log(_TINY) ~ 690.8
+_TINY = 1e-300  # floor of the priors before their log
+_LLR_MAX = 600.0  # LLR saturation, below -_LOG_MASS_FLOOR
 # Floor of the max-shifted log-masses: exp of anything lower only adds
 # masses that change no LLR (see _posterior_llrs), and exp below about -708
 # returns subnormals at 100-200 times the cost of a normal result.
@@ -48,18 +48,17 @@ def _posterior_llrs(d2: np.ndarray, logp: np.ndarray, bits: np.ndarray,
 
     The posterior masses of {x : bit i of label(x) is 0} and {... is 1}
     are summed directly (not one from the other, which cancels) with a
-    shared per-sample rescaling that drops out of their ratio. The larger
-    mass is then >= 1, so flooring both at _TINY and saturating at
-    _LLR_MAX < -log(_TINY) leaves every LLR either exact or saturated,
-    whatever the rescaling. Candidates run along axis -2 so that the
+    shared per-sample rescaling that drops out of their ratio: the most
+    likely candidate gets mass 1. Candidates run along axis -2 so that the
     reductions over them are elementwise over contiguous samples. d2 is
     overwritten, so that a block's (..., K, n) work is one array.
 
-    The shifted log-masses are floored at _LOG_MASS_FLOOR before exp, and
-    no LLR changes. The floor raises masses below e^-700 to e^-700, so it
-    moves a sum of K masses by less than K e^-700. The most likely
-    candidate has mass 1, so the larger side sums to at least 1 and cannot
-    move. The other side's sum is either below e^-600 of the larger one,
+    The shifted log-masses are floored at _LOG_MASS_FLOOR before exp. Each
+    bit is 0 on some candidate and 1 on another, so both sums are then at
+    least e^-700 and every LLR is finite. No LLR changes. The floor raises
+    masses below e^-700 to e^-700, so it moves a sum of K masses by less
+    than K e^-700. The side with the most likely candidate sums to at least
+    1 and cannot move. The other side's sum is either below e^-600 of it,
     where the LLR saturates at +-_LLR_MAX with the floor or without, or
     larger than the change by a factor of e^100 / K, so that the change is
     lost when the sum is rounded.
@@ -70,7 +69,6 @@ def _posterior_llrs(d2: np.ndarray, logp: np.ndarray, bits: np.ndarray,
     np.maximum(a, _LOG_MASS_FLOOR, out=a)
     e = np.exp(a, out=a)
     s = np.concatenate([1.0 - bits, bits], axis=-2) @ e
-    np.maximum(s, _TINY, out=s)
     b = bits.shape[-2]
     r = np.log(np.divide(s[..., :b, :], s[..., b:, :]))
     return np.clip(r, -_LLR_MAX, _LLR_MAX, out=r)

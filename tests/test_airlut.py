@@ -140,6 +140,9 @@ def test_build_rejects_bad_grid():
         build_air_table([10.0, 9.0], MCConfig(mc_symbols=1000))
     with pytest.raises(ValueError):
         build_air_table([10.0, 11.0], MCConfig(mc_symbols=1000), ngmi_th=1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="SNR grid must be finite"):
+            build_air_table([10.0, bad], MCConfig(mc_symbols=1000))
 
 
 def test_build_high_snr_saturates_and_low_snr_shuts_off():
@@ -383,6 +386,14 @@ PARENT_LUT = """{
   "seed": 7
 }
 """
+
+
+def test_load_rejects_grid_and_air_of_different_lengths(tmp_path):
+    path = tmp_path / "lut.json"
+    path.write_text(PARENT_LUT.replace("    8.36,\n", ""), encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}: grid and AIR lengths differ")):
+        load_air_table(path)
 
 
 def test_table_codec_round_trips(tmp_path):

@@ -2,6 +2,7 @@
 CSV round-trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -333,6 +334,15 @@ def test_load_errors_name_the_exact_line_and_column(tmp_path, row, message):
         load_trace(path)
 
 
+def test_load_names_the_file_on_trace_errors(tmp_path):
+    path = tmp_path / "uneven.csv"
+    path.write_text("t_s,snr_db,weather\n0.0,15.0,clear\n25.0,15.0,clear\n"
+                    "60.0,15.0,clear\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: timestamps "
+                       "must increase by the sampling period$"):
+        load_trace(path)
+
+
 def test_load_rejects_nan_row_naming_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t_s,snr_db,weather\n0.0,15.0,clear\n25.0,NaN,clear\n")
@@ -401,6 +411,12 @@ def test_csv_writer_names_the_file_it_cannot_write(tmp_path):
 def test_snr_trace_validation():
     with pytest.raises(ValueError, match="empty"):
         SnrTrace(t_s=np.array([]), snr_db=np.array([]), weather=())
+    with pytest.raises(ValueError, match="columns differ in length"):
+        SnrTrace(t_s=np.array([0.0, 25.0]), snr_db=np.zeros(2), weather=(CLEAR,))
+    for snr in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="SNR values must be finite"):
+            SnrTrace(t_s=np.array([0.0, 25.0]), snr_db=np.array([15.0, snr]),
+                     weather=(CLEAR, CLEAR))
     # the timestamps fix the period: their first step, or 25 s for one sample
     with pytest.raises(TypeError):
         SnrTrace(t_s=np.array([0.0, 10.0]), snr_db=np.zeros(2),

@@ -459,6 +459,9 @@ def test_report_rejects_uneven_records_without_rewriting(small_campaign, capsys)
 @pytest.mark.parametrize("old, new, message", [
     (",fixed400,", ",bogus,", "unknown scheme 'bogus'"),
     (",400000000000.0,", ",nan,", r"records\.csv:2: rate_bps: bad value 'nan'"),
+    (",400000000000.0,", ",900000000000.0,",
+     r"records\.csv:2: air and rate_bps must be 8\.0 and 400000000000\.0, "
+     r"those of entropy_bits 4\.0"),
     ("\n2,50.0,", "\n2,1050.0,",
      r"records\.csv: timestamps must increase by the sampling period"),
     (",clear,", ",sunny,", r"records\.csv: weather labels must be 'clear' or 'rain'"),
@@ -501,7 +504,7 @@ def test_report_rejects_schemes_of_two_traces_without_rewriting(
     assert main(["report", "--in", str(results)]) == 1
     err = capsys.readouterr().err
     assert err == (f"error: {records}: scheme 'adaptive' replays another "
-                   "trace than 'fixed400': t_s, snr_true_db or weather differ\n")
+                   "trace than 'fixed400': n, t_s, snr_true_db or weather differ\n")
     assert {f.name: f.read_bytes() for f in results.iterdir()} == before
 
 

@@ -4,6 +4,7 @@ report serialization."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -295,14 +296,12 @@ def test_campaign_records_the_transmitted_entropy(monkeypatch, mode):
                if r.scheme == "adaptive" and not math.isnan(r.snr_est_db))
 
 
-def test_failed_dsp_block_is_an_outage_not_an_abort(monkeypatch):
+def _assert_failed_blocks_are_outages(monkeypatch, name, fail):
+    """Run a waveform campaign with dsprx.<name> replaced by fail and check
+    that every block is an outage, not an abort."""
     from fsolink import dsprx
 
-    def diverge(rx, frame, cfg):
-        raise dsprx.EqualizerDiverged("lms", "output power inf exceeds 10",
-                                      np.zeros((2, 2, 3)))
-
-    monkeypatch.setattr(dsprx, "rx_chain", diverge)
+    monkeypatch.setattr(dsprx, name, fail)
     trace = _const_trace(20.0, 2)
     records = run_campaign(trace, ("fixed400", "adaptive"), _toy_table(),
                            mode="waveform", seed=2, n_window=1,
@@ -317,6 +316,24 @@ def test_failed_dsp_block_is_an_outage_not_an_abort(monkeypatch):
         assert r.snr_meas_db == probe_snr
     # the predictor kept running on the probe's SNR
     assert not math.isnan(records[-1].snr_est_db)
+
+
+def test_failed_dsp_block_is_an_outage_not_an_abort(monkeypatch):
+    from fsolink import dsprx
+
+    def diverge(rx, frame, cfg):
+        raise dsprx.EqualizerDiverged("lms", "output power inf exceeds 10",
+                                      np.zeros((2, 2, 3)))
+
+    _assert_failed_blocks_are_outages(monkeypatch, "rx_chain", diverge)
+
+
+def test_a_stage_failing_with_another_error_is_an_outage_too(monkeypatch):
+    # rx_chain's guard turns the stage's ValueError into a StageError
+    def zero_power(*args):
+        raise ValueError("zero-power in-phase rail")
+
+    _assert_failed_blocks_are_outages(monkeypatch, "gram_schmidt", zero_power)
 
 
 def test_campaign_scheme_records_do_not_depend_on_companions():
@@ -577,6 +594,14 @@ def test_emit_report_gives_one_iteration_the_default_period(tmp_path):
     assert emit_report([_record(t_s=7.0)], tmp_path).sampling_period_s == 25.0
 
 
+def test_emit_report_names_a_directory_it_cannot_create(tmp_path):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "results"
+    with pytest.raises(OSError,
+                       match=f"cannot create report directory {re.escape(str(out))}"):
+        emit_report([_record()], out)
+
+
 def test_records_csv_header(tmp_path):
     records = [_record()]
     emit_report(records, tmp_path)
@@ -604,6 +629,25 @@ def test_load_records_names_line_and_column(tmp_path, column, bad):
     path.write_text(f"{header}\n{','.join(cells)}\n")
     with pytest.raises(ValueError,
                        match=rf"records\.csv:2: {column}: bad value '{bad}'"):
+        load_records(path)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"rate_bps": 900e9}, "air and rate_bps must be 10.0 and 500000000000.0, "
+                          "those of entropy_bits 5.0"),
+    ({"air": 9.0, "rate_bps": net_bit_rate(9.0)},
+     "air and rate_bps must be 10.0 and 500000000000.0, "
+     "those of entropy_bits 5.0"),
+    ({"entropy_bits": 4.0}, "air and rate_bps must be 8.0 and 400000000000.0, "
+                            "those of entropy_bits 4.0"),
+    ({"entropy_bits": 7.0}, "AIR 14.0 outside"),
+])
+def test_load_records_derives_air_and_rate_from_the_entropy(tmp_path, changes,
+                                                            message):
+    path = tmp_path / "records.csv"
+    emit_report([_record(), _record(n=1, t_s=25.0, **changes)], tmp_path)
+    with pytest.raises(ValueError,
+                       match=rf"records\.csv:3: {re.escape(message)}"):
         load_records(path)
 
 

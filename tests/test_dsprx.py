@@ -75,6 +75,14 @@ def test_rrc_taps_unit_energy():
     assert taps.size == 2 * 16 + 1
 
 
+def test_rrc_tap_times_miss_the_closed_forms_other_zero_over_zero():
+    # _rrc_taps takes the limit at t = 0 only, so no tap time, a multiple
+    # of 1/SPS symbol, may lie at |t| = 1/(4 beta)
+    t = (np.arange(RRC_TAPS.size) - RRC_TAPS.size // 2) / SPS
+    assert np.min(np.abs(np.abs(4.0 * dsprx.RRC_BETA * t) - 1.0)) > 0.1
+    assert np.all(np.isfinite(RRC_TAPS))
+
+
 def test_waveform_round_trip_keeps_symbol_alignment():
     frame = build_tx_frame(DIST, 1024, seed=0)
     wf = matched_filter(tx_waveform(frame.symbols))
@@ -93,6 +101,8 @@ def test_equalizer_config_validation():
                {"training_symbols": 2.5}):
         with pytest.raises(ValueError, match="must be an? "):
             EqualizerConfig(**kw)
+    with pytest.raises(ValueError, match="training_symbols must be >= 0"):
+        EqualizerConfig(training_symbols=-1)
 
 
 # -------------------------------------------------------------- Gram-Schmidt
@@ -202,6 +212,15 @@ def test_equalizers_reject_short_reference(clean_frame):
         frequency_recovery(frame.symbols, short)
     with pytest.raises(ValueError, match="reference shorter"):
         cpe_phase(frame.symbols, short)
+
+
+def test_equalizers_reject_malformed_input(clean_frame):
+    frame, wf = clean_frame
+    with pytest.raises(ValueError, match="input shorter than one symbol"):
+        cma_butterfly(wf[:, :1], CFG, reference=frame)
+    n = frame.symbols.shape[1]
+    with pytest.raises(ValueError, match="carrier phase must match"):
+        lms_4x4(frame.symbols, CFG, frame, np.zeros((2, n - 1)))
 
 
 def test_cma_noop_when_converged_on_identity():
@@ -556,6 +575,33 @@ def test_chain_propagates_stage_identity_on_divergence():
         with pytest.raises(StageError) as exc:
             rx_chain(rx, frame, cfg)
     assert exc.value.stage == "cma"
+
+
+@pytest.mark.parametrize("stage, name", [
+    ("matched_filter", "matched_filter"), ("gram_schmidt", "gram_schmidt"),
+    ("cma_butterfly", "cma"), ("frequency_recovery", "frequency_recovery"),
+    ("cpe_phase", "cpe"), ("lms_4x4", "lms"),
+])
+def test_chain_turns_any_stage_error_into_a_stage_error(monkeypatch, stage, name):
+    frame, rx = simulate_block(DIST, 20.0, None, CFG, n_samples=8192, seed=15)
+
+    def fail(*args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(dsprx, stage, fail)
+    with pytest.raises(StageError, match=rf"^\[{name}\] float division by zero$") as exc:
+        rx_chain(rx, frame, CFG)
+    assert exc.value.stage == name
+    assert isinstance(exc.value.__cause__, ZeroDivisionError)
+
+
+def test_chain_needs_payload_symbols_to_score():
+    # training and the guard tail cover the whole block
+    cfg = EqualizerConfig(training_symbols=4096 - dsprx.GUARD_SYMBOLS)
+    frame, rx = simulate_block(DIST, 20.0, None, cfg, n_samples=8192, seed=15)
+    with pytest.raises(StageError, match="no payload symbols left to score") as exc:
+        rx_chain(rx, frame, cfg)
+    assert exc.value.stage == "metrics"
 
 
 def test_chain_rejects_single_pol_waveform():

@@ -188,7 +188,8 @@ def test_llr_finite_over_wide_snr_range(snr_db, seed):
 
 def unfloored_posterior_llrs(d2, logp, bits, noise_var):
     """_posterior_llrs as it was before the shifted log-masses were floored
-    before exp: the reference the floor is held to, bit for bit."""
+    before exp, when the mass sums were floored at _TINY instead: the
+    reference the floor is held to, bit for bit."""
     a = np.divide(d2, -noise_var, out=d2)
     a += logp
     a -= a.max(axis=-2, keepdims=True)
@@ -368,6 +369,11 @@ def test_awgn_link_metrics_takes_a_key_sequence():
             == awgn_link_metrics(dist, 11.0, 2048, rng))
 
 
+def test_awgn_link_metrics_needs_a_symbol():
+    with pytest.raises(ValueError, match="need at least one symbol"):
+        awgn_link_metrics(UNIFORM, 11.0, 0, seed=0)
+
+
 def test_gmi_never_exceeds_entropy():
     dist = mb_distribution(0.3, TPL)
     for snr in (0.0, 15.0, 35.0):
@@ -424,6 +430,8 @@ def test_evm_validation():
         evm_percent(np.array([0j]), np.array([0j, 1j]))
     with pytest.raises(ValueError):
         evm_percent(np.array([1j]), np.array([0j]))
+    with pytest.raises(ValueError, match="no samples"):
+        evm_percent(np.array([]), np.array([]))
 
 
 def test_snr_from_evm_values():

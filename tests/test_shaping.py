@@ -208,6 +208,11 @@ def test_quantize_preserves_total_and_tracks_entropy():
     assert h_emp == pytest.approx(4.0, abs=0.15)
 
 
+def test_quantize_needs_a_symbol():
+    with pytest.raises(ValueError, match="block length must be >= 1"):
+        quantize_composition(mb_distribution(0.0, TPL), 0)
+
+
 @given(st.integers(min_value=1, max_value=400), st.floats(min_value=0.0, max_value=2.0))
 @settings(max_examples=40, deadline=None)
 def test_quantize_counts_always_sum_to_n(n, nu):
