@@ -70,7 +70,8 @@ def _posterior_llrs(d2: np.ndarray, logp: np.ndarray, bits: np.ndarray,
     e = np.exp(a, out=a)
     s = np.concatenate([1.0 - bits, bits], axis=-2) @ e
     b = bits.shape[-2]
-    r = np.log(np.divide(s[..., :b, :], s[..., b:, :]))
+    r = np.divide(s[..., :b, :], s[..., b:, :])
+    np.log(r, out=r)
     return np.clip(r, -_LLR_MAX, _LLR_MAX, out=r)
 
 
@@ -91,7 +92,13 @@ def _llr_chunks(rx: np.ndarray, dist: ShapedDistribution, noise_var: float,
     per-axis posteriors over sqrt(M) levels each: in-phase bits, then
     quadrature. The complex noise variance nv reads per axis as
     exp(-(y_axis - level)^2 / nv), not nv/2, because |y - x|^2 splits into
-    the two axis terms. rx must hold samples and noise_var be positive.
+    the two axis terms. rx must be a contiguous 1-D complex128 array of
+    samples, and noise_var positive.
+
+    Each block's squared distances, shape (2, L, len), are written into
+    one buffer per call, from a float view of rx's I/Q rails; a short last
+    block takes the buffer's contiguous head, so every block has the
+    layout of a fresh array.
     """
     if rx.size == 0:
         raise ValueError("no received samples")
@@ -100,12 +107,15 @@ def _llr_chunks(rx: np.ndarray, dist: ShapedDistribution, noise_var: float,
     levels, p_axis, bits = dist.axis_factors
     levels = levels[:, None]
     logp = np.log(np.maximum(p_axis, _TINY))[:, None]
+    rails = rx.view(np.float64).reshape(-1, 2).T[:, None, :]  # (2, 1, N)
+    buf = np.empty(2 * levels.size * min(chunk, rx.size))
     for lo in range(0, rx.size, chunk):
-        y = rx[lo:lo + chunk]
-        d2 = np.stack([y.real, y.imag])[:, None, :] - levels
+        y = rails[..., lo:lo + chunk]
+        n = y.shape[-1]
+        d2 = np.subtract(y, levels, out=buf[:2 * levels.size * n].reshape(2, -1, n))
         d2 *= d2
-        llr = _posterior_llrs(d2, logp, bits, noise_var).reshape(-1, y.size).T
-        yield slice(lo, lo + y.size), llr
+        llr = _posterior_llrs(d2, logp, bits, noise_var).reshape(-1, n).T
+        yield slice(lo, lo + n), llr
 
 
 def bitwise_llrs(rx: np.ndarray, dist: ShapedDistribution, noise_var: float) -> np.ndarray:
@@ -136,14 +146,18 @@ def gmi_from_samples(tx_idx: np.ndarray, rx: np.ndarray, dist: ShapedDistributio
     if tx_idx.size != rx.size:
         raise ValueError("tx indices and rx samples differ in length")
 
-    # (m, M), +1 where point i*L + q's bit is 1: level i's bits, then q's
+    # (M, m), +1 where point i*L + q's bit is 1: level i's bits, then q's
     _, _, bits = dist.axis_factors
     L = bits.shape[1]
-    flip = 2.0 * np.concatenate([np.repeat(bits, L, axis=1), np.tile(bits, L)]) - 1.0
+    bits = bits.T
+    flip_rows = 2.0 * np.concatenate(
+        [np.repeat(bits, L, axis=0), np.tile(bits, (L, 1))], axis=1) - 1.0
     loss_bits = 0.0
     for sl, llr in _llr_chunks(rx, dist, noise_var):
-        x = flip[:, tx_idx[sl]]
-        x *= llr.T  # minus the LLR of each sent bit
+        # (len, m), each symbol's bits adjacent: the loss is summed in this
+        # memory order, and an (m, len) product would move the GMI's last bit
+        x = flip_rows[tx_idx[sl]]
+        x *= llr  # minus the LLR of each sent bit
         # log(1 + e^x) directly: LLRs saturate at _LLR_MAX, so e^x is finite
         loss_bits += np.log1p(np.exp(x, out=x), out=x).sum() / _LN2
     gmi = dist.entropy_bits - loss_bits / rx.size

@@ -24,6 +24,10 @@ __all__ = [
 
 ENTROPY_FLOOR_BITS = 2.0  # below this the shaped 64QAM degenerates to QPSK
 ENTROPY_STEP_BITS = 0.01  # resolution of every transmitted entropy
+# Buckets of the sampler's guide table: a power of two, so that u * 2**12
+# and every bucket edge are exact. A 64-point cdf has at most 63 steps, so
+# at least 98% of the draws read the table and skip the search.
+_GUIDE_BUCKETS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -89,11 +93,14 @@ class ShapedDistribution:
         p_axis = np.asarray(self.p_axis, dtype=float)
         if p_axis.shape != self.template.levels.shape:
             raise ValueError("per-axis probabilities do not match the template's levels")
+        if not np.all(np.isfinite(p_axis)):
+            raise ValueError(f"probabilities must be finite, got {p_axis.tolist()}")
+        if np.any(p_axis < 0):
+            raise ValueError(f"probabilities must be non-negative, got {p_axis.tolist()}")
         if abs(p_axis.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p_axis.sum()!r}, not 1")
-        nz = p_axis[p_axis > 0]  # zero-probability levels contribute nothing
         object.__setattr__(self, "p_axis", p_axis)
-        object.__setattr__(self, "entropy_bits", 2.0 * float(-np.sum(nz * np.log2(nz))))
+        object.__setattr__(self, "entropy_bits", _entropy_bits(p_axis))
 
     @functools.cached_property
     def p(self) -> np.ndarray:
@@ -111,9 +118,45 @@ class ShapedDistribution:
         return self.template.points * (1.0 / math.sqrt(self.avg_power))
 
     def sample(self, rng: np.random.Generator, size):
-        """Draw `size` points (an int or a shape): template indices, symbols."""
-        idx = rng.choice(self.template.M, size=size, p=self.p)
+        """Draw `size` points (an int or a shape): template indices, symbols.
+
+        The indices are those of rng.choice(M, size, p=p): the same uniform
+        draws, rng.random(size), mapped through the same cdf.
+        """
+        idx = self._lookup(rng.random(size))
         return idx, self.tx_points()[idx]
+
+    @functools.cached_property
+    def _guide(self):
+        """(cdf, table): the cdf of p as numpy's Generator.choice builds it,
+        and its guide table. Entry j is the index of every u in bucket
+        [j, j + 1) / _GUIDE_BUCKETS, the count of cdf values below the
+        bucket's upper edge, or -1 where a cdf value lies strictly inside
+        the bucket. The table's dtype is the smallest that holds -1 and
+        every index."""
+        cdf = self.p.cumsum()
+        cdf /= cdf[-1]
+        s = cdf * _GUIDE_BUCKETS  # exact, so bucket edge j is s == j
+        k = s.astype(np.intp)  # the bucket each cdf value falls in
+        below = np.bincount(k, minlength=_GUIDE_BUCKETS + 1).cumsum()[:-1]
+        inside = np.bincount(k[s != k], minlength=_GUIDE_BUCKETS)
+        table = np.where(inside == 0, below, -1)
+        return cdf, table.astype(np.min_scalar_type(-self.template.M))
+
+    def _lookup(self, u: np.ndarray) -> np.ndarray:
+        """cdf.searchsorted(u, side="right") as int64, for u in [0, 1):
+        read off the guide table, searched only in buckets it marks -1."""
+        cdf, table = self._guide
+        # Bucket, then table entry, in the one int64 output: no float or
+        # table-dtype copy of the batch stays live beside u, so a large draw
+        # peaks at choice's memory. The cast truncates the exact u * 2**12.
+        idx = np.empty(u.shape, np.int64)
+        np.multiply(u, _GUIDE_BUCKETS, out=idx, casting="unsafe")
+        idx[...] = table[idx]
+        miss = idx < 0
+        if miss.any():
+            idx[miss] = cdf.searchsorted(u[miss], side="right")
+        return idx
 
     @functools.cached_property
     def axis_factors(self):
@@ -131,6 +174,19 @@ class ShapedDistribution:
         return tpl.levels * (1.0 / math.sqrt(self.avg_power)), self.p_axis, bits
 
 
+def _entropy_bits(p_axis: np.ndarray) -> float:
+    """Entropy of the product of p_axis with itself, 2·H(p_axis), in bits."""
+    nz = p_axis[p_axis > 0]  # zero-probability levels contribute nothing
+    return 2.0 * float(-np.sum(nz * np.log2(nz)))
+
+
+def _mb_p_axis(nu: float, template: ConstellationTemplate) -> np.ndarray:
+    """Per-axis PMF proportional to exp(-nu level^2)."""
+    e = template.levels ** 2  # exp(-nu |x|^2) is the product of the axes' factors
+    w = np.exp(-nu * (e - e.min()))  # shift keeps the largest weight at 1
+    return w / w.sum()
+
+
 def mb_distribution(nu: float, template: ConstellationTemplate) -> ShapedDistribution:
     """Maxwell-Boltzmann distribution p_i proportional to exp(-nu |x_i|^2).
 
@@ -139,9 +195,7 @@ def mb_distribution(nu: float, template: ConstellationTemplate) -> ShapedDistrib
     """
     if nu < 0:
         raise ValueError(f"shaping parameter must be >= 0, got {nu}")
-    e = template.levels ** 2  # exp(-nu |x|^2) is the product of the axes' factors
-    w = np.exp(-nu * (e - e.min()))  # shift keeps the largest weight at 1
-    return ShapedDistribution(template=template, p_axis=w / w.sum())
+    return ShapedDistribution(template=template, p_axis=_mb_p_axis(nu, template))
 
 
 def solve_nu_for_entropy(h_target: float, template: ConstellationTemplate) -> float:
@@ -158,8 +212,8 @@ def solve_nu_for_entropy(h_target: float, template: ConstellationTemplate) -> fl
     if h_target == h_max:
         return 0.0
 
-    def h(nu):
-        return mb_distribution(nu, template).entropy_bits
+    def h(nu):  # mb_distribution(nu, template).entropy_bits, unvalidated
+        return _entropy_bits(_mb_p_axis(nu, template))
 
     lo, hi = 0.0, 1.0
     while h(hi) > h_target and hi < 1e6:

@@ -317,6 +317,29 @@ def test_gmi_matches_the_joint_label_path_bit_for_bit(dist, tail, blocks):
             _gmi_from_joint_labels(idx, rx, dist, noise_var)
 
 
+@pytest.mark.parametrize("dist", [TOY, mb_distribution(0.4, TPL)], ids=["M4", "M64"])
+def test_demapper_reads_every_input_layout_as_a_contiguous_copy(dist):
+    # the demapper reads rx's I/Q rails through a float view, so each layout
+    # a caller may pass must score as its contiguous complex128 copy does
+    n = 2 * metrics.BLOCK_SYMBOLS + 37  # two full blocks and a short one
+    rng = np.random.default_rng(23)
+    idx, tx = dist.sample(rng, 2 * n)
+    rx = awgn_transmit(tx, 9.0, rng)
+    nv = 10.0 ** -0.9
+    layouts = {
+        "strided": (idx[::2], rx[::2]),
+        "complex64": (idx, rx.astype(np.complex64)),
+        "batch": (idx.reshape(2, n), rx.reshape(2, n)),
+        "batch-transposed": (idx.reshape(n, 2).T, rx.reshape(n, 2).T),
+    }
+    for name, (i, y) in layouts.items():
+        ref = np.ascontiguousarray(y, dtype=np.complex128).ravel()
+        np.testing.assert_array_equal(bitwise_llrs(y, dist, nv),
+                                      bitwise_llrs(ref, dist, nv), err_msg=name)
+        assert gmi_from_samples(i, y, dist, nv) == \
+            gmi_from_samples(np.ravel(i), ref, dist, nv), name
+
+
 def test_gmi_peak_memory_does_not_grow_with_the_batch():
     # scoring works block by block, so its temporaries are the same size
     # for every batch; only the inputs, allocated before tracing, grow

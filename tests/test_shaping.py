@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fsolink.ccdm import quantize_composition
@@ -78,6 +78,11 @@ def test_distribution_rejects_bad_axis_pmf():
         ShapedDistribution(tpl, p_axis=np.full(16, 1 / 16))  # one per point
     with pytest.raises(ValueError, match="sum to"):
         ShapedDistribution(tpl, p_axis=[0.3, 0.3, 0.3, 0.3])
+    qpsk = ConstellationTemplate.square_qam(4)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        ShapedDistribution(qpsk, p_axis=[1.2, -0.2])  # sums to 1
+    with pytest.raises(ValueError, match="must be finite"):
+        ShapedDistribution(qpsk, p_axis=[np.nan, 1.0])  # passes the sum check
 
 
 # ---------------------------------------------------- Maxwell-Boltzmann map
@@ -157,7 +162,88 @@ def test_sample_draws_the_choice_stream():
         np.testing.assert_array_equal(symbols, dist.tx_points()[want])
 
 
+@st.composite
+def _distributions(draw):
+    # Maxwell-Boltzmann over every template size (256 needs an int16 guide
+    # table), the link's entropy grid, and PMFs with zero-probability levels
+    kind = draw(st.sampled_from(["mb", "grid", "zeros"]))
+    if kind == "grid":
+        return grid_distribution(draw(st.integers(200, 600)))
+    tpl = ConstellationTemplate.square_qam(draw(st.sampled_from(SIZES)))
+    if kind == "mb":
+        return mb_distribution(draw(st.floats(min_value=0.0, max_value=3.0)), tpl)
+    L = tpl.levels.size
+    w = np.array(draw(st.lists(st.integers(0, 5), min_size=L, max_size=L)), float)
+    w[draw(st.integers(0, L - 1))] = 0.0
+    assume(w.sum() > 0)
+    return ShapedDistribution(tpl, w / w.sum())
+
+
+@given(dist=_distributions(),
+       size=st.one_of(st.just(1), st.integers(2, 5000),
+                      st.tuples(st.just(2), st.integers(1, 2000))),
+       seed=st.integers(0, 2**32 - 1))
+@example(dist=ShapedDistribution(ConstellationTemplate.square_qam(16),
+                                 [0.0, 0.5, 0.0, 0.5]), size=4000, seed=0)
+@settings(max_examples=80, deadline=None)
+def test_sample_equals_choice_on_any_distribution(dist, size, seed):
+    idx, symbols = dist.sample(np.random.default_rng(seed), size)
+    want = np.random.default_rng(seed).choice(dist.template.M, size, p=dist.p)
+    assert idx.dtype == want.dtype == np.int64
+    np.testing.assert_array_equal(idx, want)
+    np.testing.assert_array_equal(symbols, dist.tx_points()[want])
+
+
+@pytest.mark.parametrize("dist", [
+    mb_distribution(0.3, TPL), grid_distribution(200), grid_distribution(600),
+    mb_distribution(3.0, ConstellationTemplate.square_qam(256)),
+    ShapedDistribution(ConstellationTemplate.square_qam(16), [0.0, 0.25, 0.75, 0.0])],
+    ids=["mb64", "grid200", "grid600", "mb256", "zero-levels"])
+def test_guide_lookup_is_the_cdf_search_at_every_edge(dist):
+    # the u where a table lookup and the search could part: every bucket
+    # edge j / 2**12 and every cdf value, each with its neighbouring doubles
+    cdf = dist.p.cumsum()
+    cdf /= cdf[-1]  # as numpy's Generator.choice builds it
+    np.testing.assert_array_equal(dist._guide[0], cdf)
+    u = np.concatenate([np.arange(4096) / 4096, cdf])
+    u = np.concatenate([u, np.nextafter(u, -1.0), np.nextafter(u, 2.0)])
+    u = u[(u >= 0) & (u < 1)]
+    got = dist._lookup(u)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
+
+
 # ------------------------------------------------------------ entropy solve
+
+def bisection_nu(h_target, template):
+    """solve_nu_for_entropy as it was when each step built a full
+    ShapedDistribution: the reference the lean bisection is held to."""
+    if h_target == math.log2(template.M):
+        return 0.0
+
+    def h(nu):
+        return mb_distribution(nu, template).entropy_bits
+
+    lo, hi = 0.0, 1.0
+    while h(hi) > h_target and hi < 1e6:
+        lo, hi = hi, hi * 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        hm = h(mid)
+        if abs(hm - h_target) <= 1e-9:
+            return mid
+        if hm > h_target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_solve_nu_equals_the_reference_bisection_on_the_grid():
+    for k in range(200, 601):
+        h = k * ENTROPY_STEP_BITS
+        assert solve_nu_for_entropy(h, TPL) == bisection_nu(h, TPL), k
+
 
 def test_solve_nu_uniform_target_returns_zero_exactly():
     assert solve_nu_for_entropy(6.0, TPL) == 0.0
