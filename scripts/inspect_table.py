@@ -1,46 +1,22 @@
 #!/usr/bin/env python3
-"""Build (or load) an SNR->AIR table and print it together with the minimum
-SNR each standard net bit-rate needs — the service thresholds that drive the
-campaign's outage behavior.
+"""Print an SNR->AIR table (a lut.json from `fsolink build-lut`) together
+with the minimum SNR each standard net bit-rate needs — the service
+thresholds that drive the campaign's outage behavior.
 """
 
 import argparse
 from pathlib import Path
 
-import numpy as np
-
-from fsolink.airlut import (
-    MCConfig,
-    air_for_rate,
-    build_air_table,
-    load_air_table,
-    min_snr_for_air,
-    net_bit_rate,
-    save_air_table,
-)
+from fsolink.airlut import air_for_rate, load_air_table, min_snr_for_air, net_bit_rate
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--lut", type=Path, help="load this table instead of building")
-    ap.add_argument("--step", type=float, default=0.5, help="grid step in dB")
-    ap.add_argument("--mc", type=int, default=50_000)
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--save", type=Path, help="write the built table here")
+    ap.add_argument("--lut", type=Path, required=True, help="the table to print")
     args = ap.parse_args()
 
-    if args.lut:
-        table = load_air_table(args.lut)
-        print(f"loaded {args.lut}")
-    else:
-        print(f"building table (step {args.step} dB, {args.mc} MC symbols)...")
-        table = build_air_table(np.arange(0.0, 30.0 + 1e-9, args.step),
-                                MCConfig(mc_symbols=args.mc, seed=args.seed),
-                                ngmi_th=0.9)
-        if args.save:
-            save_air_table(table, args.save)
-            print(f"wrote {args.save}")
-
+    table = load_air_table(args.lut)
+    print(f"loaded {args.lut}")
     print(f"\nNGMI threshold {table.ngmi_th}, M={table.M}, "
           f"{table.mc_symbols} MC symbols, seed {table.seed}")
     print(f"{'SNR dB':>8s} {'AIR bits':>9s} {'entropy':>8s} {'net Gbps':>9s}")

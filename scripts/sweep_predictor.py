@@ -5,21 +5,23 @@ and print the mean effective adaptive rate for each combination.
 The "best" cell is the one with the highest mean effective rate; outage is
 neither reported nor weighed. Small margins and short windows raise the
 rate and the outage together, so the top cell need not be the stock setting
-(N=3, 2 dB): on the default 3-hour trace at 20k symbols, N=1 with a 1 dB
+(N=3, 2 dB): on the default 3-hour trace at 20k symbols, with the table of
+`fsolink build-lut --grid 0:30:1 --mc 20000 --seed 7`, N=1 with a 1 dB
 margin ranks above it at 1.62% outage, against 0.23% for the stock setting.
 """
 
 import argparse
+from pathlib import Path
 
-import numpy as np
-
-from fsolink.airlut import MCConfig, build_air_table
+from fsolink.airlut import load_air_table
 from fsolink.channel import default_rain_config, gen_trace
 from fsolink.control import accumulate_report, run_campaign
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--lut", type=Path, required=True,
+                    help="AIR table from fsolink build-lut")
     ap.add_argument("--windows", type=int, nargs="+", default=[1, 2, 3, 5, 8])
     ap.add_argument("--margins", type=float, nargs="+",
                     default=[0.5, 1.0, 2.0, 3.0])
@@ -28,9 +30,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    print("building AIR table (1 dB grid)...")
-    table = build_air_table(np.arange(0.0, 31.0, 1.0),
-                            MCConfig(mc_symbols=20_000, seed=7), ngmi_th=0.9)
+    table = load_air_table(args.lut)
     trace = gen_trace(default_rain_config(), args.duration)
     print(f"sweeping {len(args.windows)}x{len(args.margins)} settings over "
           f"{len(trace)} iterations...\n")

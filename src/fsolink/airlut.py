@@ -28,6 +28,7 @@ from .shaping import (
     ENTROPY_STEP_BITS,
     GRID_TEMPLATE,
     RatePlan,
+    _qam_size,
     grid_distribution,
 )
 
@@ -87,6 +88,7 @@ class AirTable:
     def __post_init__(self):
         for name in ("M", "mc_symbols"):
             _integer(getattr(self, name), f"AIR table {name}")
+        _qam_size(self.M, "AIR table M")
         _seed(self.seed, "AIR table seed")
         s = np.array([_real(v, "AIR table SNR") for v in self.snr_db], dtype=float)
         a = np.array([_real(v, "AIR table AIR") for v in self.air], dtype=float)

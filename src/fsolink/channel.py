@@ -118,6 +118,9 @@ class RainModelConfig:
                      "rain_std_db", "ar1_rho"):
             _real(getattr(self, name), name)
         _seed(self.seed)
+        if self.clear_std_db < 0:
+            raise ValueError("clear_std_db must be non-negative, "
+                             f"got {self.clear_std_db!r}")
         if self.rain_std_db < self.clear_std_db:
             raise ValueError("rain must not have lower SNR variance than clear sky")
         if not 0.0 <= self.ar1_rho < 1.0:
@@ -134,9 +137,6 @@ class RainModelConfig:
         object.__setattr__(self, "rain_intervals", iv)
         object.__setattr__(self, "sampling_period_s",
                            _sampling_period(self.sampling_period_s))
-
-    def is_rain(self, t: float) -> bool:
-        return any(a <= t < b for a, b in self.rain_intervals)
 
 
 def default_rain_config(seed: int = 1234) -> RainModelConfig:
@@ -170,7 +170,9 @@ def gen_trace(cfg: RainModelConfig, duration_s: float) -> SnrTrace:
     t = np.arange(n) * dt
     rng = np.random.default_rng(cfg.seed)
 
-    rain = np.array([cfg.is_rain(tk) for tk in t])
+    rain = np.zeros(n, dtype=bool)
+    for a, b in cfg.rain_intervals:
+        rain |= (a <= t) & (t < b)
     mean = np.where(rain, cfg.clear_mean_db - cfg.rain_mean_drop_db, cfg.clear_mean_db)
     std = np.where(rain, cfg.rain_std_db, cfg.clear_std_db)
 

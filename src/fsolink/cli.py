@@ -17,6 +17,7 @@ import numpy as np
 
 from .airlut import MCConfig, build_air_table, load_air_table, save_air_table
 from .channel import (
+    RAIN,
     RainModelConfig,
     _read_json,
     _real,
@@ -70,7 +71,7 @@ def _cmd_gen_trace(args) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     trace = gen_trace(cfg, args.duration)
     save_trace(trace, args.out)
-    rain = sum(1 for w in trace.weather if w == "rain")
+    rain = sum(1 for w in trace.weather if w == RAIN)
     print(f"wrote {args.out}: {len(trace)} samples at "
           f"{trace.sampling_period_s:g} s, {rain} rain samples")
     return 0

@@ -104,6 +104,12 @@ def test_table_validation():
         _table([10.0, 12.0], [math.nan, 5.0])  # NaN AIR
     with pytest.raises(ValueError):
         _table([10.0, 12.0], [4.0, math.nan])  # NaN AIR at the top
+    table = _table([10.0, 12.0], [0.5, 1.0])
+    for M in (0, -4, 2, 8, 63):  # no square QAM has these sizes
+        with pytest.raises(ValueError, match=rf"^AIR table M must be .*, got {M}$"):
+            dataclasses.replace(table, M=M)
+    for M in (4, 16, 64, 256):
+        assert dataclasses.replace(table, M=M).M == M
 
 
 def test_lookup_interpolation_rules():

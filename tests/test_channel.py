@@ -118,6 +118,24 @@ def test_rain_config_validation():
         _cfg(rain_intervals=((100.0, 50.0),))
     with pytest.raises(ValueError):
         _cfg(rain_intervals=((0.0, 100.0), (50.0, 200.0)))
+    # rain >= clear alone let both spreads be negative
+    with pytest.raises(ValueError, match="^clear_std_db must be non-negative, got -1.0$"):
+        _cfg(clear_std_db=-1.0, rain_std_db=-0.5)
+    with pytest.raises(ValueError, match="^rain must not have lower SNR variance"):
+        _cfg(clear_std_db=0.0, rain_std_db=-0.5)
+
+
+@pytest.mark.parametrize("intervals", [
+    INTERVALS,
+    ((0.0, 25.0), (50.0, 75.0), (100.0, 100.5)),  # bounds on sample times
+    ((-math.inf, 50.0), (975.0, math.inf)),
+    ((-math.inf, math.inf),),
+    ((12.5, 13.0),),  # between two samples: no rain
+])
+def test_rain_labels_are_the_per_sample_interval_scan(intervals):
+    tr = gen_trace(_cfg(rain_intervals=intervals), 10000.0)
+    scan = [any(a <= t < b for a, b in intervals) for t in tr.t_s]
+    assert [w == RAIN for w in tr.weather] == scan
 
 
 def test_gen_trace_duration_validation():

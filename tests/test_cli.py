@@ -273,6 +273,8 @@ _BAD_JSON = [pytest.param(command, make, text, id=f"{command}-{case}")
     pytest.param("run", _edited(seed=DROP), "missing .*'seed'", id="run-missing-key"),
     pytest.param("run", _edited(M=64.9), "AIR table M must be an integer, got 64.9",
                  id="run-float-M"),
+    pytest.param("run", _edited(M=0), "AIR table M must be an even power of 2, got 0",
+                 id="run-zero-M"),
     pytest.param("run", _edited(mc_symbols=2.5),
                  "AIR table mc_symbols must be an integer, got 2.5",
                  id="run-float-mc_symbols"),
@@ -288,6 +290,9 @@ _BAD_JSON = [pytest.param(command, make, text, id=f"{command}-{case}")
                  id="gen-trace-bool-period"),
     pytest.param("gen-trace", _edited(rain_std_db=0.0),
                  "rain must not have lower SNR variance", id="gen-trace-invariant"),
+    pytest.param("gen-trace", _edited(clear_std_db=-1.0, rain_std_db=-0.5),
+                 "clear_std_db must be non-negative, got -1.0",
+                 id="gen-trace-negative-spread"),
 ]
 
 
