@@ -49,8 +49,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid values must be finite numbers, got {spec!r}") from None
     if step <= 0 or stop <= start:
         raise ValueError(f"grid needs stop > start and step > 0, got {spec!r}")
-    n = int(round((stop - start) / step))
-    grid = start + step * np.arange(n + 1)
+    n = (stop - start) / step
+    if not np.isfinite(n):
+        raise ValueError(f"grid point count overflows a float, got {spec!r}")
+    grid = start + step * np.arange(int(round(n)) + 1)
     return grid[grid <= stop + 1e-9]
 
 
@@ -166,7 +168,3 @@ def main(argv=None) -> int:
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -106,7 +106,8 @@ class IterationRecord:
     rx_chain raises a StageError is an outage too: it keeps its attempted
     entropy, air and rate, with ngmi = 0.0 and the QPSK probe's SNR.
     snr_est_db is NaN while the predictor window is still filling and for
-    the fixed schemes.
+    the fixed schemes. air (2 * entropy_bits) and rate_bps (net_bit_rate
+    of air, which refuses an AIR outside the rate plan) are derived.
     """
 
     n: int
@@ -117,20 +118,26 @@ class IterationRecord:
     snr_meas_db: float
     snr_est_db: float
     entropy_bits: float
-    air: float
-    rate_bps: float
+    air: float = field(init=False)
+    rate_bps: float = field(init=False)
     ngmi: float
     in_service: bool
 
+    def __post_init__(self):
+        object.__setattr__(self, "air", 2.0 * self.entropy_bits)
+        object.__setattr__(self, "rate_bps", net_bit_rate(self.air))
+
 
 # records.csv holds one column per IterationRecord field, in field order;
-# load_records parses each column by its field's annotation, and every float
-# but the NaN-by-convention snr_est_db must be finite
+# load_records parses each column by its field's annotation, every float but
+# the NaN-by-convention snr_est_db must be finite, and the _DERIVED cells
+# must be those the record derives
 RECORD_COLUMNS = tuple(f.name for f in fields(IterationRecord))
 _PARSE = {"int": int, "float": _finite_float, "str": str,
           "bool": {"true": True, "false": False}.__getitem__}
 _COLUMN_PARSERS = tuple(float if f.name == "snr_est_db" else _PARSE[f.type]
                         for f in fields(IterationRecord))
+_DERIVED = slice(RECORD_COLUMNS.index("air"), RECORD_COLUMNS.index("rate_bps") + 1)
 
 
 @dataclass(frozen=True)
@@ -199,12 +206,6 @@ def _measure_waveform(dist: ShapedDistribution, snr_db: float, key,
     return res.report.snr_db, res.report.ngmi
 
 
-def _air_and_rate(entropy_bits: float) -> tuple:
-    """The AIR (bits per dual-pol symbol) and net bit rate of an entropy."""
-    air = 2.0 * entropy_bits
-    return air, net_bit_rate(air)
-
-
 def run_campaign(trace: SnrTrace, schemes, table: AirTable,
                  mode: str = "analytic", seed: int = 0,
                  n_window: int = PredictorState.n_window,
@@ -259,13 +260,11 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
                 snr_meas, ngmi_val = _probe(snr_true, key, mc_symbols)
             predictor.push(snr_meas)
 
-            air, rate_bps = _air_and_rate(entropy)
             records.append(IterationRecord(
                 n=n, t_s=float(trace.t_s[n]), scheme=scheme,
                 weather=trace.weather[n], snr_true_db=snr_true,
                 snr_meas_db=float(snr_meas), snr_est_db=float(snr_est),
-                entropy_bits=float(entropy), air=air,
-                rate_bps=rate_bps, ngmi=float(ngmi_val),
+                entropy_bits=float(entropy), ngmi=float(ngmi_val),
                 in_service=bool(ngmi_val >= table.ngmi_th),
             ))
     return records
@@ -371,17 +370,18 @@ def emit_report(records, out_dir) -> CampaignReport:
 
 def load_records(path) -> list:
     """Parse a records.csv written by emit_report back into records. Each
-    row's air and rate_bps must be those _air_and_rate derives from its
+    row's air and rate_bps must be those its record derives from its
     entropy_bits, and the records must pass emit_report's checks (see
     _by_scheme)."""
     records = []
     for line, values in _read_csv(path, RECORD_COLUMNS, _COLUMN_PARSERS):
-        r = IterationRecord(*values)
-        try:  # net_bit_rate refuses an entropy outside the rate plan
-            air, rate_bps = _air_and_rate(r.entropy_bits)
-            if (r.air, r.rate_bps) != (air, rate_bps):
-                raise ValueError(f"air and rate_bps must be {air!r} and "
-                                 f"{rate_bps!r}, those of entropy_bits "
+        cells = values[_DERIVED]
+        del values[_DERIVED]
+        try:
+            r = IterationRecord(*values)
+            if [r.air, r.rate_bps] != cells:
+                raise ValueError(f"air and rate_bps must be {r.air!r} and "
+                                 f"{r.rate_bps!r}, those of entropy_bits "
                                  f"{r.entropy_bits!r}")
         except ValueError as e:
             raise ValueError(f"{path}:{line}: {e}") from None

@@ -35,7 +35,8 @@ def test_parse_grid_inclusive_stop():
 
 def test_parse_grid_rejects_malformed():
     for bad in ("0:30", "a:b:c", "0:30:0", "30:0:1", "5:5:1",
-                "0:inf:1", "-inf:1:1", "nan:1:1", "0:30:inf"):
+                "0:inf:1", "-inf:1:1", "nan:1:1", "0:30:inf",
+                "0:1e308:1e-308", "-1e308:1e308:1"):
         with pytest.raises(ValueError):
             _parse_grid(bad)
 
@@ -72,7 +73,8 @@ def test_build_lut_rejects_bad_grid(tmp_path, capsys):
                str(tmp_path / "x.json")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
-    for spec in ("0:inf:1", "-inf:1:1", "nan:1:1"):
+    for spec in ("0:inf:1", "-inf:1:1", "nan:1:1", "0:1e308:1e-308",
+                 "-1e308:1e308:1"):
         rc = main(["build-lut", f"--grid={spec}", "--out",
                    str(tmp_path / "x.json")])
         assert rc == 1

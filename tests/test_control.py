@@ -42,8 +42,7 @@ def _toy_table():
 def _record(**kw):
     base = dict(n=0, t_s=0.0, scheme="adaptive", weather=CLEAR,
                 snr_true_db=15.0, snr_meas_db=15.0, snr_est_db=13.0,
-                entropy_bits=5.0, air=10.0, rate_bps=500e9, ngmi=0.95,
-                in_service=True)
+                entropy_bits=5.0, ngmi=0.95, in_service=True)
     base.update(kw)
     return IterationRecord(**base)
 
@@ -412,6 +411,20 @@ def test_waveform_campaign_refuses_a_bad_batch_before_any_block(monkeypatch,
                      mode="waveform", mc_symbols=mc_symbols)
 
 
+# ---------------------------------------------------------------- records
+
+def test_record_derives_air_and_rate_from_its_entropy():
+    for entropy in (0.0, 2.0, 4.73, 5.0, 6.0):
+        r = _record(entropy_bits=entropy)
+        assert r.air == 2 * entropy
+        assert r.rate_bps == net_bit_rate(r.air)
+    for derived in ({"air": 10.0}, {"rate_bps": 500e9}):
+        with pytest.raises(TypeError):
+            _record(**derived)
+    with pytest.raises(ValueError, match=r"AIR 14\.0 outside"):
+        _record(entropy_bits=7.0)
+
+
 # -------------------------------------------------------------- accounting
 
 def test_accumulate_constant_rate_delivery():
@@ -424,8 +437,8 @@ def test_accumulate_constant_rate_delivery():
 
 
 def test_accumulate_always_out_of_service():
-    records = [_record(n=i, t_s=25.0 * i, scheme="fixed500", rate_bps=500e9,
-                       ngmi=0.2, in_service=False) for i in range(3)]
+    records = [_record(n=i, t_s=25.0 * i, scheme="fixed500", ngmi=0.2,
+                       in_service=False) for i in range(3)]
     rep = accumulate_report(records)
     assert rep.mean_effective_rate_bps["fixed500"] == 0.0
     assert rep.outage_fraction["fixed500"] == 1.0
@@ -435,10 +448,9 @@ def test_accumulate_always_out_of_service():
 def test_accumulate_gain_curve_monotone_when_adaptive_faster():
     records = []
     for i in range(5):
-        records.append(_record(n=i, t_s=25.0 * i, scheme="adaptive",
-                               rate_bps=500e9))
+        records.append(_record(n=i, t_s=25.0 * i, scheme="adaptive"))
         records.append(_record(n=i, t_s=25.0 * i, scheme="fixed400",
-                               rate_bps=400e9))
+                               entropy_bits=4.0))
     rep = accumulate_report(records)
     gain = rep.gain_vs_fixed_bytes["fixed400"]
     assert np.all(np.diff(gain) > 0)
@@ -460,7 +472,7 @@ def test_uneven_records_rejected_before_any_output(tmp_path):
     records = []
     for i in range(4):
         records.append(_record(n=i, t_s=25.0 * i, scheme="fixed400",
-                               rate_bps=400e9))
+                               entropy_bits=4.0))
         records.append(_record(n=i, t_s=25.0 * i, scheme="adaptive"))
     uneven = records[:-1]  # adaptive loses its last row
     with pytest.raises(ValueError, match="'adaptive'.*'fixed400'"):
@@ -507,7 +519,7 @@ def test_records_of_no_one_trace_rejected_before_any_output(tmp_path, changes,
                                                             message):
     # changes(record) gives the fields to change in that record
     records = [_record(n=i, t_s=25.0 * i, scheme=s,
-                       rate_bps={"fixed400": 400e9}.get(s, 500e9))
+                       entropy_bits={"fixed400": 4.0}.get(s, 5.0))
                for i in range(4) for s in ("fixed400", "adaptive")]
     records = [dataclasses.replace(r, **changes(r)) for r in records]
     with pytest.raises(ValueError, match=message):
@@ -566,7 +578,7 @@ def test_panel_cells_are_plain_floats(tmp_path, coarse_table):
 
 def test_summary_json_holds_every_report_field(tmp_path):
     records = [_record(n=i, t_s=25.0 * i, scheme=s,
-                       rate_bps={"fixed400": 400e9}.get(s, 500e9))
+                       entropy_bits={"fixed400": 4.0}.get(s, 5.0))
                for i in range(3) for s in SCHEMES]
     rep = emit_report(records, tmp_path)
     doc = json.loads((tmp_path / "summary.json").read_text())
@@ -580,7 +592,7 @@ def test_summary_json_holds_every_report_field(tmp_path):
 @pytest.mark.parametrize("period", [5.0, 25.0, 120.0])
 def test_emit_report_reads_the_period_off_the_records(tmp_path, period):
     records = [_record(n=i, t_s=period * i, scheme=s,
-                       rate_bps={"fixed400": 400e9}.get(s, 500e9))
+                       entropy_bits={"fixed400": 4.0}.get(s, 5.0))
                for i in range(3) for s in SCHEMES]
     rep = emit_report(records, tmp_path)
     want = accumulate_report(records)
@@ -644,8 +656,14 @@ def test_load_records_names_line_and_column(tmp_path, column, bad):
 ])
 def test_load_records_derives_air_and_rate_from_the_entropy(tmp_path, changes,
                                                             message):
+    # changes gives the cells to rewrite in the second row of records.csv
+    emit_report([_record(), _record(n=1, t_s=25.0)], tmp_path)
     path = tmp_path / "records.csv"
-    emit_report([_record(), _record(n=1, t_s=25.0, **changes)], tmp_path)
+    header, first, second = path.read_text().splitlines()
+    columns, cells = header.split(","), second.split(",")
+    for column, value in changes.items():
+        cells[columns.index(column)] = repr(value)
+    path.write_text(f"{header}\n{first}\n{','.join(cells)}\n")
     with pytest.raises(ValueError,
                        match=rf"records\.csv:3: {re.escape(message)}"):
         load_records(path)
