@@ -32,16 +32,12 @@ def main() -> None:
     cfg = EqualizerConfig()
 
     cases = {
-        "clean": ImpairmentConfig(combined_linewidth_hz=0.0),
+        "clean": ImpairmentConfig(),
         "phase noise": ImpairmentConfig(combined_linewidth_hz=200e3, seed=1),
-        "pol rotation": ImpairmentConfig(combined_linewidth_hz=0.0,
-                                         pol_rotation_rad=math.radians(30.0)),
-        "freq offset": ImpairmentConfig(combined_linewidth_hz=0.0,
-                                        freq_offset_hz=25e6),
-        "IQ imbalance": ImpairmentConfig(combined_linewidth_hz=0.0,
-                                         iq_amplitude_imbalance=0.05),
-        "IQ skew": ImpairmentConfig(combined_linewidth_hz=0.0,
-                                    iq_skew_samples=0.4),
+        "pol rotation": ImpairmentConfig(pol_rotation_rad=math.radians(30.0)),
+        "freq offset": ImpairmentConfig(freq_offset_hz=25e6),
+        "IQ imbalance": ImpairmentConfig(iq_amplitude_imbalance=0.05),
+        "IQ skew": ImpairmentConfig(iq_skew_samples=0.4),
         "all": full_impairments(seed=1),
     }
 

@@ -206,12 +206,13 @@ def awgn_transmit(symbols: np.ndarray, snr_db: float, seed) -> np.ndarray:
 class ImpairmentConfig:
     """Waveform impairments for exercising the receiver DSP chain.
 
-    Zero-valued entries bypass their stage exactly. The combined linewidth
+    Zero-valued entries, the defaults, bypass their stage exactly, so
+    ImpairmentConfig() is the unimpaired channel. The combined linewidth
     covers both lasers; amplitude imbalance is a linear gain split between
     the I and Q rails.
     """
 
-    combined_linewidth_hz: float = 200e3
+    combined_linewidth_hz: float = 0.0
     freq_offset_hz: float = 0.0
     pol_rotation_rad: float = 0.0
     iq_amplitude_imbalance: float = 0.0

@@ -162,8 +162,8 @@ def main(argv=None) -> int:
     log.setLevel(logging.WARNING if getattr(args, "quiet", False) else logging.INFO)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
     finally:
         log.removeHandler(handler)

@@ -14,15 +14,15 @@ threshold; everything else is discarded as outage.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .airlut import AirTable, MCConfig, air_for_rate, lookup_air, net_bit_rate
-from .channel import (SnrTrace, _finite_float, _integer, _read_csv, _real,
-                      _seed, _write_csv, _write_json)
-from .metrics import awgn_link_metrics
+from .channel import (ImpairmentConfig, SnrTrace, _finite_float, _integer,
+                      _read_csv, _real, _seed, _write_csv, _write_json)
+from .metrics import MetricReport, awgn_link_metrics
 from .shaping import (
     ENTROPY_FLOOR_BITS,
     ENTROPY_STEP_BITS,
@@ -106,8 +106,9 @@ class IterationRecord:
     rx_chain raises a StageError is an outage too: it keeps its attempted
     entropy, air and rate, with ngmi = 0.0 and the QPSK probe's SNR.
     snr_est_db is NaN while the predictor window is still filling and for
-    the fixed schemes. air (2 * entropy_bits) and rate_bps (net_bit_rate
-    of air, which refuses an AIR outside the rate plan) are derived.
+    the fixed schemes; every other float is finite, n an int and in_service
+    a bool. air (2 * entropy_bits) and rate_bps (net_bit_rate of air, which
+    refuses an AIR outside the rate plan) are derived.
     """
 
     n: int
@@ -124,6 +125,13 @@ class IterationRecord:
     in_service: bool
 
     def __post_init__(self):
+        _integer(self.n, "n")
+        for name in _FLOATS:
+            v = getattr(self, name)
+            if name != "snr_est_db" or v == v:  # NaN: no estimate, by convention
+                _real(v, name)
+        if type(self.in_service) is not bool:
+            raise ValueError(f"in_service must be a bool, got {self.in_service!r}")
         object.__setattr__(self, "air", 2.0 * self.entropy_bits)
         object.__setattr__(self, "rate_bps", net_bit_rate(self.air))
 
@@ -133,6 +141,7 @@ class IterationRecord:
 # the NaN-by-convention snr_est_db must be finite, and the _DERIVED cells
 # must be those the record derives
 RECORD_COLUMNS = tuple(f.name for f in fields(IterationRecord))
+_FLOATS = tuple(f.name for f in fields(IterationRecord) if f.type == "float" and f.init)
 _PARSE = {"int": int, "float": _finite_float, "str": str,
           "bool": {"true": True, "false": False}.__getitem__}
 _COLUMN_PARSERS = tuple(float if f.name == "snr_est_db" else _PARSE[f.type]
@@ -181,29 +190,22 @@ _RULES = {"fixed400": _fixed(400e9), "fixed500": _fixed(500e9),
 SCHEMES = tuple(_RULES)
 
 
-def _measure_analytic(dist: ShapedDistribution, snr_db: float, key,
-                      n_symbols: int):
-    rep = awgn_link_metrics(dist, snr_db, n_symbols, key)
-    return rep.snr_db, rep.ngmi
-
-
-def _probe(snr_db: float, key, n_symbols: int):
+def _probe(snr_db: float, n_symbols: int, key) -> MetricReport:
     """Nothing to score: a uniform-QPSK probe keeps the measured-SNR stream,
     and with it the predictor, running. NGMI is 0 by convention."""
-    return _measure_analytic(_PROBE_DIST, snr_db, key, n_symbols)[0], 0.0
+    return replace(awgn_link_metrics(_PROBE_DIST, snr_db, n_symbols, key), ngmi=0.0)
 
 
-def _measure_waveform(dist: ShapedDistribution, snr_db: float, key,
-                      n_symbols: int):
+def _measure_waveform(dist: ShapedDistribution, snr_db: float,
+                      n_symbols: int, key) -> MetricReport:
     from .dsprx import EqualizerConfig, StageError, rx_chain, simulate_block
 
     cfg = EqualizerConfig()
-    frame, rx = simulate_block(dist, snr_db, None, cfg, seed=key)
+    frame, rx = simulate_block(dist, snr_db, ImpairmentConfig(), cfg, seed=key)
     try:
-        res = rx_chain(rx, frame, cfg)
+        return rx_chain(rx, frame, cfg).report
     except StageError:  # a failed DSP block is an outage
-        return _probe(snr_db, key, n_symbols)
-    return res.report.snr_db, res.report.ngmi
+        return _probe(snr_db, n_symbols, key)
 
 
 def run_campaign(trace: SnrTrace, schemes, table: AirTable,
@@ -225,8 +227,7 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
     measurement runs: the record list is bit-identical across runs, schemes
     never share noise, and a scheme's records do not depend on its companions.
     """
-    measure = {"analytic": _measure_analytic,
-               "waveform": _measure_waveform}.get(mode)
+    measure = {"analytic": awgn_link_metrics, "waveform": _measure_waveform}.get(mode)
     if measure is None:
         raise ValueError(f"unknown mode {mode!r}")
     schemes = tuple(schemes)
@@ -255,17 +256,17 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
             if entropy:
                 # entropy lies on the grid, so this is exactly its step
                 dist = grid_distribution(round(entropy / ENTROPY_STEP_BITS))
-                snr_meas, ngmi_val = measure(dist, snr_true, key, mc_symbols)
+                rep = measure(dist, snr_true, mc_symbols, key)
             else:
-                snr_meas, ngmi_val = _probe(snr_true, key, mc_symbols)
-            predictor.push(snr_meas)
+                rep = _probe(snr_true, mc_symbols, key)
+            predictor.push(rep.snr_db)
 
             records.append(IterationRecord(
                 n=n, t_s=float(trace.t_s[n]), scheme=scheme,
                 weather=trace.weather[n], snr_true_db=snr_true,
-                snr_meas_db=float(snr_meas), snr_est_db=float(snr_est),
-                entropy_bits=float(entropy), ngmi=float(ngmi_val),
-                in_service=bool(ngmi_val >= table.ngmi_th),
+                snr_meas_db=float(rep.snr_db), snr_est_db=float(snr_est),
+                entropy_bits=float(entropy), ngmi=float(rep.ngmi),
+                in_service=bool(rep.ngmi >= table.ngmi_th),
             ))
     return records
 

@@ -423,7 +423,7 @@ def build_tx_frame(dist: ShapedDistribution, n_symbols: int, seed) -> TxFrame:
 
 
 def simulate_block(dist: ShapedDistribution, snr_db: float,
-                   impairments: ImpairmentConfig | None, cfg: EqualizerConfig,
+                   impairments: ImpairmentConfig, cfg: EqualizerConfig,
                    n_samples: int = 200_000, seed=0):
     """Transmit one waveform block: shaped symbols -> pilot framing -> RRC
     waveform -> impairments -> AWGN. Returns (frame, received samples).
@@ -436,8 +436,7 @@ def simulate_block(dist: ShapedDistribution, snr_db: float,
     frame_seed, noise_seed = ss.spawn(2)
     frame = build_tx_frame(dist, n_symbols, frame_seed)
     wf = tx_waveform(frame.symbols)
-    if impairments is not None:
-        wf = apply_impairments(wf, impairments, sample_rate=SYMBOL_RATE * SPS)
+    wf = apply_impairments(wf, impairments, sample_rate=SYMBOL_RATE * SPS)
     rx = awgn_transmit(wf, snr_db, np.random.default_rng(noise_seed))
     return frame, rx
 

@@ -217,9 +217,10 @@ def _dual_pol(n=4096, seed=0):
 
 
 def test_zero_config_is_identity():
+    # ImpairmentConfig() is the unimpaired channel
     x = _dual_pol()
-    cfg = ImpairmentConfig(combined_linewidth_hz=0.0)
-    np.testing.assert_array_equal(apply_impairments(x, cfg, 128e9), x)
+    for cfg in ImpairmentConfig(), ImpairmentConfig(combined_linewidth_hz=0.0):
+        np.testing.assert_array_equal(apply_impairments(x, cfg, 128e9), x)
 
 
 def test_zero_magnitude_equals_disabled_stage():

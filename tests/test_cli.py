@@ -143,6 +143,27 @@ def test_gen_trace_rejects_non_finite_duration(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["gen-trace", "--duration", "1e16"],
+                                  ["build-lut", "--grid", "0:1:1e-15"]])
+def test_a_count_too_large_to_allocate_is_one_error_line(tmp_path, capsys, argv):
+    # each array asks for more than 2**48 bytes, so the allocation is refused
+    # before any page is mapped
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_bare_memory_error_still_says_what_failed(tmp_path, capsys, monkeypatch):
+    # the interpreter's own MemoryError carries no message
+    def gen_trace(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("fsolink.cli.gen_trace", gen_trace)
+    assert main(["gen-trace", "--out", str(tmp_path / "trace.csv")]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
 def test_gen_trace_rejects_bad_sampling_period(tmp_path, capsys):
     cfg_path = tmp_path / "model.json"
     for period in (0, -25):
@@ -466,6 +487,7 @@ def test_report_rejects_uneven_records_without_rewriting(small_campaign, capsys)
 @pytest.mark.parametrize("old, new, message", [
     (",fixed400,", ",bogus,", "unknown scheme 'bogus'"),
     (",400000000000.0,", ",nan,", r"records\.csv:2: rate_bps: bad value 'nan'"),
+    (",nan,", ",inf,", r"records\.csv:2: snr_est_db must be a finite number, got inf"),
     (",400000000000.0,", ",900000000000.0,",
      r"records\.csv:2: air and rate_bps must be 8\.0 and 400000000000\.0, "
      r"those of entropy_bits 4\.0"),

@@ -24,6 +24,7 @@ from fsolink.control import (
     run_campaign,
     select_rate,
 )
+from fsolink.metrics import awgn_link_metrics
 from fsolink.shaping import ENTROPY_STEP_BITS
 
 
@@ -272,15 +273,15 @@ def test_campaign_records_the_transmitted_entropy(monkeypatch, mode):
     trace = SnrTrace(t_s=25.0 * np.arange(n), snr_db=np.linspace(14.0, 19.0, n),
                      weather=(CLEAR,) * n)
     sent = []
-    measure = control._measure_analytic
 
     def spy(dist, *args):
-        # both measurements take the same arguments, so the waveform one
-        # can hand its call to the fast analytic one
+        # both measurements take awgn_link_metrics' arguments, so the
+        # waveform one can hand its call to the fast analytic one
         sent.append(dist)
-        return measure(dist, *args)
+        return awgn_link_metrics(dist, *args)
 
-    monkeypatch.setattr(control, f"_measure_{mode}", spy)
+    monkeypatch.setattr(control, {"analytic": "awgn_link_metrics",
+                                  "waveform": "_measure_waveform"}[mode], spy)
     records = run_campaign(trace, SCHEMES, table, mode=mode, seed=4,
                            mc_symbols=2000)
     assert len(sent) == len(records)
@@ -308,8 +309,7 @@ def _assert_failed_blocks_are_outages(monkeypatch, name, fail):
     assert len(records) == 4
     for r in records:
         key = [2, r.n, SCHEMES.index(r.scheme)]
-        probe_snr, _ = control._measure_analytic(control._PROBE_DIST, 20.0,
-                                                 key, 2000)
+        probe_snr = awgn_link_metrics(control._PROBE_DIST, 20.0, 2000, key).snr_db
         assert r.ngmi == 0.0 and not r.in_service
         assert r.entropy_bits > 0.0 and r.air == 2.0 * r.entropy_bits
         assert r.snr_meas_db == probe_snr
@@ -614,6 +614,36 @@ def test_emit_report_names_a_directory_it_cannot_create(tmp_path):
         emit_report([_record()], out)
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("snr_meas_db", math.nan, "a finite number"),
+    ("t_s", math.inf, "a finite number"),
+    ("snr_est_db", -math.inf, "a finite number"),  # NaN only, by convention
+    ("ngmi", "0.95", "a finite number"),
+    ("entropy_bits", True, "a finite number"),
+    ("n", 1.0, "an integer"),
+    ("in_service", 1, "a bool"),
+])
+def test_record_refuses_what_records_csv_cannot_read_back(tmp_path, field,
+                                                          value, rule):
+    message = f"{field} must be {rule}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        emit_report([_record(**{field: value})], tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+def test_record_checks_values_not_python_types(tmp_path):
+    # numpy scalars that records.csv reads back make a record; a numpy bool,
+    # which it would write as 1.0, does not
+    r = _record(n=np.int64(2), t_s=np.float64(50.0), snr_est_db=np.float64("nan"),
+                ngmi=np.float32(0.5), in_service=False)
+    emit_report([r], tmp_path)
+    back, = load_records(tmp_path / "records.csv")
+    assert (back.n, back.t_s, back.ngmi) == (2, 50.0, 0.5)
+    assert math.isnan(back.snr_est_db)
+    with pytest.raises(ValueError, match="^in_service must be a bool, got "):
+        _record(in_service=np.True_)
+
+
 def test_records_csv_header(tmp_path):
     records = [_record()]
     emit_report(records, tmp_path)
@@ -677,6 +707,15 @@ def test_load_records_rejects_non_finite_values(tmp_path):
     path.write_text(path.read_text().replace(",500000000000.0,", ",nan,"))
     with pytest.raises(ValueError,
                        match=r"records\.csv:2: rate_bps: bad value 'nan'"):
+        load_records(path)
+
+
+def test_load_records_refuses_an_infinite_snr_estimate(tmp_path):
+    emit_report([_record(snr_est_db=math.nan)], tmp_path)
+    path = tmp_path / "records.csv"
+    path.write_text(path.read_text().replace(",nan,", ",inf,"))
+    with pytest.raises(ValueError, match=r"records\.csv:2: snr_est_db must be "
+                                         r"a finite number, got inf$"):
         load_records(path)
 
 

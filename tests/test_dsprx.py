@@ -583,7 +583,8 @@ def test_chain_propagates_stage_identity_on_divergence():
     ("cpe_phase", "cpe"), ("lms_4x4", "lms"),
 ])
 def test_chain_turns_any_stage_error_into_a_stage_error(monkeypatch, stage, name):
-    frame, rx = simulate_block(DIST, 20.0, None, CFG, n_samples=8192, seed=15)
+    frame, rx = simulate_block(DIST, 20.0, ImpairmentConfig(), CFG,
+                               n_samples=8192, seed=15)
 
     def fail(*args):
         raise ZeroDivisionError("float division by zero")
@@ -598,21 +599,23 @@ def test_chain_turns_any_stage_error_into_a_stage_error(monkeypatch, stage, name
 def test_chain_needs_payload_symbols_to_score():
     # training and the guard tail cover the whole block
     cfg = EqualizerConfig(training_symbols=4096 - dsprx.GUARD_SYMBOLS)
-    frame, rx = simulate_block(DIST, 20.0, None, cfg, n_samples=8192, seed=15)
+    frame, rx = simulate_block(DIST, 20.0, ImpairmentConfig(), cfg,
+                               n_samples=8192, seed=15)
     with pytest.raises(StageError, match="no payload symbols left to score") as exc:
         rx_chain(rx, frame, cfg)
     assert exc.value.stage == "metrics"
 
 
 def test_chain_rejects_single_pol_waveform():
-    frame, rx = simulate_block(DIST, 20.0, None, CFG, n_samples=8192, seed=15)
+    frame, rx = simulate_block(DIST, 20.0, ImpairmentConfig(), CFG,
+                               n_samples=8192, seed=15)
     with pytest.raises(ValueError):
         rx_chain(rx[0], frame, CFG)
 
 
 def test_simulate_block_validates_sample_count():
     with pytest.raises(ValueError):
-        simulate_block(DIST, 20.0, None, CFG, n_samples=2001, seed=0)
+        simulate_block(DIST, 20.0, ImpairmentConfig(), CFG, n_samples=2001, seed=0)
 
 
 def test_build_tx_frame_validates_multiple_of_frame():
