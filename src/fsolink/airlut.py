@@ -5,7 +5,7 @@ largest shaped distribution that still clears the NGMI threshold; the table
 then maps measured SNR to an achievable information rate (bits per dual-pol
 symbol) and, through the frame overheads, to a net bit rate. The search
 starts where the previous grid points' crossings predict this one, gallops
-to a bracket and finishes it with a secant: NGMI is smooth in entropy, so a
+to a bracket and finishes it by regula falsi: NGMI is smooth in entropy, so a
 point takes two or three NGMI evaluations where bisection over the 400 steps
 took about nine, and the floor and top steps are scored only when the search
 reaches them. Once the table reaches 2 log2 M, the points above take it
@@ -135,11 +135,11 @@ def _last_passing(f, lo: int, hi: int, guess: float) -> int | None:
     search gallops from it toward the sign change in strides 1, 2, 4, ...
     until two probes bracket it, f(a) >= 0 > f(b). With no guess (NaN) it
     probes lo and then hi, as end checks would. Inside the bracket each
-    probe is the secant through the two newest evaluated steps if that falls
-    strictly inside, else regula falsi, rounded to a step and moved one step
-    inside when it rounds onto an end. No step is evaluated twice. Where f
-    is non-increasing its passing steps form a prefix, so a bracket means
-    that lo passes and hi fails, and the answer is bisection's.
+    probe is regula falsi, a + f(a) (b - a) / (f(a) - f(b)), rounded to a
+    step and moved one step inside when it rounds onto an end. No step is
+    evaluated twice. Where f is non-increasing its passing steps form a
+    prefix, so a bracket means that lo passes and hi fails, and the answer
+    is bisection's.
     """
     if math.isnan(guess):
         s, stride = lo, hi - lo
@@ -162,18 +162,13 @@ def _last_passing(f, lo: int, hi: int, guess: float) -> int | None:
     if a is None or b is None:
         return a
 
-    x, x1, v1 = math.nan, s, v  # the newest evaluated step
     while b - a > 1:
-        if not a < x < b:  # also when x is NaN
-            x = a + f_a * (b - a) / (f_a - f_b)
-        s = min(max(round(x), a + 1), b - 1)
+        s = min(max(round(a + f_a * (b - a) / (f_a - f_b)), a + 1), b - 1)
         v = f(s)
         if v >= 0:
             a, f_a = s, v
         else:
             b, f_b = s, v
-        x0, v0, x1, v1 = x1, v1, s, v
-        x = x1 - v1 * (x1 - x0) / (v1 - v0) if v1 != v0 else math.nan
     return a
 
 

@@ -3,6 +3,7 @@ or CSV replay), per-symbol AWGN, and sample-level waveform impairments."""
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -334,12 +335,12 @@ def _write_csv(path, header, rows) -> None:
 def _read_csv(path, header, parsers) -> list:
     """Read a CSV file with the given header row and return (line number,
     values) for each non-blank row, each cell stripped of surrounding
-    whitespace and run through its column's parser. An empty file has no
-    rows. Errors name the line: `path:1: expected header ...`,
-    `path:N: expected K columns, got J`, `path:N: column: bad value 'v'` or
-    `path:N: not UTF-8: byte 0xNN`."""
+    whitespace and run through its column's parser; a leading UTF-8 byte
+    order mark is dropped. An empty file has no rows. Errors name the line:
+    `path:1: expected header ...`, `path:N: expected K columns, got J`,
+    `path:N: column: bad value 'v'` or `path:N: not UTF-8: byte 0xNN`."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:

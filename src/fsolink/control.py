@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .airlut import AirTable, MCConfig, air_for_rate, lookup_air, net_bit_rate
-from .channel import (ImpairmentConfig, SnrTrace, _finite_float, _integer,
-                      _read_csv, _real, _seed, _write_csv, _write_json)
+from .channel import (ImpairmentConfig, SnrTrace, _integer, _read_csv, _real,
+                      _seed, _write_csv, _write_json)
 from .metrics import MetricReport, awgn_link_metrics
 from .shaping import (
     ENTROPY_FLOOR_BITS,
@@ -137,15 +137,14 @@ class IterationRecord:
 
 
 # records.csv holds one column per IterationRecord field, in field order;
-# load_records parses each column by its field's annotation, every float but
-# the NaN-by-convention snr_est_db must be finite, and the _DERIVED cells
-# must be those the record derives
+# load_records parses each column by its field's annotation, the record
+# refuses every non-finite float but the NaN-by-convention snr_est_db, and
+# the _DERIVED cells must be those the record derives
 RECORD_COLUMNS = tuple(f.name for f in fields(IterationRecord))
 _FLOATS = tuple(f.name for f in fields(IterationRecord) if f.type == "float" and f.init)
-_PARSE = {"int": int, "float": _finite_float, "str": str,
+_PARSE = {"int": int, "float": float, "str": str,
           "bool": {"true": True, "false": False}.__getitem__}
-_COLUMN_PARSERS = tuple(float if f.name == "snr_est_db" else _PARSE[f.type]
-                        for f in fields(IterationRecord))
+_COLUMN_PARSERS = tuple(_PARSE[f.type] for f in fields(IterationRecord))
 _DERIVED = slice(RECORD_COLUMNS.index("air"), RECORD_COLUMNS.index("rate_bps") + 1)
 
 

@@ -202,7 +202,7 @@ def test_build_deterministic_bit_identical():
 # ------------------------------------------------------- entropy search
 
 def bisection(passes, lo, hi):
-    """The entropy search build_air_table ran before the secant search:
+    """The entropy search build_air_table ran before the interpolating search:
     given passes(lo) and not passes(hi), the last passing step found by
     halving the bracket on the sign of each probe alone."""
     while hi - lo > 1:
@@ -262,7 +262,8 @@ _GUESS = st.one_of(st.just(math.nan), st.floats(-100.0, 700.0),
 def _non_increasing(draw):
     # Steps lo..hi whose passing steps form a prefix: none when the
     # threshold is above the first level, all when it is at the last; flat
-    # runs where the secant through two probes is undefined.
+    # runs; at a zero level regula falsi lands on the bracket's passing end
+    # and is moved one step inside.
     levels = -np.cumsum(draw(st.lists(st.integers(0, 30), min_size=2, max_size=600)))
     th = draw(st.integers(int(levels[-1]), int(levels[0]) + 1))
     return [int(v - th) for v in levels]
@@ -308,6 +309,17 @@ def test_search_returns_a_crossing_of_any_bracket(values, lo, guess):
     # strides 1, 2, 4, ... reach a bracket or an end within log2 probes
     assert gallop <= 1 + (hi - lo).bit_length()
     assert len(probes) <= len(values)
+
+
+@pytest.mark.parametrize("crossing", [200.5, 263.7, 417.3, 417.8, 599.5])
+@pytest.mark.parametrize("slope", [1.0, 0.01])
+def test_regula_falsi_closes_a_linear_bracket_on_the_crossing(crossing, slope):
+    # the floor and top bracket all of 200..600; regula falsi lands on the
+    # crossing's step, and at most one more probe settles its neighbour
+    values = [slope * (crossing - s) for s in range(200, 601)]
+    got, probes, _ = _search(values, 200, math.nan)
+    assert got == math.floor(crossing)
+    assert probes[:2] == [200, 600] and len(probes) <= 4
 
 
 @pytest.mark.parametrize("grid, seed", [

@@ -371,9 +371,23 @@ def test_load_rejects_nan_row_naming_line(tmp_path):
 
 def test_load_rejects_non_utf8_naming_file_and_line(tmp_path):
     path = tmp_path / "latin1.csv"
-    path.write_bytes(b"t_s,snr_db,weather\n0.0,15.0,clear\n25.0,15.0,cl\xe9ar\n")
-    with pytest.raises(ValueError, match=r"latin1\.csv:3: not UTF-8: byte 0xe9$"):
-        load_trace(path)
+    for mark in (b"", b"\xef\xbb\xbf"):  # with a byte-order mark too
+        path.write_bytes(mark + b"t_s,snr_db,weather\n0.0,15.0,clear\n"
+                         b"25.0,15.0,cl\xe9ar\n")
+        with pytest.raises(ValueError, match=r"latin1\.csv:3: not UTF-8: byte 0xe9$"):
+            load_trace(path)
+
+
+def test_load_reads_a_trace_with_a_byte_order_mark_as_without(tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts the file with the mark
+    tr = gen_trace(_cfg(seed=13), 500.0)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    save_trace(tr, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    back, want = load_trace(marked), load_trace(plain)
+    np.testing.assert_array_equal(back.t_s, want.t_s)
+    np.testing.assert_array_equal(back.snr_db, want.snr_db)
+    assert back.weather == want.weather
 
 
 def test_load_rejects_empty_file(tmp_path):

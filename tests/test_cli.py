@@ -486,7 +486,9 @@ def test_report_rejects_uneven_records_without_rewriting(small_campaign, capsys)
 
 @pytest.mark.parametrize("old, new, message", [
     (",fixed400,", ",bogus,", "unknown scheme 'bogus'"),
-    (",400000000000.0,", ",nan,", r"records\.csv:2: rate_bps: bad value 'nan'"),
+    (",400000000000.0,", ",nan,",
+     r"records\.csv:2: air and rate_bps must be 8\.0 and 400000000000\.0, "
+     r"those of entropy_bits 4\.0"),
     (",nan,", ",inf,", r"records\.csv:2: snr_est_db must be a finite number, got inf"),
     (",400000000000.0,", ",900000000000.0,",
      r"records\.csv:2: air and rate_bps must be 8\.0 and 400000000000\.0, "

@@ -704,9 +704,18 @@ def test_load_records_rejects_non_finite_values(tmp_path):
     emit_report(records, tmp_path)
     path = tmp_path / "records.csv"
     assert math.isnan(load_records(path)[0].snr_est_db)  # NaN by convention
-    path.write_text(path.read_text().replace(",500000000000.0,", ",nan,"))
+    text = path.read_text()
+    path.write_text(text.replace(",500000000000.0,", ",nan,"))
     with pytest.raises(ValueError,
-                       match=r"records\.csv:2: rate_bps: bad value 'nan'"):
+                       match=r"records\.csv:2: air and rate_bps must be 10\.0 "
+                             r"and 500000000000\.0, those of entropy_bits 5\.0$"):
+        load_records(path)
+    header, row = text.splitlines()
+    cells = row.split(",")
+    cells[header.split(",").index("ngmi")] = "nan"
+    path.write_text(f"{header}\n{','.join(cells)}\n")
+    with pytest.raises(ValueError, match=r"records\.csv:2: ngmi must be a "
+                                         r"finite number, got nan$"):
         load_records(path)
 
 
