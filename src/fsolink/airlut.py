@@ -1,15 +1,15 @@
 """SNR-to-AIR lookup table for shaped dual-pol 64QAM.
 
 For each SNR grid point, a search over the 0.01-bit entropy grid finds the
-largest shaped distribution that still clears the NGMI threshold; the table
-then maps measured SNR to an achievable information rate (bits per dual-pol
-symbol) and, through the frame overheads, to a net bit rate. The search
-starts where the previous grid points' crossings predict this one, gallops
-to a bracket and finishes it by regula falsi: NGMI is smooth in entropy, so a
-point takes two or three NGMI evaluations where bisection over the 400 steps
-took about nine, and the floor and top steps are scored only when the search
-reaches them. Once the table reaches 2 log2 M, the points above take it
-unscored.
+largest shaped distribution that still clears the NGMI threshold;
+select_rate then maps a predicted SNR to the entropy the table allows,
+min_snr_for_air inverts that, and the frame overheads turn an AIR into a net
+bit rate. The search starts where the previous grid points' crossings
+predict this one, gallops to a bracket and finishes it by regula falsi: NGMI
+is smooth in entropy, so a point takes two or three NGMI evaluations where
+bisection over the 400 steps took about nine, and the floor and top steps
+are scored only when the search reaches them. Once the table reaches
+2 log2 M, the points above take it unscored.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = [
     "MCConfig",
     "AirTable",
     "build_air_table",
-    "lookup_air",
+    "select_rate",
     "net_bit_rate",
     "air_for_rate",
     "min_snr_for_air",
@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
+
+FLOOR_STEP = round(ENTROPY_FLOOR_BITS / ENTROPY_STEP_BITS)  # the shaping floor, in steps
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,6 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
     grid = np.asarray(snr_grid_db, dtype=float)
     _check_grid(grid, ngmi_th)
 
-    lo_steps = round(ENTROPY_FLOOR_BITS / ENTROPY_STEP_BITS)
     hi_steps = round(math.log2(GRID_TEMPLATE.M) / ENTROPY_STEP_BITS)
     air = np.zeros(grid.size)
     best = 0  # the running maximum in entropy steps; 0 is AIR 0
@@ -208,7 +209,7 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
                 guess = s1 + (snr - x1) * (s1 - s0) / (x1 - x0)
             elif crossings:
                 guess = crossings[-1][1]
-            steps = _last_passing(margin, lo_steps, hi_steps, guess)
+            steps = _last_passing(margin, FLOOR_STEP, hi_steps, guess)
             if steps is not None:
                 crossings.append((snr, steps))
                 best = max(best, steps)
@@ -219,9 +220,20 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
                     mc_symbols=mc.mc_symbols, seed=mc.seed)
 
 
-def lookup_air(table: AirTable, snr_db: float):
-    """Linear interpolation on the table, clamped at both grid ends."""
-    return np.interp(snr_db, table.snr_db, table.air)
+def select_rate(table: AirTable, snr_est_db: float) -> float:
+    """Map a predicted SNR to the entropy (bits/pol) to transmit.
+
+    The table's AIR/2, interpolated and clamped at both grid ends, is floored
+    to the entropy grid the campaign transmits on, so the rate it carries
+    never exceeds what the table allows. No valid distribution lies below
+    FLOOR_STEP (interpolation across the table's service cliff can get
+    there), so such a step is 0: out of service, transmit nothing. The cliff
+    reads the floored step, so min_snr_for_air's threshold selects its AIR.
+    """
+    air = np.interp(snr_est_db, table.snr_db, table.air)
+    # the tolerance keeps table values such as 9.3 on their own step
+    steps = math.floor(air / 2.0 / ENTROPY_STEP_BITS + 1e-9)
+    return steps * ENTROPY_STEP_BITS if steps >= FLOOR_STEP else 0.0
 
 
 def min_snr_for_air(table: AirTable, air_target: float) -> float:

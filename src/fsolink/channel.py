@@ -197,7 +197,10 @@ def awgn_transmit(symbols: np.ndarray, snr_db: float, seed) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     rx = np.array(symbols, dtype=complex)  # a copy, noised in place
-    sigma = math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+    try:
+        sigma = math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+    except OverflowError:
+        raise ValueError(f"SNR {snr_db} dB needs a noise variance beyond a float") from None
     rx.real += sigma * rng.standard_normal(rx.shape)
     rx.imag += sigma * rng.standard_normal(rx.shape)
     return rx

@@ -1,6 +1,6 @@
 """Rate-adaptive link control: the moving-average SNR predictor, the
-AIR-table rate selection, the registry of transmission schemes, the campaign
-runner with outage accounting, and the report files the CLI emits.
+registry of transmission schemes, the campaign runner with outage
+accounting, and the report files the CLI emits.
 
 A scheme is a rule in _RULES: from the scheme's own predictor state and the
 AIR table it picks the entropy to transmit. A campaign replays a stored SNR
@@ -19,12 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .airlut import AirTable, MCConfig, air_for_rate, lookup_air, net_bit_rate
+from .airlut import AirTable, MCConfig, air_for_rate, net_bit_rate, select_rate
 from .channel import (ImpairmentConfig, SnrTrace, _integer, _read_csv, _real,
                       _seed, _write_csv, _write_json)
 from .metrics import MetricReport, awgn_link_metrics
 from .shaping import (
-    ENTROPY_FLOOR_BITS,
     ENTROPY_STEP_BITS,
     GRID_TEMPLATE,
     ConstellationTemplate,
@@ -39,7 +38,6 @@ __all__ = [
     "IterationRecord",
     "CampaignReport",
     "predict_snr",
-    "select_rate",
     "run_campaign",
     "accumulate_report",
     "emit_report",
@@ -77,23 +75,6 @@ def predict_snr(state: PredictorState) -> float:
         raise ValueError(
             f"predictor window holds {len(state.window)}/{state.n_window} values")
     return float(np.mean(state.window)) - state.snr_margin_db
-
-
-def select_rate(table: AirTable, snr_est_db: float) -> float:
-    """Map a predicted SNR to the entropy (bits/pol) to transmit.
-
-    The table's AIR/2 is floored to the entropy grid, the distribution the
-    campaign transmits, so the rate that distribution carries never exceeds
-    what the table allows. AIR below twice the shaping entropy floor cannot
-    be realized by any valid distribution (interpolation across the table's
-    service cliff can produce such values), so it collapses to 0: out of
-    service, transmit nothing this iteration.
-    """
-    air = float(lookup_air(table, snr_est_db))
-    if air < 2.0 * ENTROPY_FLOOR_BITS:
-        return 0.0
-    # the tolerance keeps table values such as 9.3 on their own step
-    return math.floor(air / 2.0 / ENTROPY_STEP_BITS + 1e-9) * ENTROPY_STEP_BITS
 
 
 @dataclass(frozen=True)
@@ -173,7 +154,7 @@ def _fixed(rate_bps: float):
 
 
 def _adaptive(state: PredictorState, table: AirTable):
-    """The rule of the adaptive scheme: select_rate's entropy for its
+    """The rule of the adaptive scheme: airlut.select_rate's entropy for its
     prediction, and fixed400's entropy while its window fills."""
     if not state.full:
         return _RULES["fixed400"](state, table)
@@ -334,9 +315,9 @@ def accumulate_report(records) -> CampaignReport:
 
 def emit_report(records, out_dir) -> CampaignReport:
     """Report a campaign from its records alone: accumulate_report, then
-    write records.csv, summary.json, and the per-panel CSV files into
-    out_dir (created if missing) and return the report; records that
-    _by_scheme refuses are rejected first."""
+    write records.csv, summary.json and all four panel CSV files, so a rerun
+    leaves none stale, into out_dir (created if missing) and return the
+    report; records that _by_scheme refuses are rejected first."""
     groups, trace = _by_scheme(records)
     report = accumulate_report(records)
     out = Path(out_dir)
@@ -361,10 +342,8 @@ def emit_report(records, out_dir) -> CampaignReport:
     for name, col in (("ngmi_vs_t.csv", "ngmi"), ("rate_vs_t.csv", "rate_bps")):
         panel(name, {f"{col}_{s}": [getattr(r, col) for r in rows]
                      for s, rows in groups.items()})
-    if report.gain_vs_fixed_bytes:
-        panel("gain_vs_t.csv",
-              {f"gain_bytes_vs_{s}": v
-               for s, v in report.gain_vs_fixed_bytes.items()})
+    panel("gain_vs_t.csv", {f"gain_bytes_vs_{s}": v
+                            for s, v in report.gain_vs_fixed_bytes.items()})
     return report
 
 

@@ -19,10 +19,10 @@ from fsolink.airlut import (
     air_for_rate,
     build_air_table,
     load_air_table,
-    lookup_air,
     min_snr_for_air,
     net_bit_rate,
     save_air_table,
+    select_rate,
 )
 from fsolink.metrics import awgn_link_metrics
 from fsolink.shaping import (
@@ -114,10 +114,10 @@ def test_table_validation():
 
 def test_lookup_interpolation_rules():
     table = _table([10.0, 12.0, 14.0], [4.0, 6.0, 10.0])
-    assert lookup_air(table, 12.0) == 6.0  # grid identity
-    assert lookup_air(table, 11.0) == 5.0  # midpoint average
-    assert lookup_air(table, 5.0) == 4.0  # clamp below
-    assert lookup_air(table, 20.0) == 10.0  # clamp above
+    assert select_rate(table, 12.0) == 3.0  # grid identity
+    assert select_rate(table, 11.0) == 2.5  # midpoint average
+    assert select_rate(table, 5.0) == 2.0  # clamp below
+    assert select_rate(table, 20.0) == 5.0  # clamp above
 
 
 def test_min_snr_for_air():
@@ -126,6 +126,35 @@ def test_min_snr_for_air():
     assert min_snr_for_air(table, 9.0) == 15.0
     assert min_snr_for_air(table, 0.0) == 0.0
     assert min_snr_for_air(table, 12.5) == math.inf
+
+
+@st.composite
+def _lattice_table(draw):
+    # A grid as build-lut parses it (steps of 0.25 to 5 dB) and AIRs as the
+    # build stores them: 0, or 2 * steps * ENTROPY_STEP_BITS from the floor
+    # to the top step, non-decreasing.
+    n = draw(st.integers(2, 12))
+    step = 0.25 * draw(st.integers(1, 20))
+    grid = (0.25 * draw(st.integers(-40, 40)) + step * np.arange(n)).tolist()
+    steps = sorted(draw(st.lists(st.just(0) | st.integers(airlut.FLOOR_STEP, 600),
+                                 min_size=n, max_size=n)))
+    return grid, [2.0 * k * ENTROPY_STEP_BITS for k in steps]
+
+
+@given(_lattice_table())
+@example(([0.0, 3.0], [0.0, 4.16]))  # its 4.0 threshold interpolates to 3.9999999999999996
+@settings(max_examples=300, deadline=None)
+def test_select_rate_reaches_each_threshold_min_snr_for_air_gives(grid_air):
+    # The thresholds inspect_table.py prints are the SNRs at which the
+    # campaign's rate selection first transmits each table AIR.
+    table = _table(*grid_air)
+    top = round(table.air[-1] / 2.0 / ENTROPY_STEP_BITS)
+    for k in range(airlut.FLOOR_STEP, top + 1):
+        air = 2.0 * k * ENTROPY_STEP_BITS
+        snr = min_snr_for_air(table, air)
+        assert select_rate(table, snr) >= air / 2.0
+        if snr > table.snr_db[0]:
+            assert select_rate(table, snr - 1e-6) < air / 2.0
 
 
 def test_mc_config_validation():

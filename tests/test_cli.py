@@ -94,6 +94,19 @@ def test_build_lut_rejects_threshold_before_any_grid_point(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_build_lut_snr_beyond_a_float_is_one_error_line(tmp_path, capsys):
+    rc = main(["build-lut", "--grid=-4000:-3990:5", "--mc", "100",
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: SNR -4000.0 dB needs a noise variance beyond a float\n"
+    rc = main(["build-lut", "--grid=3300:3310:5", "--mc", "100",
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: noise variance must be positive\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 # ---------------------------------------------------------------- gen-trace
 
 def test_gen_trace_default_model(tmp_path, capsys):
@@ -423,6 +436,20 @@ def test_run_missing_trace_file(small_campaign, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_snr_beyond_a_float_is_one_error_line(small_campaign, capsys):
+    trace, lut, results = small_campaign
+    rows = trace.read_text().splitlines(keepends=True)
+    t_s, _, weather = rows[4].split(",")
+    rows[4] = f"{t_s},-4000.0,{weather}"
+    trace.write_text("".join(rows))
+    capsys.readouterr()
+    rc = main(["run", "--trace", str(trace), "--lut", str(lut),
+               "--mc-symbols", "2000", "--out", str(results)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: SNR -4000.0 dB needs a noise variance beyond a float\n"
+
+
 def test_run_rejects_non_utf8_trace(small_campaign, capsys):
     trace, lut, results = small_campaign
     trace.write_bytes(trace.read_bytes().replace(b"clear", b"cl\xe9ar", 1))
@@ -466,6 +493,25 @@ def test_report_rewrites_a_five_second_run_byte_for_byte(small_campaign, tmp_pat
     (results / "records.csv").write_bytes(after_run["records.csv"])
     assert main(["report", "--in", str(results)]) == 0
     assert {f.name: f.read_bytes() for f in results.iterdir()} == after_run
+
+
+def test_a_rerun_leaves_no_stale_gain_panel(small_campaign):
+    trace, lut, results = small_campaign
+    run = ["run", "--trace", str(trace), "--lut", str(lut), "--seed", "1",
+           "--mc-symbols", "2000"]
+    assert main(run + ["--out", str(results)]) == 0
+    full = sorted(f.name for f in results.iterdir())
+    assert main(run + ["--schemes", "fixed400", "--out", str(results)]) == 0
+    gain = results / "gain_vs_t.csv"
+    assert gain.read_text().splitlines()[0] == "t_s"
+    written = gain.read_bytes()
+    gain.unlink()
+    assert main(["report", "--in", str(results)]) == 0
+    assert gain.read_bytes() == written
+    alone = results.parent / "adaptive"
+    assert main(run + ["--schemes", "adaptive", "--out", str(alone)]) == 0
+    assert sorted(f.name for f in alone.iterdir()) == full
+    assert len(full) == 6
 
 
 def test_report_rejects_uneven_records_without_rewriting(small_campaign, capsys):
