@@ -12,7 +12,7 @@ import time
 
 from fsolink.channel import ImpairmentConfig, full_impairments
 from fsolink.dsprx import EqualizerConfig, rx_chain, simulate_block
-from fsolink.shaping import ConstellationTemplate, mb_distribution, solve_nu_for_entropy
+from fsolink.shaping import GRID_TEMPLATE, mb_distribution, solve_nu_for_entropy
 
 
 def measure(dist, snr_db, impairments, cfg, seed):
@@ -27,8 +27,8 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=11)
     args = ap.parse_args()
 
-    tpl = ConstellationTemplate.square_qam(64)
-    dist = mb_distribution(solve_nu_for_entropy(args.entropy, tpl), tpl)
+    dist = mb_distribution(solve_nu_for_entropy(args.entropy, GRID_TEMPLATE),
+                           GRID_TEMPLATE)
     cfg = EqualizerConfig()
 
     cases = {

@@ -8,8 +8,8 @@ bit rate. The search starts where the previous grid points' crossings
 predict this one, gallops to a bracket and finishes it by regula falsi: NGMI
 is smooth in entropy, so a point takes two or three NGMI evaluations where
 bisection over the 400 steps took about nine, and the floor and top steps
-are scored only when the search reaches them. Once the table reaches
-2 log2 M, the points above take it unscored.
+are scored only when the search reaches them. Once the table reaches the
+top step, the points above take it unscored.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .shaping import (
     ENTROPY_STEP_BITS,
     GRID_TEMPLATE,
     RatePlan,
-    _qam_size,
     grid_distribution,
 )
 
@@ -47,6 +46,8 @@ __all__ = [
 _log = logging.getLogger(__name__)
 
 FLOOR_STEP = round(ENTROPY_FLOOR_BITS / ENTROPY_STEP_BITS)  # the shaping floor, in steps
+TOP_STEP = round(RatePlan.max_air_bits / 2.0 / ENTROPY_STEP_BITS)  # the unshaped top, in steps
+NGMI_TH = 0.9  # the default NGMI threshold: a grid point serves at or above it
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,12 @@ class AirTable:
     seed: int
 
     def __post_init__(self):
-        for name in ("M", "mc_symbols"):
-            _integer(getattr(self, name), f"AIR table {name}")
-        _qam_size(self.M, "AIR table M")
-        _seed(self.seed, "AIR table seed")
+        if _integer(self.M, "AIR table M") != GRID_TEMPLATE.M:
+            raise ValueError(f"AIR table M must be {GRID_TEMPLATE.M}, got {self.M}")
+        try:
+            MCConfig(self.mc_symbols, self.seed)
+        except ValueError as e:
+            raise ValueError(f"AIR table {e}") from None
         s = np.array([_real(v, "AIR table SNR") for v in self.snr_db], dtype=float)
         a = np.array([_real(v, "AIR table AIR") for v in self.air], dtype=float)
         _check_grid(s, self.ngmi_th)
@@ -99,8 +102,8 @@ class AirTable:
             raise ValueError("grid and AIR lengths differ")
         if np.any(np.diff(a) < 0):
             raise ValueError("AIR must be non-decreasing in SNR")
-        if np.any(a < 0) or np.any(a > 2.0 * math.log2(self.M) + 1e-12):
-            raise ValueError("AIR must lie in [0, 2 log2 M]")
+        if np.any(a < 0) or np.any(a > RatePlan.max_air_bits):
+            raise ValueError(f"AIR must lie in [0, {RatePlan.max_air_bits}]")
         object.__setattr__(self, "snr_db", s)
         object.__setattr__(self, "air", a)
 
@@ -175,15 +178,15 @@ def _last_passing(f, lo: int, hi: int, guess: float) -> int | None:
 
 
 def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
-                    ngmi_th: float = 0.9) -> AirTable:
+                    ngmi_th: float = NGMI_TH) -> AirTable:
     """Build the SNR -> AIR table by a per-point search over entropy steps.
 
     Each point takes the running maximum of the AIRs so far, so the table is
-    monotone, and once it reaches 2 log2 M (the top step) later points take
-    that with no NGMI evaluation. Otherwise _last_passing searches from the
+    monotone, and once it reaches the top step later points take that with
+    no NGMI evaluation. Otherwise _last_passing searches from the
     SNR-linear extrapolation of the two previous points' crossings (from the
     one previous crossing, or with no guess before any). A failing floor
-    gives AIR 0 and a passing top step 2 log2 M; where NGMI falls with
+    gives AIR 0 and a passing top step the top step; where NGMI falls with
     entropy, a crossing is the largest passing step, as bisection finds it.
     Every NGMI evaluation at a grid point reuses the same derived seed
     (common random numbers across candidate entropies). Bit-identical for a
@@ -192,13 +195,12 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
     grid = np.asarray(snr_grid_db, dtype=float)
     _check_grid(grid, ngmi_th)
 
-    hi_steps = round(math.log2(GRID_TEMPLATE.M) / ENTROPY_STEP_BITS)
     air = np.zeros(grid.size)
     best = 0  # the running maximum in entropy steps; 0 is AIR 0
     crossings = []  # (snr, last passing step) of each earlier point with one
 
     for i, snr in enumerate(grid.tolist()):
-        if best < hi_steps:
+        if best < TOP_STEP:
             def margin(steps: int) -> float:
                 return awgn_link_metrics(grid_distribution(steps), snr,
                                          mc.mc_symbols, [mc.seed, i]).ngmi - ngmi_th
@@ -209,7 +211,7 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
                 guess = s1 + (snr - x1) * (s1 - s0) / (x1 - x0)
             elif crossings:
                 guess = crossings[-1][1]
-            steps = _last_passing(margin, FLOOR_STEP, hi_steps, guess)
+            steps = _last_passing(margin, FLOOR_STEP, TOP_STEP, guess)
             if steps is not None:
                 crossings.append((snr, steps))
                 best = max(best, steps)

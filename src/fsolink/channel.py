@@ -9,6 +9,7 @@ import io
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -189,18 +190,28 @@ def gen_trace(cfg: RainModelConfig, duration_s: float) -> SnrTrace:
     return SnrTrace(t_s=t, snr_db=mean + d, weather=weather)
 
 
+def _noise_variance(snr_db: float) -> float:
+    """The complex noise variance 10^(-snr/10) at which unit-average-power
+    symbols see exactly snr_db. An SNR whose variance is not a normal float
+    (it overflows, or underflows to a subnormal or 0) is refused."""
+    try:
+        var = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        var = math.inf
+    if not sys.float_info.min <= var <= sys.float_info.max:
+        raise ValueError(f"SNR {snr_db} dB needs a noise variance beyond a float")
+    return var
+
+
 def awgn_transmit(symbols: np.ndarray, snr_db: float, seed) -> np.ndarray:
-    """Add circular complex Gaussian noise with variance 10^(-snr/10) per
-    complex sample; unit-average-power input then sees exactly snr_db.
+    """Add circular complex Gaussian noise of variance _noise_variance(snr_db)
+    per complex sample; unit-average-power input then sees exactly snr_db.
 
     `seed` may be an int or an existing numpy Generator.
     """
     rng = np.random.default_rng(seed)
     rx = np.array(symbols, dtype=complex)  # a copy, noised in place
-    try:
-        sigma = math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
-    except OverflowError:
-        raise ValueError(f"SNR {snr_db} dB needs a noise variance beyond a float") from None
+    sigma = math.sqrt(_noise_variance(snr_db) / 2.0)
     rx.real += sigma * rng.standard_normal(rx.shape)
     rx.imag += sigma * rng.standard_normal(rx.shape)
     return rx

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .airlut import MCConfig, build_air_table, load_air_table, save_air_table
+from .airlut import NGMI_TH, MCConfig, build_air_table, load_air_table, save_air_table
 from .channel import (
     RAIN,
     RainModelConfig,
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build-lut", help="Monte-Carlo the SNR->AIR table")
-    b.add_argument("--ngmi-th", type=float, default=0.9)
+    b.add_argument("--ngmi-th", type=float, default=NGMI_TH)
     b.add_argument("--grid", default="0:30:0.25", help="SNR grid start:stop:step in dB")
     b.add_argument("--mc", type=int, default=MCConfig.mc_symbols,
                    help="MC symbols per evaluation")

@@ -25,7 +25,6 @@ from .channel import (ImpairmentConfig, SnrTrace, _integer, _read_csv, _real,
 from .metrics import MetricReport, awgn_link_metrics
 from .shaping import (
     ENTROPY_STEP_BITS,
-    GRID_TEMPLATE,
     ConstellationTemplate,
     ShapedDistribution,
     grid_distribution,
@@ -218,9 +217,6 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
             raise ValueError(f"unknown scheme {s!r}; choose from {SCHEMES}")
     if len(set(schemes)) != len(schemes):
         raise ValueError(f"a scheme is requested twice: {schemes}")
-    if table.M != GRID_TEMPLATE.M:
-        raise ValueError(f"AIR table was built for M={table.M}, "
-                         f"campaign runs M={GRID_TEMPLATE.M}")
     MCConfig(mc_symbols=mc_symbols)  # refuses a bad batch before iteration 0
     _seed(seed)
     predictors = {s: PredictorState(n_window, snr_margin_db) for s in schemes}
@@ -290,7 +286,11 @@ def accumulate_report(records) -> CampaignReport:
     capacity integrates in-service bits over the sampling period of the
     trace the records replayed (see _by_scheme).
     """
-    groups, trace = _by_scheme(records)
+    return _accumulate(*_by_scheme(records))
+
+
+def _accumulate(groups: dict, trace: SnrTrace) -> CampaignReport:
+    """accumulate_report of the records that _by_scheme grouped."""
     schemes = tuple(groups)
 
     mean_rate, outage, delivered, cumulative = {}, {}, {}, {}
@@ -319,7 +319,7 @@ def emit_report(records, out_dir) -> CampaignReport:
     leaves none stale, into out_dir (created if missing) and return the
     report; records that _by_scheme refuses are rejected first."""
     groups, trace = _by_scheme(records)
-    report = accumulate_report(records)
+    report = _accumulate(groups, trace)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

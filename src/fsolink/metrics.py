@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import awgn_transmit
+from .channel import _noise_variance, awgn_transmit
 from .shaping import ShapedDistribution
 
 __all__ = [
@@ -220,4 +220,4 @@ def awgn_link_metrics(dist: ShapedDistribution, snr_db: float, n_symbols: int,
     rng = np.random.default_rng(seed)
     idx, tx = dist.sample(rng, n_symbols)
     rx = awgn_transmit(tx, snr_db, rng)
-    return score_batch(idx, rx, tx, dist, 10.0 ** (-snr_db / 10.0))
+    return score_batch(idx, rx, tx, dist, _noise_variance(snr_db))

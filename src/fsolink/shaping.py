@@ -76,7 +76,7 @@ class ConstellationTemplate:
         return (self.levels[:, None] + 1j * self.levels).ravel()
 
     @classmethod
-    def square_qam(cls, M: int = 64) -> "ConstellationTemplate":
+    def square_qam(cls, M: int) -> "ConstellationTemplate":
         return cls(M)
 
 
@@ -263,7 +263,7 @@ class RatePlan:
     gross_symbol_rate = 64_000_000_000  # symbols/s
     fec_rate = Fraction(5, 6)
     pilot_rate = Fraction(PILOT_SPACING - 1, PILOT_SPACING)
-    max_air_bits = 12.0  # two polarizations of a 64-point template
+    max_air_bits = 2.0 * GRID_TEMPLATE.bits_per_symbol  # both polarizations at the top
     net_symbol_rate = gross_symbol_rate * fec_rate * pilot_rate  # payload, exact
 
 

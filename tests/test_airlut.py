@@ -92,8 +92,9 @@ def test_table_validation():
         _table([10.0, 10.0], [4.0, 5.0])  # not strictly increasing
     with pytest.raises(ValueError):
         _table([10.0, 12.0], [5.0, 4.0])  # AIR decreasing
-    with pytest.raises(ValueError):
-        _table([10.0, 12.0], [4.0, 13.0])  # AIR above 2 log2 M
+    with pytest.raises(ValueError, match=r"^AIR must lie in \[0, 12\.0\]$"):
+        _table([10.0, 12.0], [4.0, np.nextafter(12.0, 13.0)])  # AIR above the top
+    assert _table([10.0, 12.0], [4.0, 12.0]).air[-1] == RatePlan.max_air_bits
     with pytest.raises(ValueError):
         _table([10.0, 12.0], [4.0, 5.0], th=1.0)  # threshold out of range
     with pytest.raises(ValueError):
@@ -105,11 +106,14 @@ def test_table_validation():
     with pytest.raises(ValueError):
         _table([10.0, 12.0], [4.0, math.nan])  # NaN AIR at the top
     table = _table([10.0, 12.0], [0.5, 1.0])
-    for M in (0, -4, 2, 8, 63):  # no square QAM has these sizes
-        with pytest.raises(ValueError, match=rf"^AIR table M must be .*, got {M}$"):
+    for M in (0, -4, 2, 4, 8, 16, 63, 256):  # the link's constellation is 64QAM
+        with pytest.raises(ValueError, match=rf"^AIR table M must be 64, got {M}$"):
             dataclasses.replace(table, M=M)
-    for M in (4, 16, 64, 256):
-        assert dataclasses.replace(table, M=M).M == M
+    assert dataclasses.replace(table, M=64).M == GRID_TEMPLATE.M == 64
+    for n in (0, -5):  # budgets MCConfig refuses
+        with pytest.raises(ValueError, match="^AIR table Monte-Carlo symbol "
+                                             "count must be positive$"):
+            dataclasses.replace(table, mc_symbols=n)
 
 
 def test_lookup_interpolation_rules():
@@ -440,6 +444,14 @@ def test_load_rejects_grid_and_air_of_different_lengths(tmp_path):
     path.write_text(PARENT_LUT.replace("    8.36,\n", ""), encoding="utf-8")
     with pytest.raises(ValueError,
                        match=re.escape(f"{path}: grid and AIR lengths differ")):
+        load_air_table(path)
+
+
+def test_load_rejects_a_table_of_another_constellation(tmp_path):
+    path = tmp_path / "lut.json"
+    path.write_text(PARENT_LUT.replace('"M": 64', '"M": 16'), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: AIR table M must "
+                                                   "be 64, got 16") + "$"):
         load_air_table(path)
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +101,14 @@ def test_build_lut_snr_beyond_a_float_is_one_error_line(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err == "error: SNR -4000.0 dB needs a noise variance beyond a float\n"
-    rc = main(["build-lut", "--grid=3300:3310:5", "--mc", "100",
-               "--out", str(tmp_path / "x.json")])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: noise variance must be positive\n"
+    for snr in (3300, 3100):  # the noise variance underflows to 0, to a subnormal
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["build-lut", f"--grid={snr}:{snr + 10}:5", "--mc", "100",
+                       "--out", str(tmp_path / "x.json")])
+        assert rc == 1 and caught == []
+        assert capsys.readouterr().err == (
+            f"error: SNR {snr}.0 dB needs a noise variance beyond a float\n")
     assert not (tmp_path / "x.json").exists()
 
 
@@ -309,8 +314,16 @@ _BAD_JSON = [pytest.param(command, make, text, id=f"{command}-{case}")
     pytest.param("run", _edited(seed=DROP), "missing .*'seed'", id="run-missing-key"),
     pytest.param("run", _edited(M=64.9), "AIR table M must be an integer, got 64.9",
                  id="run-float-M"),
-    pytest.param("run", _edited(M=0), "AIR table M must be an even power of 2, got 0",
+    pytest.param("run", _edited(M=0), "AIR table M must be 64, got 0",
                  id="run-zero-M"),
+    pytest.param("run", _edited(M=16), "AIR table M must be 64, got 16",
+                 id="run-M-16"),
+    pytest.param("run", _edited(mc_symbols=0),
+                 "AIR table Monte-Carlo symbol count must be positive",
+                 id="run-zero-mc_symbols"),
+    pytest.param("run", _edited(mc_symbols=-5),
+                 "AIR table Monte-Carlo symbol count must be positive",
+                 id="run-negative-mc_symbols"),
     pytest.param("run", _edited(mc_symbols=2.5),
                  "AIR table mc_symbols must be an integer, got 2.5",
                  id="run-float-mc_symbols"),

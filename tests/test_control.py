@@ -391,10 +391,10 @@ def test_campaign_validation(coarse_table):
         run_campaign(trace, (), coarse_table)
     with pytest.raises(ValueError, match="scheme"):
         run_campaign(trace, ("adaptive", "adaptive"), coarse_table)
-    tiny = AirTable(snr_db=np.array([0.0, 10.0]), air=np.array([0.0, 4.0]),
-                    ngmi_th=0.9, M=4, mc_symbols=100, seed=0)
-    with pytest.raises(ValueError, match="M="):
-        run_campaign(trace, SCHEMES, tiny)
+    # a table of another constellation cannot reach run_campaign
+    with pytest.raises(ValueError, match="^AIR table M must be 64, got 4$"):
+        AirTable(snr_db=np.array([0.0, 10.0]), air=np.array([0.0, 4.0]),
+                 ngmi_th=0.9, M=4, mc_symbols=100, seed=0)
 
 
 @pytest.mark.parametrize("mc_symbols", [0, True])
@@ -561,6 +561,25 @@ def test_emit_report_round_trip(tmp_path, coarse_table):
         assert doc["mean_effective_rate_bps"][s] == rep.mean_effective_rate_bps[s]
         assert doc["outage_fraction"][s] == rep.outage_fraction[s]
         assert doc["delivered_bytes"][s] == rep.delivered_bytes[s]
+
+
+def test_emit_report_groups_the_records_once(monkeypatch, tmp_path, coarse_table):
+    records = run_campaign(_const_trace(14.0, 4), SCHEMES, coarse_table,
+                           seed=17, mc_symbols=10_000)
+    by_scheme, calls = control._by_scheme, []
+
+    def spy(records):
+        calls.append(len(records))
+        return by_scheme(records)
+
+    monkeypatch.setattr(control, "_by_scheme", spy)
+    reports = [emit_report(records, tmp_path)]
+    assert calls == [len(records)]
+    reports.append(accumulate_report(records))
+    assert calls == [len(records)] * 2
+    a, b = (json.dumps(dataclasses.asdict(r), default=np.ndarray.tolist)
+            for r in reports)
+    assert a == b
 
 
 def test_panel_cells_are_plain_floats(tmp_path, coarse_table):
