@@ -5,6 +5,7 @@ thresholds that drive the campaign's outage behavior.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from fsolink.airlut import air_for_rate, load_air_table, min_snr_for_air, net_bit_rate
@@ -33,4 +34,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (ValueError, OSError) as e:
+        sys.exit(f"error: {e}")

@@ -11,6 +11,7 @@ margin ranks above it at 1.62% outage, against 0.23% for the stock setting.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from fsolink.airlut import load_air_table
@@ -57,4 +58,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (ValueError, OSError) as e:
+        sys.exit(f"error: {e}")

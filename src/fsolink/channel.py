@@ -28,12 +28,14 @@ __all__ = [
 ]
 
 CLEAR, RAIN = "clear", "rain"
-SAMPLING_PERIOD_S = 25.0  # default trace grid, seconds per SNR sample
+SAMPLING_PERIOD_S = 25.0  # RainModelConfig's default grid and the AR(1) reference, s
 
 
 @dataclass(frozen=True)
 class SnrTrace:
-    """Timestamped SNR sequence with weather labels, sampled on a fixed grid."""
+    """Timestamped SNR sequence with weather labels, sampled on a fixed grid.
+    It holds at least two samples: its period is the step between its first
+    two timestamps, never assumed."""
 
     t_s: np.ndarray
     snr_db: np.ndarray
@@ -43,13 +45,12 @@ class SnrTrace:
     def __post_init__(self):
         t = np.asarray(self.t_s, dtype=float)
         s = np.asarray(self.snr_db, dtype=float)
-        if t.size == 0:
-            raise ValueError("empty trace")
+        if t.size < 2:
+            raise ValueError(f"a trace needs two samples to carry its period, "
+                             f"got {t.size}")
         if not (t.size == s.size == len(self.weather)):
             raise ValueError("trace columns differ in length")
-        # the period is the first step, or the default for one timestamp
-        period = (_sampling_period(float(t[1] - t[0])) if t.size > 1
-                  else SAMPLING_PERIOD_S)
+        period = _sampling_period(float(t[1] - t[0]))
         if not np.allclose(np.diff(t), period, rtol=0, atol=1e-9):
             raise ValueError("timestamps must increase by the sampling period")
         if not np.all(np.isfinite(s)):
@@ -161,14 +162,12 @@ def default_rain_config(seed: int = 1234) -> RainModelConfig:
 
 def gen_trace(cfg: RainModelConfig, duration_s: float) -> SnrTrace:
     """Generate SNR(t) = regime_mean(t) + AR(1) fluctuation every
-    cfg.sampling_period_s, deterministically from cfg.seed. The trace holds
-    at least two samples, so that its timestamps carry its period."""
+    cfg.sampling_period_s, deterministically from cfg.seed. A duration
+    shorter than two periods makes a trace that SnrTrace refuses."""
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration_s}")
     dt = cfg.sampling_period_s
     n = int(duration_s // dt)
-    if n < 2:
-        raise ValueError("duration shorter than two sampling periods")
     t = np.arange(n) * dt
     rng = np.random.default_rng(cfg.seed)
 
@@ -179,12 +178,11 @@ def gen_trace(cfg: RainModelConfig, duration_s: float) -> SnrTrace:
     std = np.where(rain, cfg.rain_std_db, cfg.clear_std_db)
 
     rho = cfg.ar1_rho ** (dt / SAMPLING_PERIOD_S)
-    d = np.empty(n)
-    d[0] = std[0] * rng.standard_normal()
-    w = rng.standard_normal(n - 1)
-    scale = math.sqrt(1.0 - rho * rho)
-    for k in range(n - 1):
-        d[k + 1] = rho * d[k] + scale * std[k + 1] * w[k]
+    z = rng.standard_normal(n)
+    d = std * z
+    e = math.sqrt(1.0 - rho * rho) * std * z
+    for k in range(1, n):
+        d[k] = rho * d[k - 1] + e[k]
 
     weather = tuple(RAIN if r else CLEAR for r in rain)
     return SnrTrace(t_s=t, snr_db=mean + d, weather=weather)

@@ -391,13 +391,11 @@ def lms_4x4(symbols: np.ndarray, cfg: EqualizerConfig,
     n = z.shape[1]
     steps = _step_schedule(n, cfg, reference, cfg.lms_step, cfg.lms_track_step)
 
-    if carrier_phase is None:
-        rot = np.ones((2, n), dtype=complex)
-    else:
-        carrier_phase = np.asarray(carrier_phase, dtype=float)
-        if carrier_phase.shape != z.shape:
-            raise ValueError("carrier phase must match the symbol stream")
-        rot = np.exp(1j * carrier_phase)
+    phase = (np.zeros(z.shape) if carrier_phase is None
+             else np.asarray(carrier_phase, dtype=float))
+    if phase.shape != z.shape:
+        raise ValueError("carrier phase must match the symbol stream")
+    rot = np.exp(1j * phase)
 
     d = _iq_rails(reference.symbols[:, :n] * rot)
     out, weights = _adapt("lms", _iq_rails(z * rot), LMS_TAPS, 1, steps,

@@ -68,6 +68,22 @@ def test_trace_determinism_and_timestamps():
     assert a.t_s[0] == 0.0
 
 
+@pytest.mark.parametrize("seed, period", [(0, 25.0), (5, 7.0), (11, 60.0)])
+def test_trace_noise_follows_the_ar1_recurrence_sample_by_sample(seed, period):
+    # the oracle draws the first sample alone, then the rest, as one stream
+    cfg = _cfg(seed=seed, sampling_period_s=period)
+    tr = gen_trace(cfg, 3000.0)
+    rng = np.random.default_rng(seed)
+    rain = np.array([w == RAIN for w in tr.weather])
+    mean = np.where(rain, 16.0, 20.0)
+    std = np.where(rain, 0.8, 0.3)
+    rho = 0.7 ** (period / 25.0)
+    d = [std[0] * rng.standard_normal()]
+    for k, w in enumerate(rng.standard_normal(len(tr) - 1), start=1):
+        d.append(rho * d[-1] + math.sqrt(1.0 - rho * rho) * std[k] * w)
+    assert tr.snr_db.tolist() == (mean + np.array(d)).tolist()
+
+
 def test_ar1_lag1_autocorrelation():
     cfg = _cfg(rain_intervals=(), clear_std_db=0.5, seed=11)
     tr = gen_trace(cfg, 25.0 * 10_000)
@@ -141,9 +157,10 @@ def test_rain_labels_are_the_per_sample_interval_scan(intervals):
 def test_gen_trace_duration_validation():
     with pytest.raises(ValueError):
         gen_trace(_cfg(), -5.0)
-    # one sample cannot carry its period: a trace needs two
-    for duration in (10.0, 25.0, 49.9):
-        with pytest.raises(ValueError, match="shorter than two sampling periods"):
+    # none or one sample cannot carry its period: SnrTrace refuses the trace
+    for duration, n in ((10.0, 0), (25.0, 1), (49.9, 1)):
+        with pytest.raises(ValueError, match=f"^a trace needs two samples to "
+                                             f"carry its period, got {n}$"):
             gen_trace(_cfg(), duration)
     assert len(gen_trace(_cfg(), 50.0)) == 2
     for duration in (math.inf, math.nan):
@@ -404,6 +421,15 @@ def test_load_rejects_header_only(tmp_path):
         load_trace(path)
 
 
+def test_load_refuses_one_row_naming_the_file(tmp_path):
+    # one row carries no period; none is assumed for it
+    path = tmp_path / "one.csv"
+    path.write_text("t_s,snr_db,weather\n7.0,15.0,clear\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: a trace needs "
+                                         "two samples to carry its period, got 1$"):
+        load_trace(path)
+
+
 def test_load_rejects_non_monotone_timestamps(tmp_path):
     path = tmp_path / "mono.csv"
     path.write_text("t_s,snr_db,weather\n0.0,15.0,clear\n50.0,15.0,clear\n"
@@ -442,22 +468,23 @@ def test_csv_writer_names_the_file_it_cannot_write(tmp_path):
 
 
 def test_snr_trace_validation():
-    with pytest.raises(ValueError, match="empty"):
-        SnrTrace(t_s=np.array([]), snr_db=np.array([]), weather=())
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"^a trace needs two samples to "
+                                             f"carry its period, got {n}$"):
+            SnrTrace(t_s=np.arange(n) * 25.0, snr_db=np.zeros(n),
+                     weather=(CLEAR,) * n)
     with pytest.raises(ValueError, match="columns differ in length"):
         SnrTrace(t_s=np.array([0.0, 25.0]), snr_db=np.zeros(2), weather=(CLEAR,))
     for snr in (math.nan, math.inf):
         with pytest.raises(ValueError, match="SNR values must be finite"):
             SnrTrace(t_s=np.array([0.0, 25.0]), snr_db=np.array([15.0, snr]),
                      weather=(CLEAR, CLEAR))
-    # the timestamps fix the period: their first step, or 25 s for one sample
+    # the timestamps fix the period: their first step, never a default
     with pytest.raises(TypeError):
         SnrTrace(t_s=np.array([0.0, 10.0]), snr_db=np.zeros(2),
                  weather=(CLEAR, CLEAR), sampling_period_s=25.0)
     assert SnrTrace(t_s=np.array([0.0, 10.0]), snr_db=np.zeros(2),
                     weather=(CLEAR, CLEAR)).sampling_period_s == 10.0
-    assert SnrTrace(t_s=np.array([7.0]), snr_db=np.zeros(1),
-                    weather=(CLEAR,)).sampling_period_s == 25.0
     with pytest.raises(ValueError, match="sampling period"):
         SnrTrace(t_s=np.array([0.0, 10.0, 30.0]), snr_db=np.zeros(3),
                  weather=(CLEAR,) * 3)

@@ -209,7 +209,7 @@ def test_gen_trace_refuses_a_trace_too_short_to_carry_its_period(tmp_path, capsy
                "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == \
-        "error: duration shorter than two sampling periods\n"
+        "error: a trace needs two samples to carry its period, got 1\n"
     assert not out.exists()
     assert main(["gen-trace", "--config", str(cfg_path), "--duration", "10",
                  "--out", str(out)]) == 0
@@ -463,6 +463,19 @@ def test_run_snr_beyond_a_float_is_one_error_line(small_campaign, capsys):
     assert err == "error: SNR -4000.0 dB needs a noise variance beyond a float\n"
 
 
+def test_run_refuses_a_one_row_trace_and_writes_nothing(small_campaign, capsys):
+    # one row carries no period, so no delivered bytes could be counted
+    trace, lut, results = small_campaign
+    trace.write_text("".join(trace.read_text().splitlines(keepends=True)[:2]))
+    capsys.readouterr()
+    rc = main(["run", "--trace", str(trace), "--lut", str(lut),
+               "--mc-symbols", "2000", "--out", str(results)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {trace}: a trace needs two "
+                                       "samples to carry its period, got 1\n")
+    assert not results.exists()
+
+
 def test_run_rejects_non_utf8_trace(small_campaign, capsys):
     trace, lut, results = small_campaign
     trace.write_bytes(trace.read_bytes().replace(b"clear", b"cl\xe9ar", 1))
@@ -570,6 +583,22 @@ def test_report_rejects_bad_records_without_rewriting(small_campaign, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert re.search(message, err)
+    assert {f.name: f.read_bytes() for f in results.iterdir()} == before
+
+
+def test_report_refuses_one_iteration_without_rewriting(small_campaign, capsys):
+    trace, lut, results = small_campaign
+    assert main(["run", "--trace", str(trace), "--lut", str(lut), "--seed", "1",
+                 "--mc-symbols", "2000", "--out", str(results)]) == 0
+    records = results / "records.csv"
+    lines = records.read_text().splitlines(keepends=True)
+    assert [ln.split(",")[0] for ln in lines[1:4]] == ["0"] * 3
+    records.write_text("".join(lines[:4]))
+    before = {f.name: f.read_bytes() for f in results.iterdir()}
+    capsys.readouterr()
+    assert main(["report", "--in", str(results)]) == 1
+    assert capsys.readouterr().err == (f"error: {records}: a trace needs two "
+                                       "samples to carry its period, got 1\n")
     assert {f.name: f.read_bytes() for f in results.iterdir()} == before
 
 

@@ -621,8 +621,13 @@ def test_emit_report_reads_the_period_off_the_records(tmp_path, period):
         "sampling_period_s"] == period
 
 
-def test_emit_report_gives_one_iteration_the_default_period(tmp_path):
-    assert emit_report([_record(t_s=7.0)], tmp_path).sampling_period_s == 25.0
+def test_emit_report_refuses_one_iteration_and_writes_nothing(tmp_path):
+    # one iteration carries no period; none is assumed for it
+    out = tmp_path / "results"
+    with pytest.raises(ValueError, match="^a trace needs two samples to carry "
+                                         "its period, got 1$"):
+        emit_report([_record(t_s=7.0)], out)
+    assert not out.exists()
 
 
 def test_emit_report_names_a_directory_it_cannot_create(tmp_path):
@@ -630,7 +635,7 @@ def test_emit_report_names_a_directory_it_cannot_create(tmp_path):
     out = tmp_path / "file" / "results"
     with pytest.raises(OSError,
                        match=f"cannot create report directory {re.escape(str(out))}"):
-        emit_report([_record()], out)
+        emit_report([_record(), _record(n=1, t_s=25.0)], out)
 
 
 @pytest.mark.parametrize("field, value, rule", [
@@ -655,8 +660,8 @@ def test_record_checks_values_not_python_types(tmp_path):
     # which it would write as 1.0, does not
     r = _record(n=np.int64(2), t_s=np.float64(50.0), snr_est_db=np.float64("nan"),
                 ngmi=np.float32(0.5), in_service=False)
-    emit_report([r], tmp_path)
-    back, = load_records(tmp_path / "records.csv")
+    emit_report([_record(n=1, t_s=25.0), r], tmp_path)
+    _, back = load_records(tmp_path / "records.csv")
     assert (back.n, back.t_s, back.ngmi) == (2, 50.0, 0.5)
     assert math.isnan(back.snr_est_db)
     with pytest.raises(ValueError, match="^in_service must be a bool, got "):
@@ -664,7 +669,7 @@ def test_record_checks_values_not_python_types(tmp_path):
 
 
 def test_records_csv_header(tmp_path):
-    records = [_record()]
+    records = [_record(), _record(n=1, t_s=25.0)]
     emit_report(records, tmp_path)
     header = (tmp_path / "records.csv").read_text().splitlines()[0]
     assert header == ("n,t_s,scheme,weather,snr_true_db,snr_meas_db,"
@@ -681,13 +686,13 @@ def test_load_records_validates(tmp_path):
 @pytest.mark.parametrize("column, bad", [("snr_true_db", "x"),
                                          ("in_service", "maybe")])
 def test_load_records_names_line_and_column(tmp_path, column, bad):
-    records = [_record()]
+    records = [_record(), _record(n=1, t_s=25.0)]
     emit_report(records, tmp_path)
     path = tmp_path / "records.csv"
-    header, row = path.read_text().splitlines()[:2]
+    header, row, second = path.read_text().splitlines()
     cells = row.split(",")
     cells[header.split(",").index(column)] = bad
-    path.write_text(f"{header}\n{','.join(cells)}\n")
+    path.write_text(f"{header}\n{','.join(cells)}\n{second}\n")
     with pytest.raises(ValueError,
                        match=rf"records\.csv:2: {column}: bad value '{bad}'"):
         load_records(path)
@@ -719,7 +724,7 @@ def test_load_records_derives_air_and_rate_from_the_entropy(tmp_path, changes,
 
 
 def test_load_records_rejects_non_finite_values(tmp_path):
-    records = [_record(snr_est_db=math.nan)]
+    records = [_record(snr_est_db=math.nan), _record(n=1, t_s=25.0)]
     emit_report(records, tmp_path)
     path = tmp_path / "records.csv"
     assert math.isnan(load_records(path)[0].snr_est_db)  # NaN by convention
@@ -729,17 +734,17 @@ def test_load_records_rejects_non_finite_values(tmp_path):
                        match=r"records\.csv:2: air and rate_bps must be 10\.0 "
                              r"and 500000000000\.0, those of entropy_bits 5\.0$"):
         load_records(path)
-    header, row = text.splitlines()
+    header, row, second = text.splitlines()
     cells = row.split(",")
     cells[header.split(",").index("ngmi")] = "nan"
-    path.write_text(f"{header}\n{','.join(cells)}\n")
+    path.write_text(f"{header}\n{','.join(cells)}\n{second}\n")
     with pytest.raises(ValueError, match=r"records\.csv:2: ngmi must be a "
                                          r"finite number, got nan$"):
         load_records(path)
 
 
 def test_load_records_refuses_an_infinite_snr_estimate(tmp_path):
-    emit_report([_record(snr_est_db=math.nan)], tmp_path)
+    emit_report([_record(snr_est_db=math.nan), _record(n=1, t_s=25.0)], tmp_path)
     path = tmp_path / "records.csv"
     path.write_text(path.read_text().replace(",nan,", ",inf,"))
     with pytest.raises(ValueError, match=r"records\.csv:2: snr_est_db must be "

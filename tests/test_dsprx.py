@@ -372,6 +372,14 @@ def test_lms_compensates_5pct_iq_imbalance():
     assert evm_percent(out[0][sl], frame.symbols[0][sl]) < 0.5
 
 
+def test_lms_without_a_carrier_phase_is_the_zero_phase_bit_for_bit():
+    frame = build_tx_frame(DIST, 8192, seed=11)
+    z = awgn_transmit(frame.symbols, 20.0, seed=12)
+    out, w = lms_4x4(z, CFG, frame)
+    out0, w0 = lms_4x4(z, CFG, frame, np.zeros(z.shape))
+    assert out.tobytes() == out0.tobytes() and w.tobytes() == w0.tobytes()
+
+
 def test_lms_divergence_raises_with_weight_snapshot():
     frame = build_tx_frame(DIST, 4096, seed=10)
     imp = ImpairmentConfig(combined_linewidth_hz=0.0, iq_amplitude_imbalance=0.05)

@@ -55,8 +55,23 @@ def test_sweep_predictor_one_cell(tiny_lut):
     assert "\nbest: N=3, margin=2 dB -> " in proc.stdout
 
 
-@pytest.mark.parametrize("script", ["inspect_table.py", "sweep_predictor.py"])
-def test_table_scripts_require_a_table(script):
-    proc = _run(SCRIPTS_DIR / script)
-    assert proc.returncode == 2
-    assert "--lut" in proc.stderr
+@pytest.mark.parametrize("script, lut", [
+    pytest.param(script, lut, id=f"{script}-{lut}" if lut else script)
+    for lut in (None, "refused", "missing")
+    for script in ("inspect_table.py", "sweep_predictor.py")])
+def test_table_scripts_require_a_table(script, lut, tiny_lut, tmp_path):
+    # no --lut is a usage error; a refused or missing one is one error line
+    if lut is None:
+        proc = _run(SCRIPTS_DIR / script)
+        assert proc.returncode == 2
+        assert "--lut" in proc.stderr
+        return
+    path = tmp_path / "lut.json"
+    if lut == "refused":
+        text = tiny_lut.read_text()
+        assert '"mc_symbols": 2000' in text
+        path.write_text(text.replace('"mc_symbols": 2000', '"mc_symbols": 0'))
+    proc = _run(SCRIPTS_DIR / script, "--lut", path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert str(path) in proc.stderr
