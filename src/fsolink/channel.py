@@ -9,7 +9,6 @@ import io
 import json
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -188,17 +187,21 @@ def gen_trace(cfg: RainModelConfig, duration_s: float) -> SnrTrace:
     return SnrTrace(t_s=t, snr_db=mean + d, weather=weather)
 
 
+# The SNRs a unit-power link can measure, derived, not set: at 310.06 dB
+# (-10*log10(2 * 2**-104)) the per-rail noise std is one ulp of a unit symbol,
+# and -300 dB gives a noise power of ~1e30 per symbol, far from a batch sum's
+# overflow. awgn_link_metrics measures +-300 dB with an ordinary SNR's spread.
+SNR_LIMIT_DB = 300.0
+
+
 def _noise_variance(snr_db: float) -> float:
     """The complex noise variance 10^(-snr/10) at which unit-average-power
-    symbols see exactly snr_db. An SNR whose variance is not a normal float
-    (it overflows, or underflows to a subnormal or 0) is refused."""
-    try:
-        var = 10.0 ** (-snr_db / 10.0)
-    except OverflowError:
-        var = math.inf
-    if not sys.float_info.min <= var <= sys.float_info.max:
-        raise ValueError(f"SNR {snr_db} dB needs a noise variance beyond a float")
-    return var
+    symbols see exactly snr_db. An SNR outside [-SNR_LIMIT_DB, SNR_LIMIT_DB],
+    NaN and +-inf included, is refused."""
+    if not -SNR_LIMIT_DB <= snr_db <= SNR_LIMIT_DB:
+        raise ValueError(f"SNR {snr_db} dB is outside [-{SNR_LIMIT_DB:g}, "
+                         f"{SNR_LIMIT_DB:g}] dB, the range a unit-power link can measure")
+    return 10.0 ** (-snr_db / 10.0)
 
 
 def awgn_transmit(symbols: np.ndarray, snr_db: float, seed) -> np.ndarray:
@@ -421,13 +424,11 @@ def load_trace(path) -> SnrTrace:
     """
     rows = _read_csv(path, TRACE_HEADER, (_finite_float, _finite_float,
                                           {CLEAR: CLEAR, RAIN: RAIN}.__getitem__))
-    if not rows:
-        raise ValueError(f"{path}: empty trace")
     for (_, (t_prev, _, _)), (line, (t, _, _)) in zip(rows, rows[1:]):
         if t <= t_prev:
             raise ValueError(f"{path}:{line}: timestamps not increasing")
-    t_s, snr, weather = zip(*(values for _, values in rows))
+    t_s, snr, weather = ([values[i] for _, values in rows] for i in range(3))
     try:
-        return SnrTrace(t_s=np.array(t_s), snr_db=np.array(snr), weather=weather)
+        return SnrTrace(t_s=t_s, snr_db=snr, weather=weather)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .airlut import AirTable, MCConfig, air_for_rate, net_bit_rate, select_rate
+from .airlut import FLOOR_STEP, AirTable, MCConfig, air_for_rate, net_bit_rate, select_rate
 from .channel import (ImpairmentConfig, SnrTrace, _integer, _read_csv, _real,
                       _seed, _write_csv, _write_json)
 from .metrics import MetricReport, awgn_link_metrics
@@ -88,7 +88,8 @@ class IterationRecord:
     snr_est_db is NaN while the predictor window is still filling and for
     the fixed schemes; every other float is finite, n an int and in_service
     a bool. air (2 * entropy_bits) and rate_bps (net_bit_rate of air, which
-    refuses an AIR outside the rate plan) are derived.
+    refuses an AIR outside the rate plan) are derived, and entropy_bits is 0
+    or a grid step at or above the shaping floor.
     """
 
     n: int
@@ -114,6 +115,10 @@ class IterationRecord:
             raise ValueError(f"in_service must be a bool, got {self.in_service!r}")
         object.__setattr__(self, "air", 2.0 * self.entropy_bits)
         object.__setattr__(self, "rate_bps", net_bit_rate(self.air))
+        steps = round(self.entropy_bits / ENTROPY_STEP_BITS)  # the step the link sends
+        if self.entropy_bits != steps * ENTROPY_STEP_BITS or 0 < steps < FLOOR_STEP:
+            raise ValueError("entropy_bits must be 0 or a grid step at or above the "
+                             f"shaping floor, got {self.entropy_bits!r}")
 
 
 # records.csv holds one column per IterationRecord field, in field order;
@@ -230,7 +235,7 @@ def run_campaign(trace: SnrTrace, schemes, table: AirTable,
             entropy, snr_est = _RULES[scheme](predictor, table)
 
             if entropy:
-                # entropy lies on the grid, so this is exactly its step
+                # the record checks that entropy lies on the grid, so this is its step
                 dist = grid_distribution(round(entropy / ENTROPY_STEP_BITS))
                 rep = measure(dist, snr_true, mc_symbols, key)
             else:

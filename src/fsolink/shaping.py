@@ -30,13 +30,6 @@ ENTROPY_STEP_BITS = 0.01  # resolution of every transmitted entropy
 _GUIDE_BUCKETS = 1 << 12
 
 
-def _qam_size(M: int, name: str) -> int:
-    """M, if it is the size of a square QAM: an even power of 2 (4, 16, 64, ...)."""
-    if M < 4 or (M & (M - 1)) or int(math.log2(M)) % 2:
-        raise ValueError(f"{name} must be an even power of 2, got {M}")
-    return M
-
-
 @dataclass(frozen=True)
 class ConstellationTemplate:
     """Square Gray-mapped M-QAM, unit average power under uniform
@@ -51,8 +44,9 @@ class ConstellationTemplate:
 
     M: int
 
-    def __post_init__(self):
-        _qam_size(self.M, "template size")
+    def __post_init__(self):  # a square QAM: an even power of 2 (4, 16, 64, ...)
+        if self.M < 4 or (self.M & (self.M - 1)) or int(math.log2(self.M)) % 2:
+            raise ValueError(f"template size must be an even power of 2, got {self.M}")
 
     @property
     def bits_per_symbol(self) -> int:

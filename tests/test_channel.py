@@ -22,8 +22,8 @@ from fsolink.channel import (
     load_trace,
     save_trace,
 )
-from fsolink.metrics import evm_percent, snr_from_evm
-from fsolink.shaping import ConstellationTemplate, mb_distribution
+from fsolink.metrics import awgn_link_metrics, evm_percent, snr_from_evm
+from fsolink.shaping import ConstellationTemplate, grid_distribution, mb_distribution
 
 INTERVALS = ((2500.0, 4000.0), (7000.0, 8200.0))
 
@@ -226,6 +226,22 @@ def test_awgn_snr_recovered_by_evm():
         assert snr_from_evm(evm_percent(rx, tx)) == pytest.approx(snr, abs=0.3)
 
 
+def test_awgn_link_measures_the_ends_of_the_snr_range():
+    # +-300 dB are measured with an ordinary SNR's batch spread (sd ~0.11 dB)
+    for steps in (200, 450, 600):
+        for snr in (-300.0, 300.0):
+            for seed in range(3):
+                rep = awgn_link_metrics(grid_distribution(steps), snr, 2048, seed)
+                assert rep.snr_db == pytest.approx(snr, abs=0.3)
+
+
+def test_awgn_refuses_an_snr_beyond_the_range():
+    x = np.ones(8, dtype=complex)
+    for snr in (-300.5, 300.5, math.nan, -math.inf, math.inf):
+        with pytest.raises(ValueError, match="the range a unit-power link can measure"):
+            awgn_transmit(x, snr, seed=0)
+
+
 # ------------------------------------------------------------- impairments
 
 def _dual_pol(n=4096, seed=0):
@@ -410,14 +426,16 @@ def test_load_reads_a_trace_with_a_byte_order_mark_as_without(tmp_path):
 def test_load_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    with pytest.raises(ValueError, match="empty trace"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: a trace needs "
+                                         "two samples to carry its period, got 0$"):
         load_trace(path)
 
 
 def test_load_rejects_header_only(tmp_path):
     path = tmp_path / "header.csv"
     path.write_text("t_s,snr_db,weather\n")
-    with pytest.raises(ValueError, match="empty trace"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: a trace needs "
+                                         "two samples to carry its period, got 0$"):
         load_trace(path)
 
 

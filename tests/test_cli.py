@@ -95,20 +95,21 @@ def test_build_lut_rejects_threshold_before_any_grid_point(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_build_lut_snr_beyond_a_float_is_one_error_line(tmp_path, capsys):
-    rc = main(["build-lut", "--grid=-4000:-3990:5", "--mc", "100",
-               "--out", str(tmp_path / "x.json")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err == "error: SNR -4000.0 dB needs a noise variance beyond a float\n"
-    for snr in (3300, 3100):  # the noise variance underflows to 0, to a subnormal
+def _outside(snr) -> str:
+    return (f"error: SNR {snr} dB is outside [-300, 300] dB, "
+            "the range a unit-power link can measure\n")
+
+
+def test_build_lut_snr_outside_the_measurable_range_is_one_error_line(tmp_path, capsys):
+    # 340 and 400 dB lose their noise in the sum, 3100 and 3300 dB would need
+    # a subnormal or zero noise variance, -4000 dB an infinite one
+    for snr in (-4000, 340, 400, 3100, 3300):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(["build-lut", f"--grid={snr}:{snr + 10}:5", "--mc", "100",
                        "--out", str(tmp_path / "x.json")])
         assert rc == 1 and caught == []
-        assert capsys.readouterr().err == (
-            f"error: SNR {snr}.0 dB needs a noise variance beyond a float\n")
+        assert capsys.readouterr().err == _outside(f"{snr}.0")
     assert not (tmp_path / "x.json").exists()
 
 
@@ -449,18 +450,34 @@ def test_run_missing_trace_file(small_campaign, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_run_snr_beyond_a_float_is_one_error_line(small_campaign, capsys):
+def test_run_snr_outside_the_measurable_range_is_one_error_line(small_campaign, capsys):
     trace, lut, results = small_campaign
     rows = trace.read_text().splitlines(keepends=True)
-    t_s, _, weather = rows[4].split(",")
-    rows[4] = f"{t_s},-4000.0,{weather}"
-    trace.write_text("".join(rows))
+    for snr in ("-4000.0", "340.0", "400.0"):
+        t_s, _, weather = rows[4].split(",")
+        trace.write_text("".join(rows[:4] + [f"{t_s},{snr},{weather}"] + rows[5:]))
+        capsys.readouterr()
+        rc = main(["run", "--trace", str(trace), "--lut", str(lut),
+                   "--mc-symbols", "2000", "--out", str(results)])
+        assert rc == 1
+        assert capsys.readouterr().err == _outside(snr)
+        assert not results.exists()
+
+
+@pytest.mark.parametrize("snr", ["340.0", "-3050.0"])
+def test_run_refuses_a_two_row_trace_outside_the_range(small_campaign, capsys, snr):
+    # at 340 dB the noise is lost in the sum, so a run would measure ~364 dB
+    # or an EVM of 0; at -3050 dB a batch's noise power overflows to inf
+    trace, lut, results = small_campaign
+    rows = trace.read_text().splitlines(keepends=True)[:3]
+    trace.write_text(rows[0] + "".join(
+        f"{t_s},{snr},{weather}" for t_s, _, weather in (r.split(",") for r in rows[1:])))
     capsys.readouterr()
-    rc = main(["run", "--trace", str(trace), "--lut", str(lut),
-               "--mc-symbols", "2000", "--out", str(results)])
+    rc = main(["run", "--trace", str(trace), "--lut", str(lut), "--schemes", "fixed400",
+               "--mc-symbols", "20000", "--out", str(results)])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err == "error: SNR -4000.0 dB needs a noise variance beyond a float\n"
+    assert capsys.readouterr().err == _outside(snr)
+    assert not results.exists()
 
 
 def test_run_refuses_a_one_row_trace_and_writes_nothing(small_campaign, capsys):

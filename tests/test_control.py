@@ -368,6 +368,14 @@ def test_an_appended_scheme_keeps_its_own_state(monkeypatch):
     assert sum("'adaptive2'" in r for r in together) == len(trace)
 
 
+def test_an_off_grid_rule_is_refused(monkeypatch):
+    # the link sends the 4.57-bit distribution, so a record of 4.567 bits
+    # would claim a rate that nothing transmitted
+    monkeypatch.setitem(control._RULES, "fixed400", lambda state, table: (4.567, math.nan))
+    with pytest.raises(ValueError, match="entropy_bits must be 0 or a grid step"):
+        run_campaign(_const_trace(16.0, 2), ("fixed400",), _toy_table(), mc_symbols=2000)
+
+
 def test_campaign_margin_monotone_on_a_constant_trace(coarse_table):
     # A smaller margin can only help on a constant trace.
     trace = _const_trace(16.0, 6)
@@ -423,6 +431,10 @@ def test_record_derives_air_and_rate_from_its_entropy():
             _record(**derived)
     with pytest.raises(ValueError, match=r"AIR 14\.0 outside"):
         _record(entropy_bits=7.0)
+    for entropy in (4.567, 1.0):  # off the grid, below the shaping floor
+        with pytest.raises(ValueError, match=rf"^entropy_bits must be 0 or a grid "
+                                             rf"step .*, got {entropy}$"):
+            _record(entropy_bits=entropy)
 
 
 # -------------------------------------------------------------- accounting
@@ -707,6 +719,8 @@ def test_load_records_names_line_and_column(tmp_path, column, bad):
     ({"entropy_bits": 4.0}, "air and rate_bps must be 8.0 and 400000000000.0, "
                             "those of entropy_bits 4.0"),
     ({"entropy_bits": 7.0}, "AIR 14.0 outside"),
+    ({"entropy_bits": 1.0, "air": 2.0, "rate_bps": 1e11},
+     "entropy_bits must be 0 or a grid step"),
 ])
 def test_load_records_derives_air_and_rate_from_the_entropy(tmp_path, changes,
                                                             message):
