@@ -5,11 +5,14 @@ largest shaped distribution that still clears the NGMI threshold;
 select_rate then maps a predicted SNR to the entropy the table allows,
 min_snr_for_air inverts that, and the frame overheads turn an AIR into a net
 bit rate. The search starts where the previous grid points' crossings
-predict this one, gallops to a bracket and finishes it by regula falsi: NGMI
-is smooth in entropy, so a point takes two or three NGMI evaluations where
-bisection over the 400 steps took about nine, and the floor and top steps
-are scored only when the search reaches them. Once the table reaches the
-top step, the points above take it unscored.
+predict this one, steps to where the margin line predicts the sign change
+until two probes bracket it, and finishes the bracket by regula falsi. With
+common random numbers NGMI falls almost linearly in entropy, by a slope that
+barely changes from one grid point to the next, so the line's first step
+takes the previous point's slope, and an interior point takes two to four
+NGMI evaluations where bisection over the 400 steps took about nine. The
+floor and top steps are scored only when the search reaches them. Once the
+table reaches the top step, the points above take it unscored.
 """
 
 from __future__ import annotations
@@ -131,41 +134,55 @@ def air_for_rate(rate_bps: float) -> float:
     return float(Fraction(rate_bps) / RatePlan.net_symbol_rate)
 
 
-def _last_passing(f, lo: int, hi: int, guess: float) -> int | None:
+def _last_passing(f, lo: int, hi: int, guess: float,
+                  slope: float) -> tuple[int | None, float]:
     """The last passing step of lo..hi, searched outward from a guess: a
     step s in [lo, hi) with f(s) >= 0 > f(s + 1); hi when the search reaches
-    hi and it passes; None when it reaches lo and it fails.
+    hi and it passes; None when it reaches lo and it fails. Also returns the
+    slope f(s + 1) - f(s) of that closing bracket (NaN with no bracket),
+    which predicts the next grid point's line.
 
-    The first probe is the guess, rounded and clamped into [lo, hi], and the
-    search gallops from it toward the sign change in strides 1, 2, 4, ...
-    until two probes bracket it, f(a) >= 0 > f(b). With no guess (NaN) it
-    probes lo and then hi, as end checks would. Inside the bracket each
-    probe is regula falsi, a + f(a) (b - a) / (f(a) - f(b)), rounded to a
-    step and moved one step inside when it rounds onto an end. No step is
-    evaluated twice. Where f is non-increasing its passing steps form a
-    prefix, so a bracket means that lo passes and hi fails, and the answer
-    is bisection's.
+    The first probe is the guess, rounded and clamped into [lo, hi]. Each
+    later probe, until two probes bracket the sign change, f(a) >= 0 > f(b),
+    steps toward it along the margin line: the line through the last two
+    probes, or before the second probe a line of the given slope. After a
+    pass it steps to the line's first failing step, after a fail to its last
+    passing step, but never by less than the stride 1, 2, 4, ..., so the
+    bracket takes at most log2 probes; where the line does not fall, or
+    with no slope (NaN), every step is the stride, a plain gallop. With no
+    guess (NaN) it probes lo and then hi, as end checks would. Inside the
+    bracket each probe is regula falsi, a + f(a) (b - a) / (f(a) - f(b)),
+    rounded to a step and moved one step inside when it rounds onto an end.
+    No step is evaluated twice. Where f is non-increasing its passing steps
+    form a prefix, so a bracket means that lo passes and hi fails, and the
+    answer is bisection's.
     """
     if math.isnan(guess):
         s, stride = lo, hi - lo
     else:
         s, stride = round(min(max(guess, lo), hi)), 1
-    a = b = None
+    a = b = last = None
     while True:
         v = f(s)
+        if last is not None and not math.isnan(slope):
+            slope = (v - last[1]) / (s - last[0])
+        last = s, v
         if v >= 0:
             a, f_a = s, v
             if b is not None or s == hi:
                 break
-            s = min(s + stride, hi)
         else:
             b, f_b = s, v
             if a is not None or s == lo:
                 break
-            s = max(s - stride, lo)
+        step = stride
+        if slope < 0:  # the line's crossing, kept finite
+            x = min(max(s - v / slope, lo - 1), hi + 1)
+            step = max(step, math.floor(x) + 1 - s if v >= 0 else s - math.floor(x))
+        s = min(s + step, hi) if v >= 0 else max(s - step, lo)
         stride *= 2
     if a is None or b is None:
-        return a
+        return a, math.nan
 
     while b - a > 1:
         s = min(max(round(a + f_a * (b - a) / (f_a - f_b)), a + 1), b - 1)
@@ -174,7 +191,7 @@ def _last_passing(f, lo: int, hi: int, guess: float) -> int | None:
             a, f_a = s, v
         else:
             b, f_b = s, v
-    return a
+    return a, f_b - f_a
 
 
 def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
@@ -185,12 +202,15 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
     monotone, and once it reaches the top step later points take that with
     no NGMI evaluation. Otherwise _last_passing searches from the
     SNR-linear extrapolation of the two previous points' crossings (from the
-    one previous crossing, or with no guess before any). A failing floor
-    gives AIR 0 and a passing top step the top step; where NGMI falls with
+    one previous crossing, or with no guess before any), with the NGMI slope
+    of the previous point's closing bracket as its first step's line (NaN
+    before any, or after a point with no bracket). A failing floor gives
+    AIR 0 and a passing top step the top step; where NGMI falls with
     entropy, a crossing is the largest passing step, as bisection finds it.
     Every NGMI evaluation at a grid point reuses the same derived seed
     (common random numbers across candidate entropies). Bit-identical for a
-    fixed (grid, mc, ngmi_th) triple. Logs each point's table value at INFO.
+    fixed (grid, mc, ngmi_th) triple. Logs each point's table value and its
+    number of NGMI evaluations at INFO, one line per point.
     """
     grid = np.asarray(snr_grid_db, dtype=float)
     _check_grid(grid, ngmi_th)
@@ -198,10 +218,14 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
     air = np.zeros(grid.size)
     best = 0  # the running maximum in entropy steps; 0 is AIR 0
     crossings = []  # (snr, last passing step) of each earlier point with one
+    slope = math.nan  # the NGMI slope per step of the last closing bracket
 
     for i, snr in enumerate(grid.tolist()):
+        evals = 0
         if best < TOP_STEP:
             def margin(steps: int) -> float:
+                nonlocal evals
+                evals += 1
                 return awgn_link_metrics(grid_distribution(steps), snr,
                                          mc.mc_symbols, [mc.seed, i]).ngmi - ngmi_th
 
@@ -211,12 +235,12 @@ def build_air_table(snr_grid_db, mc: MCConfig = MCConfig(),
                 guess = s1 + (snr - x1) * (s1 - s0) / (x1 - x0)
             elif crossings:
                 guess = crossings[-1][1]
-            steps = _last_passing(margin, FLOOR_STEP, TOP_STEP, guess)
+            steps, slope = _last_passing(margin, FLOOR_STEP, TOP_STEP, guess, slope)
             if steps is not None:
                 crossings.append((snr, steps))
                 best = max(best, steps)
         air[i] = 2.0 * best * ENTROPY_STEP_BITS
-        _log.info("  %7.2f dB -> AIR %5.2f bits", snr, air[i])
+        _log.info("  %7.2f dB -> AIR %5.2f bits, NGMI evaluations: %d", snr, air[i], evals)
 
     return AirTable(snr_db=grid, air=air, ngmi_th=ngmi_th, M=GRID_TEMPLATE.M,
                     mc_symbols=mc.mc_symbols, seed=mc.seed)

@@ -34,7 +34,9 @@ SAMPLING_PERIOD_S = 25.0  # RainModelConfig's default grid and the AR(1) referen
 class SnrTrace:
     """Timestamped SNR sequence with weather labels, sampled on a fixed grid.
     It holds at least two samples: its period is the step between its first
-    two timestamps, never assumed."""
+    two timestamps, never assumed. Every SNR lies in the range
+    _noise_variance accepts (its lowest, then its highest, is checked), so a
+    trace a run cannot measure is refused before the run starts."""
 
     t_s: np.ndarray
     snr_db: np.ndarray
@@ -52,8 +54,8 @@ class SnrTrace:
         period = _sampling_period(float(t[1] - t[0]))
         if not np.allclose(np.diff(t), period, rtol=0, atol=1e-9):
             raise ValueError("timestamps must increase by the sampling period")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("SNR values must be finite")
+        for v in (s.min(), s.max()):
+            _noise_variance(float(v))
         if any(w not in (CLEAR, RAIN) for w in self.weather):
             raise ValueError("weather labels must be 'clear' or 'rain'")
         object.__setattr__(self, "t_s", t)
@@ -418,7 +420,8 @@ def save_trace(trace: SnrTrace, path) -> None:
 
 
 def load_trace(path) -> SnrTrace:
-    """Parse a trace CSV, validating schema, monotonicity and finiteness.
+    """Parse a trace CSV, validating schema, monotonicity, finiteness and
+    the SNR range SnrTrace requires.
 
     Errors name the file, and the offending line where there is one.
     """

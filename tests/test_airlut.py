@@ -212,15 +212,24 @@ def test_small_table_decisions_pinned():
         10.32, 11.46, 12.0, 12.0, 12.0, 12.0, 12.0, 12.0, 12.0]
 
 
-def test_build_logs_one_line_per_grid_point(caplog):
+def test_build_logs_one_line_per_grid_point(caplog, monkeypatch):
+    scored = []
+
+    def spy(dist, snr_db, n_symbols, key):
+        scored.append(key[1])
+        return awgn_link_metrics(dist, snr_db, n_symbols, key)
+
+    monkeypatch.setattr(airlut, "awgn_link_metrics", spy)
     caplog.set_level(logging.INFO, logger="fsolink.airlut")
     table = build_air_table([-10.0, 14.0, 30.0, 31.0],
                             MCConfig(mc_symbols=1000, seed=1))
     lines = [r.getMessage() for r in caplog.records if r.name == "fsolink.airlut"]
     assert len(lines) == 4
-    assert lines[-1] == "    31.00 dB -> AIR 12.00 bits"  # a point not searched
-    for snr, air, line in zip(table.snr_db, table.air, lines):
-        assert line == f"  {snr:7.2f} dB -> AIR {air:5.2f} bits"
+    # a point not searched
+    assert lines[-1] == "    31.00 dB -> AIR 12.00 bits, NGMI evaluations: 0"
+    for i, (snr, air, line) in enumerate(zip(table.snr_db, table.air, lines)):
+        assert line == (f"  {snr:7.2f} dB -> AIR {air:5.2f} bits, "
+                        f"NGMI evaluations: {scored.count(i)}")
 
 
 def test_build_deterministic_bit_identical():
@@ -267,11 +276,12 @@ def bisection_table(grid, mc, ngmi_th=0.9):
     return np.maximum.accumulate(air)
 
 
-def _search(values, lo, guess):
+def _search(values, lo, guess, slope=math.nan):
     """Run _last_passing on f(lo + k) = values[k], checking that each probe
-    is a step of lo..hi and that no step repeats; return the answer, the
-    probes in order, and how many probes it took to see both a passing and
-    a failing step (all of them, if it never did)."""
+    is a step of lo..hi, that no step repeats and that the slope returned is
+    the closing bracket's; return the answer, the probes in order, and how
+    many probes it took to see both a passing and a failing step (all of
+    them, if it never did)."""
     probes = []
 
     def f(step):
@@ -280,7 +290,11 @@ def _search(values, lo, guess):
         probes.append(step)
         return values[step - lo]
 
-    got = airlut._last_passing(f, lo, lo + len(values) - 1, guess)
+    got, closing = airlut._last_passing(f, lo, lo + len(values) - 1, guess, slope)
+    if got is None or got == lo + len(values) - 1:
+        assert math.isnan(closing)
+    else:
+        assert closing == values[got + 1 - lo] - values[got - lo]
     signs = [values[s - lo] >= 0 for s in probes]
     flips = [j for j in range(1, len(signs)) if signs[j] != signs[0]]
     gallop = flips[0] + 1 if flips else len(signs)
@@ -288,6 +302,8 @@ def _search(values, lo, guess):
 
 
 _GUESS = st.one_of(st.just(math.nan), st.floats(-100.0, 700.0),
+                   st.sampled_from([math.inf, -math.inf]))
+_SLOPE = st.one_of(st.just(math.nan), st.floats(-60.0, 60.0),
                    st.sampled_from([math.inf, -math.inf]))
 
 
@@ -307,12 +323,12 @@ def _arbitrary(draw):
     return draw(st.lists(st.integers(-50, 50), min_size=2, max_size=600))
 
 
-@given(values=_non_increasing(), lo=st.integers(0, 300), guess=_GUESS)
-@example(values=[-1, -2, -2], lo=0, guess=2.0)  # all fail: AIR 0
-@example(values=[2, 0, 0], lo=0, guess=0.0)  # all pass: the top step
+@given(values=_non_increasing(), lo=st.integers(0, 300), guess=_GUESS, slope=_SLOPE)
+@example(values=[-1, -2, -2], lo=0, guess=2.0, slope=math.nan)  # all fail: AIR 0
+@example(values=[2, 0, 0], lo=0, guess=0.0, slope=math.nan)  # all pass: the top step
 @settings(max_examples=300, deadline=None)
-def test_search_equals_bisection_where_f_does_not_increase(values, lo, guess):
-    got, _, _ = _search(values, lo, guess)
+def test_search_equals_bisection_where_f_does_not_increase(values, lo, guess, slope):
+    got, _, _ = _search(values, lo, guess, slope)
     hi = lo + len(values) - 1
     if values[0] < 0:
         assert got is None  # AIR 0
@@ -322,10 +338,10 @@ def test_search_equals_bisection_where_f_does_not_increase(values, lo, guess):
         assert got == bisection(lambda s: values[s - lo] >= 0, lo, hi)
 
 
-@given(values=_arbitrary(), lo=st.integers(0, 300), guess=_GUESS)
+@given(values=_arbitrary(), lo=st.integers(0, 300), guess=_GUESS, slope=_SLOPE)
 @settings(max_examples=300, deadline=None)
-def test_search_returns_a_crossing_of_any_bracket(values, lo, guess):
-    got, probes, gallop = _search(values, lo, guess)
+def test_search_returns_a_crossing_of_any_bracket(values, lo, guess, slope):
+    got, probes, gallop = _search(values, lo, guess, slope)
     hi = lo + len(values) - 1
     # the steps that decide the answer were all evaluated
     if got is None:
@@ -339,7 +355,8 @@ def test_search_returns_a_crossing_of_any_bracket(values, lo, guess):
         assert got in probes and got + 1 in probes
     if math.isnan(guess):  # no guess: the floor decides first, then the top
         assert probes[:2] == ([lo] if values[0] < 0 else [lo, hi])
-    # strides 1, 2, 4, ... reach a bracket or an end within log2 probes
+    # steps no shorter than the strides 1, 2, 4, ... reach a bracket or an
+    # end within log2 probes
     assert gallop <= 1 + (hi - lo).bit_length()
     assert len(probes) <= len(values)
 
@@ -353,6 +370,38 @@ def test_regula_falsi_closes_a_linear_bracket_on_the_crossing(crossing, slope):
     got, probes, _ = _search(values, 200, math.nan)
     assert got == math.floor(crossing)
     assert probes[:2] == [200, 600] and len(probes) <= 4
+
+
+@given(c=st.integers(200, 599), frac=st.floats(0.01, 0.99),
+       drop=st.floats(1e-3, 1.0), guess=st.floats(200.0, 600.0))
+@example(c=417, frac=0.3, drop=0.002, guess=417.0)
+@example(c=417, frac=0.3, drop=0.002, guess=418.4)
+@settings(max_examples=300, deadline=None)
+def test_the_true_slope_closes_a_linear_margin_in_three_probes(c, frac, drop, guess):
+    # NGMI falls almost linearly with entropy; given its slope, the first
+    # step lands on the crossing's far side and regula falsi settles the
+    # near one, so a guess on the last passing step needs one probe more
+    values = [drop * (c + frac - s) for s in range(200, 601)]
+    got, probes, _ = _search(values, 200, guess, -drop)
+    assert got == c
+    assert len(probes) <= 3
+    if round(guess) == c:
+        assert len(probes) == 2
+
+
+@given(values=_arbitrary(), lo=st.integers(0, 300), guess=st.floats(-100.0, 700.0))
+@settings(max_examples=300, deadline=None)
+def test_no_slope_gallops_in_strides_1_2_4(values, lo, guess):
+    # with a NaN slope no line guides a step, whatever the probes read
+    _, probes, gallop = _search(values, lo, guess, math.nan)
+    hi = lo + len(values) - 1
+    s = round(min(max(guess, lo), hi))
+    up, stride, want = values[s - lo] >= 0, 1, [s]
+    while len(want) < gallop:
+        s = min(s + stride, hi) if up else max(s - stride, lo)
+        want.append(s)
+        stride *= 2
+    assert probes[:gallop] == want
 
 
 @pytest.mark.parametrize("grid, seed", [

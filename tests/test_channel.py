@@ -395,6 +395,16 @@ def test_load_names_the_file_on_trace_errors(tmp_path):
         load_trace(path)
 
 
+def test_load_refuses_a_row_beyond_the_measurable_range(tmp_path):
+    # refused as the file is read, before a run measures any earlier row
+    path = tmp_path / "beyond.csv"
+    path.write_text("t_s,snr_db,weather\n0.0,15.0,clear\n25.0,15.0,clear\n"
+                    "50.0,340.0,rain\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: SNR 340\.0 dB "
+                       r"is outside \[-300, 300\] dB"):
+        load_trace(path)
+
+
 def test_load_rejects_nan_row_naming_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t_s,snr_db,weather\n0.0,15.0,clear\n25.0,NaN,clear\n")
@@ -493,10 +503,16 @@ def test_snr_trace_validation():
                      weather=(CLEAR,) * n)
     with pytest.raises(ValueError, match="columns differ in length"):
         SnrTrace(t_s=np.array([0.0, 25.0]), snr_db=np.zeros(2), weather=(CLEAR,))
-    for snr in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="SNR values must be finite"):
-            SnrTrace(t_s=np.array([0.0, 25.0]), snr_db=np.array([15.0, snr]),
-                     weather=(CLEAR, CLEAR))
+    # every SNR a link can measure, NaN and +-inf not among them; the lowest
+    # out-of-range value is named first
+    for snr in (math.nan, math.inf, -math.inf, 300.5, -340.0):
+        with pytest.raises(ValueError, match=rf"^SNR {snr} dB is outside "
+                                             r"\[-300, 300\] dB, the range"):
+            SnrTrace(t_s=np.array([0.0, 25.0, 50.0]),
+                     snr_db=np.array([15.0, snr, 400.0 if snr < 0 else 15.0]),
+                     weather=(CLEAR,) * 3)
+    assert SnrTrace(t_s=np.array([0.0, 25.0]), snr_db=np.array([-300.0, 300.0]),
+                    weather=(CLEAR, CLEAR)).snr_db.tolist() == [-300.0, 300.0]
     # the timestamps fix the period: their first step, never a default
     with pytest.raises(TypeError):
         SnrTrace(t_s=np.array([0.0, 10.0]), snr_db=np.zeros(2),

@@ -95,8 +95,9 @@ def test_build_lut_rejects_threshold_before_any_grid_point(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
-def _outside(snr) -> str:
-    return (f"error: SNR {snr} dB is outside [-300, 300] dB, "
+def _outside(snr, path=None) -> str:
+    where = "" if path is None else f"{path}: "
+    return (f"error: {where}SNR {snr} dB is outside [-300, 300] dB, "
             "the range a unit-power link can measure\n")
 
 
@@ -196,6 +197,19 @@ def test_gen_trace_rejects_bad_sampling_period(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg_path}: sampling_period_s must be positive")
         assert err.count("\n") == 1
+
+
+def test_gen_trace_refuses_a_trace_beyond_the_measurable_range(tmp_path, capsys):
+    cfg = {"clear_mean_db": 400.0, "clear_std_db": 0.0,
+           "rain_mean_drop_db": 1.0, "rain_std_db": 0.0, "ar1_rho": 0.1}
+    cfg_path = tmp_path / "model.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "t.csv"
+    rc = main(["gen-trace", "--config", str(cfg_path), "--duration", "100",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == _outside("400.0")
+    assert not out.exists()
 
 
 def test_gen_trace_refuses_a_trace_too_short_to_carry_its_period(tmp_path, capsys):
@@ -451,6 +465,7 @@ def test_run_missing_trace_file(small_campaign, capsys):
 
 
 def test_run_snr_outside_the_measurable_range_is_one_error_line(small_campaign, capsys):
+    # the trace is refused as it is read, so no iteration runs before row 4
     trace, lut, results = small_campaign
     rows = trace.read_text().splitlines(keepends=True)
     for snr in ("-4000.0", "340.0", "400.0"):
@@ -460,7 +475,7 @@ def test_run_snr_outside_the_measurable_range_is_one_error_line(small_campaign, 
         rc = main(["run", "--trace", str(trace), "--lut", str(lut),
                    "--mc-symbols", "2000", "--out", str(results)])
         assert rc == 1
-        assert capsys.readouterr().err == _outside(snr)
+        assert capsys.readouterr().err == _outside(snr, trace)
         assert not results.exists()
 
 
@@ -476,7 +491,7 @@ def test_run_refuses_a_two_row_trace_outside_the_range(small_campaign, capsys, s
     rc = main(["run", "--trace", str(trace), "--lut", str(lut), "--schemes", "fixed400",
                "--mc-symbols", "20000", "--out", str(results)])
     assert rc == 1
-    assert capsys.readouterr().err == _outside(snr)
+    assert capsys.readouterr().err == _outside(snr, trace)
     assert not results.exists()
 
 
