@@ -379,8 +379,8 @@ def test_regula_falsi_closes_a_linear_bracket_on_the_crossing(crossing, slope):
 @settings(max_examples=300, deadline=None)
 def test_the_true_slope_closes_a_linear_margin_in_three_probes(c, frac, drop, guess):
     # NGMI falls almost linearly with entropy; given its slope, the first
-    # step lands on the crossing's far side and regula falsi settles the
-    # near one, so a guess on the last passing step needs one probe more
+    # step lands beside the crossing on its far side and regula falsi
+    # settles the near side, which a guess on the last passing step is
     values = [drop * (c + frac - s) for s in range(200, 601)]
     got, probes, _ = _search(values, 200, guess, -drop)
     assert got == c
